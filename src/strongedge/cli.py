@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .graph import (
     Graph,
@@ -87,6 +85,9 @@ def cmd_color(args) -> int:
             else:
                 _write_text(args.trace, trace.format_text())
     else:
+        if args.k < 0:
+            print("error: --k must be non-negative", file=sys.stderr)
+            return EXIT_USAGE
         order = None
         if args.seed is not None:
             import random
@@ -167,8 +168,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _hunt_one(task):
-    mode, d, n, seed = task
+def _hunt_one(mode: str, d: int, n: int, seed: int) -> dict:
     g = gen_random_regular(d, n, seed)
     record = {"seed": seed, "n": n, "m": g.num_edges()}
     if mode in ("reduce21", "both"):
@@ -186,15 +186,11 @@ def _hunt_one(task):
 
 
 def cmd_hunt(args) -> int:
-    tasks = [(args.alg, args.d, args.n, seed)
-             for seed in range(args.seed, args.seed + args.count)]
-    threads = int(os.environ.get("STRONGEDGE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_hunt_one, tasks))
-    else:
-        records = [_hunt_one(t) for t in tasks]
-    records.sort(key=lambda r: r["seed"])
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    records = [_hunt_one(args.alg, args.d, args.n, seed)
+               for seed in range(args.seed, args.seed + args.count)]
 
     bad = [r for r in records if not r.get("verified", False)]
     if bad:

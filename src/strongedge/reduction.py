@@ -16,7 +16,9 @@ solver, so correctness never depends on the constructive path.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .graph import (
     C4,
@@ -909,6 +911,7 @@ class _Solver:
     # .. collaborative coloring of the two blocks ..
 
     def _collaborative(self, g: Graph, part: VertexPartition, depth: int) -> dict:
+        """Order the labels for the partition's case and run its recipe."""
         labels = part.labels.copy()
         # structure with one child in each block fires the simplest recipe
         for z in sorted((labels.u, labels.v, labels.w)):
@@ -919,8 +922,7 @@ class _Solver:
             if lk and rk and not mk:
                 z2 = [c for c in ks if c != lk[0] and c != rk[0]]
                 labels.children[z] = [lk[0], z2[0], rk[0]]
-                self.trace.record(depth, "collaborative", "case=mixed-branch", g)
-                return self._recipe_mixed_branch(g, part, labels, z, depth)
+                return self._run_recipe(g, part, labels, depth, "mixed-branch", z)
 
         m_a = sorted(part.mid & part.designated)
         if not m_a:
@@ -937,32 +939,24 @@ class _Solver:
             return total >= 3
 
         candidates = [zi for zi in m_a if rich(zi)]
+        for zi in candidates:
+            z = self._branch_of(labels, zi)
+            siblings = [c for c in labels.children[z] if c != zi]
+            r_sib = sorted(c for c in siblings if c in part.right)
+            if r_sib:
+                other = [c for c in siblings if c != r_sib[0]]
+                labels.children[z] = [zi, other[0], r_sib[0]]
+                return self._run_recipe(g, part, labels, depth, "r-sibling", z)
         if candidates:
-            for zi in candidates:
-                z = self._branch_of(labels, zi)
-                siblings = [c for c in labels.children[z] if c != zi]
-                r_sib = sorted(c for c in siblings if c in part.right)
-                if r_sib:
-                    other = [c for c in siblings if c != r_sib[0]]
-                    labels.children[z] = [zi, other[0], r_sib[0]]
-                    self.trace.record(depth, "collaborative", "case=r-sibling", g)
-                    return self._recipe_r_sibling(g, part, labels, z, depth)
-            chosen = candidates[0]
-            return self._rich_anchor_cases(g, part, labels, chosen, depth)
+            return self._rich_anchor_cases(g, part, labels, candidates[0], depth)
 
         w1 = labels.children[labels.w][0]
         if w1 in m_a:
-            hub = labels.children[w1][2]
-            r = part.right_degree(g, hub)
-            if r == 1:
-                self.trace.record(depth, "collaborative", "case=hub-deg1", g)
-                return self._recipe_hub1(g, part, labels, depth)
-            if r == 2:
-                self.trace.record(depth, "collaborative", "case=hub-deg2", g)
-                return self._recipe_hub2(g, part, labels, depth)
-            raise FallbackTriggered(f"unexpected hub degree {r} on the third branch")
-        self.trace.record(depth, "collaborative", "case=twin-anchors", g)
-        return self._recipe_twin(g, part, labels, m_a, depth)
+            r = part.right_degree(g, labels.children[w1][2])
+            if r not in (1, 2):
+                raise FallbackTriggered(f"unexpected hub degree {r} on the third branch")
+            return self._run_recipe(g, part, labels, depth, f"hub-deg{r}")
+        return self._run_recipe(g, part, labels, depth, "twin-anchors", m_a)
 
     # .. label utilities ..
 
@@ -1009,391 +1003,22 @@ class _Solver:
         if l_sib:
             u3 = [c for c in siblings if c != l_sib[0]][0]
             labels.children[labels.u] = [chosen, l_sib[0], u3]
-            self.trace.record(depth, "collaborative", "case=l-sibling", g)
-            return self._recipe_l_sibling(g, part, labels, depth)
+            return self._run_recipe(g, part, labels, depth, "l-sibling")
         if len(m_sib) != 2:
             raise FallbackTriggered("sibling placement escaped the case split")
         for sib in m_sib:
             labels.children[sib] = self._mark_children(g, part, labels, sib)
-        middles = {}
-        for zi in [chosen] + m_sib:
-            k2 = labels.children[zi][1]
-            middles[zi] = "crossing" if k2 in part.left else "outward"
-        kinds = set(middles.values())
-        if kinds == {"crossing", "outward"}:
-            first = min(zi for zi in middles if middles[zi] == "crossing")
-            second = min(zi for zi in middles if middles[zi] == "outward")
-            third = [zi for zi in middles if zi not in (first, second)][0]
-            labels.children[labels.u] = [first, second, third]
-            self.trace.record(depth, "collaborative", "case=mixed-middles", g)
-            return self._recipe_mixed_middles(g, part, labels, depth)
-        others = sorted(m_sib)
-        labels.children[labels.u] = [chosen, others[0], others[1]]
-        if kinds == {"crossing"}:
-            self.trace.record(depth, "collaborative", "case=middles-left", g)
-            return self._recipe_same_middles(g, part, labels, depth, crossing_mid=True)
-        self.trace.record(depth, "collaborative", "case=middles-right", g)
-        return self._recipe_same_middles(g, part, labels, depth, crossing_mid=False)
-
-    # .. shared recipe plumbing ..
-
-    def _left_edges_at(self, g: Graph, part: VertexPartition, v: int) -> list[int]:
-        return [e for e in g.incident(v)
-                if g.other_end(e, v) in part.left and v in part.left]
-
-    def _right_edges_at(self, g: Graph, part: VertexPartition, v: int) -> list[int]:
-        return [e for e in g.incident(v)
-                if g.other_end(e, v) in part.right and v in part.right]
-
-    def _right_triple(self, g: Graph, part: VertexPartition,
-                      primary: int, secondary=None) -> list[int]:
-        edges = self._right_edges_at(g, part, primary)[:3]
-        if len(edges) < 3 and secondary is not None:
-            edges += self._right_edges_at(g, part, secondary)[:3 - len(edges)]
-        if len(edges) != 3:
-            raise FallbackTriggered("fewer than three right edges for the helper triple")
-        return edges
-
-    def _fresh_edge(self, sub: Graph, a: int, b: int, why: str) -> int:
-        if sub.adjacent(a, b):
-            raise FallbackTriggered(f"unexpected adjacency {a}-{b} while {why}")
-        return sub.add_edge(a, b)
-
-    def _solve_block(self, g: Graph, sub: Graph, depth: int) -> dict:
-        if sub.max_degree() > 4:
-            raise FallbackTriggered("block exceeded degree four")
-        return self.solve(sub, depth + 1, g.measure())
-
-    def _transfer(self, g: Graph, *block_colorings) -> dict:
-        working: dict = {}
-        for sub, col in block_colorings:
-            for e in sub.edges():
-                if g.has_edge_id(e):
-                    working[e] = col[e]
-        ok, witness = _verify_dict(g, working)
-        if not ok:
-            raise FallbackTriggered(f"block transfer produced conflict {witness}")
-        return working
-
-    def _rename_or_fail(self, col: dict, fixed: dict, why: str) -> dict:
-        renamed = _rename_dict(col, fixed)
-        if renamed is None:
-            raise FallbackTriggered(f"renaming infeasible while {why}")
-        return renamed
-
-    def _greedy_grandkids(self, g: Graph, col: dict, labels: BranchLabels,
-                          branch_vertex: int, skip=()) -> None:
-        for zi in labels.children[branch_vertex]:
-            self._greedy_down(g, col, zi, branch_vertex, skip)
-
-    def _greedy_down(self, g: Graph, col: dict, vertex: int, parent: int,
-                     skip=()) -> None:
-        for c in _kids(g, vertex, parent):
-            e = _eid(g, vertex, c)
-            if e not in col and e not in skip:
-                _greedy_assign(g, col, e, "shell pass")
-
-    def _greedy_children(self, g: Graph, col: dict, labels: BranchLabels,
-                         branch_vertex: int) -> None:
-        for zi in labels.children[branch_vertex]:
-            e = _eid(g, branch_vertex, zi)
-            if e not in col:
-                _greedy_assign(g, col, e, "branch pass")
-
-    def _run_order(self, g: Graph, col: dict, order) -> None:
-        for e in order:
-            if e in col:
-                raise FallbackTriggered(f"ordered edge {e} was already colored")
-            _greedy_assign(g, col, e, "final order")
-
-    def _finish(self, g: Graph, col: dict) -> dict:
-        missing = [e for e in g.edges() if e not in col]
-        if missing:
-            raise FallbackTriggered(f"recipe left {len(missing)} edges uncolored")
-        ok, witness = _verify_dict(g, col)
-        if not ok:
-            raise FallbackTriggered(f"recipe produced conflict {witness}")
-        return col
-
-    def _crossing_partner(self, g: Graph, part: VertexPartition,
-                          excluded_edge: int) -> int:
-        """Left endpoint of the first crossing edge other than the excluded one."""
-        for e in part.crossing:
-            if e == excluded_edge:
-                continue
-            a, b = g.endpoints(e)
-            return a if a in part.left else b
-        raise FallbackTriggered("no spare crossing edge")
-
-    # .. recipes ..
-
-    def _recipe_mixed_branch(self, g: Graph, part: VertexPartition,
-                             labels: BranchLabels, z: int, depth: int) -> dict:
-        x = labels.x
-        z1, z2, z3 = labels.children[z]
-        y = labels.y
-        y1 = _kids(g, y, x)[0]
-
-        a_prime = self._crossing_partner(g, part, _eid(g, z, z1))
-        gl = g.induced_subgraph(part.left)
-        helper_l = gl.add_edge(z1, a_prime)  # parallel copy is fine
-        gr = g.induced_subgraph(part.right)
-        helper_r = self._fresh_edge(gr, z3, y, "joining outward child to free branch")
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(_eid(g, z1, c) for c in _kids(g, z1, z)))},
-            "normalizing left child colors")
-        d = col_l[helper_l]
-
-        col_r = self._solve_block(g, gr, depth)
-        fixed = {e: i + 1 for i, e in enumerate(
-            sorted(_eid(g, z3, c) for c in _kids(g, z3, z)))}
-        fixed[_eid(g, y, y1)] = d
-        col_r = self._rename_or_fail(col_r, fixed, "normalizing right child colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        for zp in sorted(set(labels.branch[:3]) - {z}):
-            self._greedy_grandkids(g, col, labels, zp)
-            self._greedy_children(g, col, labels, zp)
-        others = sorted(set(labels.branch[:3]) - {z})
-        head = [_eid(g, x, others[0]), _eid(g, x, others[1]), _eid(g, x, y)]
-        if d in _colors_at(g, col, z2):
-            order = head + [_eid(g, z, z1), _eid(g, z, z3), _eid(g, z, z2),
-                            _eid(g, x, z)]
-        else:
-            _checked_assign(g, col, _eid(g, z, z1), d, "seeding the left child edge")
-            order = head + [_eid(g, z, z3), _eid(g, z, z2), _eid(g, x, z)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_r_sibling(self, g: Graph, part: VertexPartition,
-                          labels: BranchLabels, z: int, depth: int) -> dict:
-        x = labels.x
-        z1, z2, z3 = labels.children[z]
-        z11, z12, z13 = labels.children[z1]
-
-        a_prime = self._crossing_partner(g, part, _eid(g, z1, z11))
-        gl = g.induced_subgraph(part.left)
-        helper_l = gl.add_edge(z11, a_prime)
-        variant_full = part.right_degree(g, z13) == 3
-        gr = g.induced_subgraph(part.right)
-        if not variant_full:
-            if z12 not in part.right:
-                raise FallbackTriggered("thin outward child without a right twin")
-            self._fresh_edge(gr, z13, z12, "pairing the outward children")
-        self._fresh_edge(gr, z13, z3, "joining outward child to right sibling")
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(_eid(g, z11, c) for c in _kids(g, z11, z1)))},
-            "normalizing left target colors")
-        d = col_l[helper_l]
-
-        col_r = self._solve_block(g, gr, depth)
-        triple = self._right_triple(g, part, z13, None if variant_full else z12)
-        triple_fixed = {e: i + 1 for i, e in enumerate(triple)}
-        triple_sources = {col_r[e] for e in triple}
-        pick = next((e for e in self._right_edges_at(g, part, z3)
-                     if col_r[e] not in triple_sources), None)
-        if pick is None:
-            raise FallbackTriggered("right sibling edges all collide with the triple")
-        triple_fixed[pick] = d
-        col_r = self._rename_or_fail(col_r, triple_fixed, "normalizing right target colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        for zp in sorted(set(labels.branch[:3]) - {z}):
-            self._greedy_grandkids(g, col, labels, zp)
-            self._greedy_children(g, col, labels, zp)
-        self._greedy_down(g, col, z2, z)
-        others = sorted(set(labels.branch[:3]) - {z})
-        head = [_eid(g, x, others[0]), _eid(g, x, others[1]),
-                _eid(g, x, labels.y), _eid(g, x, z),
-                _eid(g, z, z2), _eid(g, z, z3)]
-        if d not in _colors_at(g, col, z12):
-            _checked_assign(g, col, _eid(g, z1, z11), d, "seeding the crossing child edge")
-            order = head + [_eid(g, z1, z12), _eid(g, z1, z13), _eid(g, z, z1)]
-        else:
-            order = head + [_eid(g, z1, z11), _eid(g, z1, z12),
-                            _eid(g, z1, z13), _eid(g, z, z1)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_l_sibling(self, g: Graph, part: VertexPartition,
-                          labels: BranchLabels, depth: int) -> dict:
-        x, u, v, w, y = labels.x, labels.u, labels.v, labels.w, labels.y
-        u1, u2, u3 = labels.children[u]
-        u11, u12, u13 = labels.children[u1]
-        u21 = _kids(g, u2, u)[0]
-
-        gl = g.induced_subgraph(part.left)
-        self._fresh_edge(gl, u11, u2, "joining crossing target to left sibling")
-        variant_full = part.right_degree(g, u13) == 3
-        gr = g.induced_subgraph(part.right)
-        if not variant_full:
-            if u12 not in part.right:
-                raise FallbackTriggered("thin outward child without a right twin")
-            self._fresh_edge(gr, u13, u12, "pairing the outward children")
-        helper_ry = self._fresh_edge(gr, u13, y, "joining outward child to free branch")
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(self._left_edges_at(g, part, u11)))},
-            "normalizing left target colors")
-        d = col_l[_eid(g, u2, u21)]
-        if d in (1, 2, 3):
-            raise FallbackTriggered("sibling seed color collided with the base colors")
-
-        col_r = self._solve_block(g, gr, depth)
-        triple = self._right_triple(g, part, u13, None if variant_full else u12)
-        fixed = {e: i + 1 for i, e in enumerate(triple)}
-        fixed[helper_ry] = d
-        col_r = self._rename_or_fail(col_r, fixed, "normalizing right target colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        for zp in (v, w):
-            self._greedy_grandkids(g, col, labels, zp)
-        self._greedy_down(g, col, u3, u)
-        for zp in (v, w):
-            self._greedy_children(g, col, labels, zp)
-        head = [_eid(g, x, v), _eid(g, x, w), _eid(g, x, y), _eid(g, x, u),
-                _eid(g, u, u2), _eid(g, u, u3)]
-        if d not in _colors_at(g, col, u12):
-            _checked_assign(g, col, _eid(g, u1, u13), d, "seeding the outward child edge")
-            order = head + [_eid(g, u1, u11), _eid(g, u1, u12), _eid(g, u, u1)]
-        else:
-            order = head + [_eid(g, u1, u11), _eid(g, u1, u12),
-                            _eid(g, u1, u13), _eid(g, u, u1)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_mixed_middles(self, g: Graph, part: VertexPartition,
-                              labels: BranchLabels, depth: int) -> dict:
-        x, u, v, w, y = labels.x, labels.u, labels.v, labels.w, labels.y
-        u1, u2, u3 = labels.children[u]
-        u11, u12, u13 = labels.children[u1]
-        u21, u22, u23 = labels.children[u2]
-        u31, u32, u33 = labels.children[u3]
-
-        gl = g.induced_subgraph(part.left)
-        apex_a = gl.add_vertex()
-        ea11 = gl.add_edge(apex_a, u11)
-        ea12 = gl.add_edge(apex_a, u12)
-        ea21 = gl.add_edge(apex_a, u21)
-        gl.add_edge(apex_a, u31)
-        gr = g.induced_subgraph(part.right)
-        apex_b = gr.add_vertex()
-        eb13 = gr.add_edge(apex_b, u13)
-        eb22 = gr.add_edge(apex_b, u22)
-        eb23 = gr.add_edge(apex_b, u23)
-        gr.add_edge(apex_b, u33)
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(col_l, {ea11: 1, ea12: 2, ea21: 3},
-                                     "normalizing left apex colors")
-        d = col_l[min(self._left_edges_at(g, part, u31))]
-        if d in (1, 2, 3):
-            raise FallbackTriggered("shared seed color collided with the base colors")
-
-        col_r = self._solve_block(g, gr, depth)
-        u33_edges = self._right_edges_at(g, part, u33)
-        if not u33_edges:
-            raise FallbackTriggered("outward child of the third sibling has no right edge")
-        col_r = self._rename_or_fail(
-            col_r, {eb23: 1, eb22: 2, eb13: 3, min(u33_edges): d},
-            "normalizing right apex colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        pairs = [
-            (_eid(g, u1, u11), 1), (_eid(g, u2, u23), 1),
-            (_eid(g, u1, u12), 2), (_eid(g, u2, u22), 2),
-            (_eid(g, u1, u13), 3), (_eid(g, u2, u21), 3),
-        ]
-        for e, c in pairs:
-            _checked_assign(g, col, e, c, "seeding the paired child edges")
-        for zp in (v, w):
-            self._greedy_grandkids(g, col, labels, zp)
-        for zp in (v, w):
-            self._greedy_children(g, col, labels, zp)
-        order = [_eid(g, x, v), _eid(g, x, w), _eid(g, x, y), _eid(g, x, u),
-                 _eid(g, u3, u31), _eid(g, u3, u32), _eid(g, u3, u33),
-                 _eid(g, u, u1), _eid(g, u, u2), _eid(g, u, u3)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_same_middles(self, g: Graph, part: VertexPartition,
-                             labels: BranchLabels, depth: int,
-                             crossing_mid: bool) -> dict:
-        x, u, v, w, y = labels.x, labels.u, labels.v, labels.w, labels.y
-        u1, u2, u3 = labels.children[u]
-        u11, u12, u13 = labels.children[u1]
-        u21, u22, u23 = labels.children[u2]
-        u31, u32, u33 = labels.children[u3]
-
-        if crossing_mid:
-            if part.right_degree(g, u13) != 3:
-                raise FallbackTriggered("outward child lacks three right edges")
-            gl = g.induced_subgraph(part.left)
-            apex_a = gl.add_vertex()
-            ea11 = gl.add_edge(apex_a, u11)
-            gl.add_edge(apex_a, u12)
-            gl.add_edge(apex_a, u21)
-            gl.add_edge(apex_a, u22)
-            gr = g.induced_subgraph(part.right)
-            helper_r = self._fresh_edge(gr, u13, u23, "pairing the outward children")
-            col_l = self._solve_block(g, gl, depth)
-            col_l = self._rename_or_fail(
-                col_l, {e: i + 1 for i, e in enumerate(
-                    sorted(self._left_edges_at(g, part, u11)))},
-                "normalizing left target colors")
-            d = col_l[ea11]
-            col_r = self._solve_block(g, gr, depth)
-            triple = self._right_triple(g, part, u13)
-            fixed = {e: i + 1 for i, e in enumerate(triple)}
-            fixed[helper_r] = d
-            col_r = self._rename_or_fail(col_r, fixed, "normalizing right target colors")
-        else:
-            gl = g.induced_subgraph(part.left)
-            helper_l = self._fresh_edge(gl, u11, u21, "pairing the crossing targets")
-            gr = g.induced_subgraph(part.right)
-            apex_b = gr.add_vertex()
-            gr.add_edge(apex_b, u12)
-            gr.add_edge(apex_b, u13)
-            gr.add_edge(apex_b, u22)
-            eb23 = gr.add_edge(apex_b, u23)
-            if part.right_degree(g, u13) < 3:
-                self._fresh_edge(gr, u12, u13, "pairing the outward children")
-            col_l = self._solve_block(g, gl, depth)
-            col_l = self._rename_or_fail(
-                col_l, {e: i + 1 for i, e in enumerate(
-                    sorted(self._left_edges_at(g, part, u11)))},
-                "normalizing left target colors")
-            d = col_l[helper_l]
-            col_r = self._solve_block(g, gr, depth)
-            triple = self._right_triple(g, part, u13, u12)
-            fixed = {e: i + 1 for i, e in enumerate(triple)}
-            fixed[eb23] = d
-            col_r = self._rename_or_fail(col_r, fixed, "normalizing right target colors")
-        if d in (1, 2, 3):
-            raise FallbackTriggered("shared seed color collided with the base colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        _checked_assign(g, col, _eid(g, u1, u11), d, "seeding the paired child edges")
-        _checked_assign(g, col, _eid(g, u2, u23), d, "seeding the paired child edges")
-        for zp in (v, w):
-            self._greedy_grandkids(g, col, labels, zp)
-        for zp in (v, w):
-            self._greedy_children(g, col, labels, zp)
-        order = [_eid(g, x, v), _eid(g, x, w), _eid(g, x, y),
-                 _eid(g, u2, u21), _eid(g, u2, u22),
-                 _eid(g, u3, u31), _eid(g, u3, u32), _eid(g, u3, u33),
-                 _eid(g, x, u), _eid(g, u, u2), _eid(g, u, u3),
-                 _eid(g, u1, u12), _eid(g, u1, u13), _eid(g, u, u1)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
+        trio = [chosen] + m_sib
+        crossing = [zi for zi in trio if labels.children[zi][1] in part.left]
+        outward = [zi for zi in trio if zi not in crossing]
+        if crossing and outward:
+            first, second = min(crossing), min(outward)
+            labels.children[labels.u] = [first, second] + [
+                zi for zi in trio if zi not in (first, second)]
+            return self._run_recipe(g, part, labels, depth, "mixed-middles")
+        labels.children[labels.u] = trio
+        case = "middles-right" if outward else "middles-left"
+        return self._run_recipe(g, part, labels, depth, case)
 
     def _relabel_partner(self, g: Graph, part: VertexPartition,
                          labels: BranchLabels, partner: int, hub: int,
@@ -1414,94 +1039,287 @@ class _Solver:
         labels.children[partner] = [lk[0], middle[0], hub]
 
     def _hub_partners(self, g: Graph, part: VertexPartition, hub: int,
-                      exclude: int) -> list[int]:
-        return sorted(p for p in g.neighbors(hub)
-                      if p in part.mid and p != exclude)
+                      exclude: int, count: int, who: str = "hub") -> list[int]:
+        """The hub's mid neighbors other than `exclude`; there must be `count`."""
+        partners = sorted(p for p in g.neighbors(hub) if p in part.mid and p != exclude)
+        if len(partners) != count:
+            raise FallbackTriggered(f"{who} has {len(partners)} partners, expected {count}")
+        return partners
 
-    def _recipe_hub1(self, g: Graph, part: VertexPartition,
-                     labels: BranchLabels, depth: int) -> dict:
-        x, u, v, w, y = labels.x, labels.u, labels.v, labels.w, labels.y
-        w1 = labels.children[w][0]
+    # .. the shared recipe skeleton ..
+
+    def _run_recipe(self, g: Graph, part: VertexPartition, labels: BranchLabels,
+                    depth: int, case: str, *args) -> dict:
+        """Record the case, build its _Recipe, and run the seven shared steps:
+
+        1. build the left and right blocks with their helper edges or apex;
+        2. solve each block;
+        3. rename each block: the first three left-block edges at `norm` take
+           1, 2, 3, which fixes the shared color d, and the right triple takes
+           1, 2, 3 and the right d edge takes d;
+        4. transfer both block colorings onto the graph;
+        5. make the checked seed assignments and
+        6. run the greedy shell passes, interleaved as the recipe's steps list;
+        7. greedy-color the ordered tail and verify the result.
+
+        Colorings and traces depend on three orders that recipes must keep:
+        the order of each block's helpers (their ids feed the block solve's
+        sorted iteration), the solve order (left, rename, right, rename), and
+        the order of the steps.
+        """
+        self.trace.record(depth, "collaborative", f"case={case}", g)
+        r = self._RECIPES[case](self, g, part, labels, *args)
+        gl, left = self._block(g, part.left, r.left)
+        gr, right = self._block(g, part.right, r.right)
+        norm = gl.incident(left.get(r.norm, r.norm))[:3]  # left.get maps _APEX to the apex
+        col_l = self._solve_block(g, gl, depth, "left",
+                                  lambda raw: dict(zip(norm, (1, 2, 3))))
+        d = col_l[_edge(g, r.d_from, left)]
+        if r.guard and d in (1, 2, 3):
+            raise FallbackTriggered(r.guard)
+        col_r = self._solve_block(g, gr, depth, "right", lambda raw: dict(
+            zip([_edge(g, ref, right) for ref in r.fix(raw)], (1, 2, 3, d))))
+
+        col = {e: col_l[e] for e in gl.edges() if g.has_edge_id(e)}
+        col.update((e, col_r[e]) for e in gr.edges() if g.has_edge_id(e))
+        ok, witness = _verify_dict(g, col)
+        if not ok:
+            raise FallbackTriggered(f"block transfer produced conflict {witness}")
+        steps, order = r.arm(col) if r.arm else (r.steps, r.order)
+        order = list(order)
+        for kind, ref, *rest in steps:
+            e = _edge(g, ref)
+            if kind == "seed":
+                c, why = rest
+                if isinstance(c, tuple):
+                    c = col_r[_edge(g, c, right)]
+                _checked_assign(g, col, e, d if c == _D else c, why)
+            elif kind == "try":
+                at, why = rest
+                if d not in _colors_at(g, col, at):
+                    _checked_assign(g, col, e, d, why)
+                    order.remove(ref)
+            elif e not in col:
+                _greedy_assign(g, col, e, f"{kind} pass")
+        for e in [_edge(g, ref) for ref in order]:
+            if e in col:
+                raise FallbackTriggered(f"ordered edge {e} was already colored")
+            _greedy_assign(g, col, e, "final order")
+        missing = [e for e in g.edges() if e not in col]
+        if missing:
+            raise FallbackTriggered(f"recipe left {len(missing)} edges uncolored")
+        ok, witness = _verify_dict(g, col)
+        if not ok:
+            raise FallbackTriggered(f"recipe produced conflict {witness}")
+        return col
+
+    def _block(self, g: Graph, side: set, helpers) -> tuple[Graph, dict]:
+        """Induced block on `side` plus helpers (a, b, why) in order; a helper
+        with a reason must be a new adjacency.  Returns the block and the ids
+        of its helpers by vertex pair (and of its apex by _APEX)."""
+        sub = g.induced_subgraph(side)
+        ids: dict = {}
+        for a, b, why in helpers:
+            if _APEX in (a, b) and _APEX not in ids:
+                ids[_APEX] = sub.add_vertex()
+            ends = (ids.get(a, a), ids.get(b, b))
+            if why and sub.adjacent(*ends):
+                raise FallbackTriggered(f"unexpected adjacency {a}-{b} while {why}")
+            ids[frozenset((a, b))] = sub.add_edge(*ends)
+        return sub, ids
+
+    def _solve_block(self, g: Graph, sub: Graph, depth: int, side: str, fixed) -> dict:
+        """Solve a block, then rename its colors so that fixed(raw coloring) holds."""
+        if sub.max_degree() > 4:
+            raise FallbackTriggered("block exceeded degree four")
+        col = self.solve(sub, depth + 1, g.measure())
+        renamed = _rename_dict(col, fixed(col))
+        if renamed is None:
+            raise FallbackTriggered(
+                f"renaming infeasible while normalizing the {side} block")
+        return renamed
+
+    def _right_triple(self, g: Graph, part: VertexPartition,
+                      primary: int, secondary=None) -> list[int]:
+        edges = _edges_in(g, part.right, primary)[:3]
+        if len(edges) < 3 and secondary is not None:
+            edges += _edges_in(g, part.right, secondary)[:3 - len(edges)]
+        if len(edges) != 3:
+            raise FallbackTriggered("fewer than three right edges for the helper triple")
+        return edges
+
+    def _hub_right(self, g: Graph, part: VertexPartition, hub: int, count: int) -> list:
+        edges = _edges_in(g, part.right, hub)
+        if len(edges) != count:
+            raise FallbackTriggered("hub right degree changed under the recipe")
+        return edges
+
+    def _crossing_partner(self, g: Graph, part: VertexPartition,
+                          excluded_edge: int) -> int:
+        """Left endpoint of the first crossing edge other than the excluded one."""
+        for e in part.crossing:
+            if e != excluded_edge:
+                return next(p for p in g.endpoints(e) if p in part.left)
+        raise FallbackTriggered("no spare crossing edge")
+
+    # .. the recipes: one _Recipe per case ..
+
+    def _mixed_branch(self, g, part, labels, z) -> _Recipe:
+        x, y = labels.x, labels.y
+        z1, z2, z3 = labels.children[z]
+        y1 = _kids(g, y, x)[0]
+        a_prime = self._crossing_partner(g, part, _eid(g, z, z1))
+        o1, o2 = sorted(set(labels.branch[:3]) - {z})
+        return _Recipe(
+            left=[(z1, a_prime, None)],  # parallel copy is fine
+            right=[(z3, y, "joining outward child to free branch")],
+            norm=z1, d_from=(z1, a_prime),
+            fix=lambda raw: _edges_in(g, part.right, z3) + [(y, y1)],
+            steps=_shell(g, labels, [o1]) + _shell(g, labels, [o2])
+            + [("try", (z, z1), z2, "seeding the left child edge")],
+            order=[(x, o1), (x, o2), (x, y), (z, z1), (z, z3), (z, z2), (x, z)])
+
+    def _r_sibling(self, g, part, labels, z) -> _Recipe:
+        x = labels.x
+        z1, z2, z3 = labels.children[z]
+        z11, z12, z13 = labels.children[z1]
+        a_prime = self._crossing_partner(g, part, _eid(g, z1, z11))
+        thin = part.right_degree(g, z13) != 3
+        if thin and z12 not in part.right:
+            raise FallbackTriggered("thin outward child without a right twin")
+        o1, o2 = sorted(set(labels.branch[:3]) - {z})
+
+        def fix(raw):
+            triple = self._right_triple(g, part, z13, z12)
+            sources = {raw[e] for e in triple}
+            pick = next((e for e in _edges_in(g, part.right, z3)
+                         if raw[e] not in sources), None)
+            if pick is None:
+                raise FallbackTriggered("right sibling edges all collide with the triple")
+            return triple + [pick]
+
+        return _Recipe(
+            left=[(z11, a_prime, None)],
+            right=([(z13, z12, "pairing the outward children")] if thin else [])
+            + [(z13, z3, "joining outward child to right sibling")],
+            norm=z11, d_from=(z11, a_prime), fix=fix,
+            steps=_shell(g, labels, [o1]) + _shell(g, labels, [o2]) + _down(g, z2, z)
+            + [("try", (z1, z11), z12, "seeding the crossing child edge")],
+            order=[(x, o1), (x, o2), (x, labels.y), (x, z), (z, z2), (z, z3),
+                   (z1, z11), (z1, z12), (z1, z13), (z, z1)])
+
+    def _l_sibling(self, g, part, labels) -> _Recipe:
+        x, (u, v, w, y) = labels.x, labels.branch
+        u1, u2, u3 = labels.children[u]
+        u11, u12, u13 = labels.children[u1]
+        thin = part.right_degree(g, u13) != 3
+        if thin and u12 not in part.right:
+            raise FallbackTriggered("thin outward child without a right twin")
+        return _Recipe(
+            left=[(u11, u2, "joining crossing target to left sibling")],
+            right=([(u13, u12, "pairing the outward children")] if thin else [])
+            + [(u13, y, "joining outward child to free branch")],
+            norm=u11, d_from=(u2, _kids(g, u2, u)[0]),
+            guard="sibling seed color collided with the base colors",
+            fix=lambda raw: self._right_triple(g, part, u13, u12) + [(u13, y)],
+            steps=_shell(g, labels, [v, w], _down(g, u3, u))
+            + [("try", (u1, u13), u12, "seeding the outward child edge")],
+            order=[(x, v), (x, w), (x, y), (x, u), (u, u2), (u, u3),
+                   (u1, u11), (u1, u12), (u1, u13), (u, u1)])
+
+    def _mixed_middles(self, g, part, labels) -> _Recipe:
+        x, (u, v, w, y) = labels.x, labels.branch
+        u1, u2, u3 = labels.children[u]
+        (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = (
+            labels.children[c] for c in (u1, u2, u3))
+
+        def fix(raw):
+            u33_edges = _edges_in(g, part.right, u33)
+            if not u33_edges:
+                raise FallbackTriggered(
+                    "outward child of the third sibling has no right edge")
+            return [(_APEX, u23), (_APEX, u22), (_APEX, u13), min(u33_edges)]
+
+        seeds = [((u1, u11), 1), ((u2, u23), 1), ((u1, u12), 2),
+                 ((u2, u22), 2), ((u1, u13), 3), ((u2, u21), 3)]
+        return _Recipe(
+            left=[(_APEX, c, None) for c in (u11, u12, u21, u31)],
+            right=[(_APEX, c, None) for c in (u13, u22, u23, u33)],
+            norm=_APEX, d_from=min(_edges_in(g, part.left, u31)),
+            guard="shared seed color collided with the base colors", fix=fix,
+            steps=[("seed", e, c, "seeding the paired child edges") for e, c in seeds]
+            + _shell(g, labels, [v, w]),
+            order=[(x, v), (x, w), (x, y), (x, u), (u3, u31), (u3, u32),
+                   (u3, u33), (u, u1), (u, u2), (u, u3)])
+
+    def _same_middles(self, g, part, labels, crossing_mid: bool) -> _Recipe:
+        x, (u, v, w, y) = labels.x, labels.branch
+        u1, u2, u3 = labels.children[u]
+        (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = (
+            labels.children[c] for c in (u1, u2, u3))
+        if crossing_mid:
+            if part.right_degree(g, u13) != 3:
+                raise FallbackTriggered("outward child lacks three right edges")
+            left = [(_APEX, c, None) for c in (u11, u12, u21, u22)]
+            right = [(u13, u23, "pairing the outward children")]
+            d_from, d_to, secondary = (_APEX, u11), (u13, u23), None
+        else:
+            left = [(u11, u21, "pairing the crossing targets")]
+            right = [(_APEX, c, None) for c in (u12, u13, u22, u23)]
+            if part.right_degree(g, u13) < 3:
+                right.append((u12, u13, "pairing the outward children"))
+            d_from, d_to, secondary = (u11, u21), (_APEX, u23), u12
+        return _Recipe(
+            left=left, right=right, norm=u11, d_from=d_from,
+            guard="shared seed color collided with the base colors",
+            fix=lambda raw: self._right_triple(g, part, u13, secondary) + [d_to],
+            steps=[("seed", e, _D, "seeding the paired child edges")
+                   for e in ((u1, u11), (u2, u23))] + _shell(g, labels, [v, w]),
+            order=[(x, v), (x, w), (x, y), (u2, u21), (u2, u22), (u3, u31), (u3, u32),
+                   (u3, u33), (x, u), (u, u2), (u, u3), (u1, u12), (u1, u13), (u, u1)])
+
+    def _hub_deg1(self, g, part, labels) -> _Recipe:
+        x, (u, v, w, y) = labels.x, labels.branch
+        w1, w2, w3 = labels.children[w]
         w11, w12, hub = labels.children[w1]
-        partners = self._hub_partners(g, part, hub, w1)
-        if len(partners) != 2:
-            raise FallbackTriggered(f"hub has {len(partners)} partners, expected 2")
+        partners = self._hub_partners(g, part, hub, w1, 2)
         pu = [p for p in partners if p in labels.children[u]]
         pv = [p for p in partners if p in labels.children[v]]
         if len(pu) != 1 or len(pv) != 1:
             raise FallbackTriggered("hub partners not spread over both branches")
         self._relabel_partner(g, part, labels, pu[0], hub, u)
         self._relabel_partner(g, part, labels, pv[0], hub, v)
-        u1 = labels.children[u][0]
-        v1 = labels.children[v][0]
-        u11 = labels.children[u1][0]
-        v11, v12 = labels.children[v1][0], labels.children[v1][1]
-        u12 = labels.children[u1][1]
-
-        u_prime_edges = sorted(self._left_edges_at(g, part, u11))
+        u1, u2, u3 = labels.children[u]
+        v1, v2, v3 = labels.children[v]
+        u11, u12 = labels.children[u1][:2]
+        v11, v12 = labels.children[v1][:2]
+        u_prime_edges = _edges_in(g, part.left, u11)
         for e in u_prime_edges:
             if set(g.endpoints(e)) & {w11, w12}:
                 raise FallbackTriggered("crossing target adjacent to the third branch pair")
-        gl = g.induced_subgraph(part.left)
-        self._fresh_edge(gl, w11, u11, "joining the two crossing targets")
-        gr = g.induced_subgraph(part.right)
-        e_h2 = self._fresh_edge(gr, hub, labels.children[w][1], "spreading the hub")
-        e_h3 = self._fresh_edge(gr, hub, labels.children[w][2], "spreading the hub")
-        e_hy = self._fresh_edge(gr, hub, y, "spreading the hub")
+        return _Recipe(
+            left=[(w11, u11, "joining the two crossing targets")],
+            right=[(hub, c, "spreading the hub") for c in (w2, w3, y)],
+            norm=w11, d_from=u_prime_edges[0],
+            guard="shared seed color collided with the base colors",
+            fix=lambda raw: self._hub_right(g, part, hub, 1)
+            + [(hub, w2), (hub, w3), (hub, y)],
+            steps=[("seed", (x, y), _D, "seeding the free branch edge"),
+                   ("seed", (w, w2), 2, "seeding the third branch edges"),
+                   ("seed", (w, w3), 3, "seeding the third branch edges"),
+                   ("try", (w1, hub), w12, "seeding the hub edge")]
+            + _down(g, u2, u) + _down(g, u3, u) + _down(g, v2, v) + _down(g, v3, v),
+            order=[(u1, u11), (u1, u12), (u, u1), (u, u2), (u, u3), (x, u), (v1, v11),
+                   (v1, v12), (v, v2), (v, v3), (x, v), (v, v1), (v1, hub), (u1, hub),
+                   (x, w), (w1, w11), (w1, w12), (w1, hub), (w, w1)])
 
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(self._left_edges_at(g, part, w11)))},
-            "normalizing left target colors")
-        d = col_l[u_prime_edges[0]]
-        if d in (1, 2, 3):
-            raise FallbackTriggered("shared seed color collided with the base colors")
-
-        col_r = self._solve_block(g, gr, depth)
-        hub_right = self._right_edges_at(g, part, hub)
-        if len(hub_right) != 1:
-            raise FallbackTriggered("hub right degree changed under the recipe")
-        col_r = self._rename_or_fail(
-            col_r, {hub_right[0]: 1, e_h2: 2, e_h3: 3, e_hy: d},
-            "normalizing right target colors")
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        w2, w3 = labels.children[w][1], labels.children[w][2]
-        _checked_assign(g, col, _eid(g, x, y), d, "seeding the free branch edge")
-        _checked_assign(g, col, _eid(g, w, w2), 2, "seeding the third branch edges")
-        _checked_assign(g, col, _eid(g, w, w3), 3, "seeding the third branch edges")
-
-        d_present = d in _colors_at(g, col, w12)
-        if not d_present:
-            _checked_assign(g, col, _eid(g, w1, hub), d, "seeding the hub edge")
-        u2, u3 = labels.children[u][1], labels.children[u][2]
-        v2, v3 = labels.children[v][1], labels.children[v][2]
-        for zi, zp in ((u2, u), (u3, u), (v2, v), (v3, v)):
-            self._greedy_down(g, col, zi, zp)
-        order = [_eid(g, u1, u11), _eid(g, u1, u12), _eid(g, u, u1),
-                 _eid(g, u, u2), _eid(g, u, u3), _eid(g, x, u),
-                 _eid(g, v1, v11), _eid(g, v1, v12), _eid(g, v, v2),
-                 _eid(g, v, v3), _eid(g, x, v), _eid(g, v, v1),
-                 _eid(g, v1, hub), _eid(g, u1, hub), _eid(g, x, w),
-                 _eid(g, w1, w11), _eid(g, w1, w12)]
-        if d_present:
-            order.append(_eid(g, w1, hub))
-        order.append(_eid(g, w, w1))
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_hub2(self, g: Graph, part: VertexPartition,
-                     labels: BranchLabels, depth: int) -> dict:
+    def _hub_deg2(self, g, part, labels) -> _Recipe:
         x, w, y = labels.x, labels.w, labels.y
-        w1 = labels.children[w][0]
+        w1, w2, w3 = labels.children[w]
         w11, w12, hub = labels.children[w1]
         if w12 not in part.left:
             raise FallbackTriggered("second child of the third-branch anchor not in left")
-        partners = self._hub_partners(g, part, hub, w1)
-        if len(partners) != 1:
-            raise FallbackTriggered(f"hub has {len(partners)} partners, expected 1")
-        partner = partners[0]
+        partner, = self._hub_partners(g, part, hub, w1, 1)
         if partner in labels.children[labels.v]:
             labels.swap_uv()
         if partner not in labels.children[labels.u]:
@@ -1509,116 +1327,63 @@ class _Solver:
         u, v = labels.u, labels.v
         self._relabel_partner(g, part, labels, partner, hub, u)
         u1 = labels.children[u][0]
-
-        gl = g.induced_subgraph(part.left)
-        self._fresh_edge(gl, w11, w12, "joining the two crossing targets")
-        gr = g.induced_subgraph(part.right)
-        w2, w3 = labels.children[w][1], labels.children[w][2]
-        e_h2 = self._fresh_edge(gr, hub, w2, "spreading the hub")
-        self._fresh_edge(gr, hub, w3, "spreading the hub")
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(self._left_edges_at(g, part, w11)))},
-            "normalizing left target colors")
-        d = col_l[min(self._left_edges_at(g, part, w12))]
-        if d in (1, 2, 3):
-            raise FallbackTriggered("shared seed color collided with the base colors")
-
-        col_r = self._solve_block(g, gr, depth)
-        hub_right = sorted(self._right_edges_at(g, part, hub))
-        if len(hub_right) != 2:
-            raise FallbackTriggered("hub right degree changed under the recipe")
         w31 = _kids(g, w3, w)[0]
-        fixed = {hub_right[0]: 1, hub_right[1]: 2, e_h2: 3, _eid(g, w3, w31): d}
-        col_r = self._rename_or_fail(col_r, fixed, "normalizing right target colors")
+        return _Recipe(
+            left=[(w11, w12, "joining the two crossing targets")],
+            right=[(hub, c, "spreading the hub") for c in (w2, w3)],
+            norm=w11, d_from=min(_edges_in(g, part.left, w12)),
+            guard="shared seed color collided with the base colors",
+            fix=lambda raw: self._hub_right(g, part, hub, 2) + [(hub, w2), (w3, w31)],
+            # the hub edge of u1 waits for the ordered tail
+            steps=[("seed", (w, w2), 3, "seeding the third branch edge")]
+            + [s for s in _shell(g, labels, [u, v]) if s[1] != (u1, hub)],
+            order=[(x, v), (x, y), (x, u), (u1, hub), (x, w), (w, w3),
+                   (w1, w11), (w1, w12), (w1, hub), (w, w1)])
 
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        _checked_assign(g, col, _eid(g, w, w2), 3, "seeding the third branch edge")
-        e_u1hub = _eid(g, u1, hub)
-        for zi in labels.children[u]:
-            self._greedy_down(g, col, zi, u, skip=(e_u1hub,))
-        for zi in labels.children[v]:
-            self._greedy_down(g, col, zi, v)
-        self._greedy_children(g, col, labels, u)
-        self._greedy_children(g, col, labels, v)
-        order = [_eid(g, x, v), _eid(g, x, y), _eid(g, x, u), e_u1hub,
-                 _eid(g, x, w), _eid(g, w, w3),
-                 _eid(g, w1, w11), _eid(g, w1, w12), _eid(g, w1, hub),
-                 _eid(g, w, w1)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
-
-    def _recipe_twin(self, g: Graph, part: VertexPartition,
-                     labels: BranchLabels, m_a: list, depth: int) -> dict:
+    def _twin_anchors(self, g, part, labels, m_a) -> _Recipe:
         x, y, w = labels.x, labels.y, labels.w
-        w1 = labels.children[w][0]
+        w1, w2, w3 = labels.children[w]
         if w1 not in part.right:
             raise FallbackTriggered("third-branch anchor neither mid nor right")
-        chosen = m_a[0]
-        if chosen in labels.children[labels.v]:
+        u1 = m_a[0]
+        if u1 in labels.children[labels.v]:
             labels.swap_uv()
-        if chosen not in labels.children[labels.u]:
+        if u1 not in labels.children[labels.u]:
             raise FallbackTriggered("chosen anchor on an unexpected branch")
         u, v = labels.u, labels.v
-        ks = labels.children[u]
-        labels.children[u] = [chosen] + [c for c in ks if c != chosen]
-        u1 = chosen
         kids = _kids(g, u1, u)
         lk = sorted(c for c in kids if c in part.left)
         rk = [c for c in kids if c in part.right]
         if len(lk) != 2 or len(rk) != 1:
             raise FallbackTriggered("twin anchor does not carry two crossing children")
         hub = rk[0]
-        labels.children[u1] = [lk[0], lk[1], hub]
+        self._relabel_partner(g, part, labels, u1, hub, u)
         if part.right_degree(g, hub) != 2:
             raise FallbackTriggered("twin hub lacks exactly two right edges")
-        partners = self._hub_partners(g, part, hub, u1)
-        if len(partners) != 1:
-            raise FallbackTriggered(f"twin hub has {len(partners)} partners, expected 1")
-        v1 = partners[0]
+        v1, = self._hub_partners(g, part, hub, u1, 1, "twin hub")
         if v1 not in labels.children[v]:
             raise FallbackTriggered("twin partner on an unexpected branch")
-        labels.children[v] = [v1] + [c for c in labels.children[v] if c != v1]
         vkids = _kids(g, v1, v)
         vlk = sorted(c for c in vkids if c in part.left)
         if len(vlk) != 2 or hub not in vkids:
             raise FallbackTriggered("twin partner does not mirror the anchor")
-        labels.children[v1] = [vlk[0], vlk[1], hub]
-        u11, u12 = labels.children[u1][0], labels.children[u1][1]
-        v11, v12 = labels.children[v1][0], labels.children[v1][1]
+        self._relabel_partner(g, part, labels, v1, hub, v)
+        (u11, u12), (v11, v12) = lk, vlk
+        u2, u3 = labels.children[u][1:]
+        v2, v3 = labels.children[v][1:]
+        # the right apex stands in for w: w's edges take the colors of its edges
+        tail = ([("seed", (w, c), (c, _APEX), "seeding the third branch edges")
+                 for c in (w1, w2, w3)]
+                + _down(g, u2, u) + _down(g, u3, u) + _down(g, v2, v) + _down(g, v3, v))
 
-        gl = g.induced_subgraph(part.left)
-        helper_l = self._fresh_edge(gl, u11, u12, "joining the two crossing targets")
-        gr = g.induced_subgraph(part.right)
-        apex_b = gr.add_vertex()
-        w2, w3 = labels.children[w][1], labels.children[w][2]
-        eb_w1 = gr.add_edge(w1, apex_b)
-        eb_w2 = gr.add_edge(w2, apex_b)
-        eb_w3 = gr.add_edge(w3, apex_b)
-        eb_hub = gr.add_edge(hub, apex_b)
-        e_hy = self._fresh_edge(gr, hub, y, "joining the hub to the free branch")
-
-        col_l = self._solve_block(g, gl, depth)
-        col_l = self._rename_or_fail(
-            col_l, {e: i + 1 for i, e in enumerate(
-                sorted(self._left_edges_at(g, part, u11)))},
-            "normalizing left target colors")
-        d = col_l[helper_l]
-
-        col_r = self._solve_block(g, gr, depth)
-        hub_right = sorted(self._right_edges_at(g, part, hub))
-        fixed = {hub_right[0]: 1, hub_right[1]: 2, e_hy: 3, eb_hub: d}
-        col_r = self._rename_or_fail(col_r, fixed, "normalizing right target colors")
-        d1, d2, d3 = col_r[eb_w1], col_r[eb_w2], col_r[eb_w3]
-
-        col = self._transfer(g, (gl, col_l), (gr, col_r))
-        shown = _colors_at(g, col, v11) | _colors_at(g, col, v12)
-        claim = {1, 2, 3} <= shown
-        u2, u3 = labels.children[u][1], labels.children[u][2]
-        v2, v3 = labels.children[v][1], labels.children[v][2]
-        if not claim:
+        def arm(col):
+            shown = _colors_at(g, col, v11) | _colors_at(g, col, v12)
+            if {1, 2, 3} <= shown:
+                return ([("seed", (x, y), 3, "seeding the free branch edge"),
+                         ("seed", (x, w), _D, "seeding the anchor edge"),
+                         ("seed", (u1, hub), _D, "seeding the hub edge")] + tail,
+                        [(u, u2), (u, u3), (u1, u11), (u1, u12), (x, u), (x, v), (v, v2),
+                         (v, v3), (v1, v11), (v1, v12), (v1, hub), (v, v1), (u, u1)])
             missing = sorted({1, 2, 3} - shown)
             if 3 not in missing:
                 swap_with = missing[0]
@@ -1627,36 +1392,85 @@ class _Solver:
                         col[e] = swap_with
                     elif col.get(e) == swap_with:
                         col[e] = 3
-            _checked_assign(g, col, _eid(g, v1, hub), 3, "seeding the partner hub edge")
-            _checked_assign(g, col, _eid(g, x, y), 3, "seeding the free branch edge")
-            _checked_assign(g, col, _eid(g, w, w1), d1, "seeding the third branch edges")
-            _checked_assign(g, col, _eid(g, w, w2), d2, "seeding the third branch edges")
-            _checked_assign(g, col, _eid(g, w, w3), d3, "seeding the third branch edges")
-            for zi, zp in ((u2, u), (u3, u), (v2, v), (v3, v)):
-                self._greedy_down(g, col, zi, zp)
-            order = [_eid(g, v1, v11), _eid(g, v1, v12), _eid(g, v, v1),
-                     _eid(g, v, v2), _eid(g, v, v3), _eid(g, x, v),
-                     _eid(g, x, w), _eid(g, x, u),
-                     _eid(g, u, u2), _eid(g, u, u3),
-                     _eid(g, u1, u11), _eid(g, u1, u12),
-                     _eid(g, u1, hub), _eid(g, u, u1)]
-        else:
-            _checked_assign(g, col, _eid(g, x, y), 3, "seeding the free branch edge")
-            _checked_assign(g, col, _eid(g, x, w), d, "seeding the anchor edge")
-            _checked_assign(g, col, _eid(g, u1, hub), d, "seeding the hub edge")
-            _checked_assign(g, col, _eid(g, w, w1), d1, "seeding the third branch edges")
-            _checked_assign(g, col, _eid(g, w, w2), d2, "seeding the third branch edges")
-            _checked_assign(g, col, _eid(g, w, w3), d3, "seeding the third branch edges")
-            for zi, zp in ((u2, u), (u3, u), (v2, v), (v3, v)):
-                self._greedy_down(g, col, zi, zp)
-            order = [_eid(g, u, u2), _eid(g, u, u3),
-                     _eid(g, u1, u11), _eid(g, u1, u12),
-                     _eid(g, x, u), _eid(g, x, v),
-                     _eid(g, v, v2), _eid(g, v, v3),
-                     _eid(g, v1, v11), _eid(g, v1, v12),
-                     _eid(g, v1, hub), _eid(g, v, v1), _eid(g, u, u1)]
-        self._run_order(g, col, order)
-        return self._finish(g, col)
+            return ([("seed", (v1, hub), 3, "seeding the partner hub edge"),
+                     ("seed", (x, y), 3, "seeding the free branch edge")] + tail,
+                    [(v1, v11), (v1, v12), (v, v1), (v, v2), (v, v3), (x, v), (x, w),
+                     (x, u), (u, u2), (u, u3), (u1, u11), (u1, u12), (u1, hub), (u, u1)])
+
+        return _Recipe(
+            left=[(u11, u12, "joining the two crossing targets")],
+            right=[(c, _APEX, None) for c in (w1, w2, w3, hub)]
+            + [(hub, y, "joining the hub to the free branch")],
+            norm=u11, d_from=(u11, u12),
+            fix=lambda raw: _edges_in(g, part.right, hub) + [(hub, y), (hub, _APEX)],
+            arm=arm)
+
+    _RECIPES = {
+        "mixed-branch": _mixed_branch,
+        "r-sibling": _r_sibling,
+        "l-sibling": _l_sibling,
+        "mixed-middles": _mixed_middles,
+        "middles-left": partial(_same_middles, crossing_mid=True),
+        "middles-right": partial(_same_middles, crossing_mid=False),
+        "hub-deg1": _hub_deg1,
+        "hub-deg2": _hub_deg2,
+        "twin-anchors": _twin_anchors,
+    }
+
+
+#: Stand-in, in helper pairs and refs, for a block's apex vertex.
+_APEX = "apex"
+#: Stand-in, as a seed color, for the shared color d.
+_D = "d"
+
+
+@dataclass
+class _Recipe:
+    """One collaborative case's geometry, run by _Solver._run_recipe.
+
+    An edge ref is an edge id or a vertex pair; a pair names the helper
+    between those vertices in the block at hand, otherwise the graph edge.
+    Steps run in order and come in three kinds:
+      ("seed", ref, color, why)  checked assignment; color may be _D or a
+                                 right-block ref whose color is copied;
+      ("try", ref, at, why)      seed d unless d already shows at vertex
+                                 `at`; a seeded edge leaves the order;
+      ("shell" | "branch", ref)  greedy-color the edge if still uncolored.
+    """
+
+    left: list    # left-block helpers (a, b, why); why None adds without checking
+    right: list   # right-block helpers, the same way
+    norm: object  # vertex (or _APEX) whose first three left-block edges take 1, 2, 3
+    d_from: object             # left-block ref whose color becomes the shared color d
+    fix: Callable              # raw right coloring -> refs for colors 1, 2, 3 and d
+    guard: str = ""            # if set, d in (1, 2, 3) falls back with this reason
+    steps: list = field(default_factory=list)  # seeds and shell passes
+    order: list = field(default_factory=list)  # the ordered tail
+    arm: Callable | None = None  # transferred coloring -> (steps, order) for branching arms
+
+
+def _edge(g: Graph, ref, helpers=None) -> int:
+    if isinstance(ref, int):
+        return ref
+    key = frozenset(ref)
+    return helpers[key] if helpers and key in helpers else _eid(g, *ref)
+
+
+def _edges_in(g: Graph, side: set, v: int) -> list[int]:
+    """Edges of v with both ends in `side`, in id order."""
+    return [e for e in g.incident(v) if v in side and g.other_end(e, v) in side]
+
+
+def _down(g: Graph, v: int, parent: int) -> list:
+    """Shell pass: greedy-color v's uncolored edges away from parent."""
+    return [("shell", (v, c)) for c in _kids(g, v, parent)]
+
+
+def _shell(g: Graph, labels: BranchLabels, branches, middle=()) -> list:
+    """Shell passes under each branch vertex, `middle`, then its child edges."""
+    return ([s for b in branches for zi in labels.children[b] for s in _down(g, zi, b)]
+            + list(middle)
+            + [("branch", (b, zi)) for b in branches for zi in labels.children[b]])
 
 
 # -- public operations ----------------------------------------------------------

@@ -48,6 +48,12 @@ class TestColor:
         assert main(["color", gpath, "--alg", "reduce21",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_greedy_negative_palette_exits_two(self, tmp_path, capsys):
+        code = main(["color", c5_file(tmp_path), "--alg", "greedy", "--k", "-1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_malformed_graph_exits_two(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("e 0 1\n")
@@ -173,12 +179,9 @@ class TestHunt:
                      "--seed", "0", "--count", "2", "--out", str(out)]) == 0
         assert "max exact" in out.read_text()
 
-    def test_hunt_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STRONGEDGE_THREADS", "2")
-        out = tmp_path / "r.txt"
-        assert main(["hunt", "--d", "4", "--n", "10", "--seed", "0",
-                     "--count", "4", "--out", str(out)]) == 0
-        assert "instances=4" in out.read_text()
+    def test_zero_count_exits_two(self, tmp_path, capsys):
+        assert main(["hunt", "--count", "0", "--out", str(tmp_path / "r.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestUsage:

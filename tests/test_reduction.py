@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from strongedge.graph import (
@@ -14,6 +16,7 @@ from strongedge.graph import (
 from strongedge.coloring import (
     AvailabilityView,
     PartialColoring,
+    coloring_to_json,
     greedy_color,
     verify_strong_coloring,
 )
@@ -41,7 +44,7 @@ from helpers import (
     path,
     random_graph_max_deg,
 )
-from pocket import SHAPES, THIN_SHAPES, build_pocket
+from pocket import SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
 
 # a 4-regular graph of girth exactly five on 19 vertices, found by local
 # search and frozen; it exercises the five-cycle reduction
@@ -398,6 +401,46 @@ class TestBlockedTailManeuver:
             extend_sequence(g, bogus)
 
 
+# First 16 hex digits of sha256(coloring JSON + trace text) for each pocket
+# fixture: any change to a collaborative recipe's coloring or trace shows here.
+POCKET_DIGESTS = {
+    "hub-deg1": "a5cf046ce3845439",
+    "hub-deg2": "f108a9d38cba44e4",
+    "hub-deg2-swapped": "c99116663398e118",
+    "l-sibling": "873d0610c9da3776",
+    "l-sibling-swapped": "7c4fddc93d509d25",
+    "l-sibling-thin": "be7071763fae8a79",
+    "middles-left": "9b0e6828d326be7f",
+    "middles-right": "d5cce8126e21cecf",
+    "mixed-branch": "bb1f4881e889244c",
+    "mixed-middles": "f97f8dc7cc4cdce2",
+    "r-sibling": "ef75719af0b21291",
+    "r-sibling-thin": "7c1c7006598b18d9",
+    "twin-anchors": "1582db3fc14974b1",
+}
+
+VARIANT_SHAPES = {**THIN_SHAPES, **SWAP_SHAPES}
+
+# The same digests for `_collaborative` run straight on a fixture's partition
+# while `_colors_at` reports every color ("all") or only color 3 ("three").
+# That forces arms no fixture reaches on its own: the unseeded orders of
+# mixed-branch, r-sibling and l-sibling, hub-deg1's order with d at w12,
+# and twin-anchors' claim arm and its color-3 swap.
+FORCED_DIGESTS = {
+    ("hub-deg1", "all"): "3a1e3fd9bcd397ad",
+    ("l-sibling-thin", "all"): "d8a74c629e735fdb",
+    ("mixed-branch", "all"): "918d0ea121928875",
+    ("r-sibling", "all"): "cad4749c2a14ed6c",
+    ("twin-anchors", "all"): "32634ddb6a7f31fb",
+    ("twin-anchors", "three"): "9bee05b829609bef",
+}
+
+
+def pocket_digest(coloring, trace) -> str:
+    text = coloring_to_json(coloring) + trace.format_text()
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestPartitionFixtures:
     @pytest.mark.parametrize("case", sorted(SHAPES))
     def test_case_is_reached_and_solved(self, case):
@@ -405,16 +448,32 @@ class TestPartitionFixtures:
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert trace.collaborative_cases() == [case]
+        assert pocket_digest(coloring, trace) == POCKET_DIGESTS[case]
 
-    @pytest.mark.parametrize("name", sorted(THIN_SHAPES))
+    @pytest.mark.parametrize("name", sorted(VARIANT_SHAPES))
     def test_thin_outward_variants(self, name):
         # fewer than three right edges at the outward child drives the
-        # recipes' extra pairing helper between the two outward children
-        shape, expected = THIN_SHAPES[name]
+        # recipes' extra pairing helper between the two outward children;
+        # the swapped variants make the recipes swap the first two branches
+        shape, expected = VARIANT_SHAPES[name]
         g, info = build_pocket(shape)
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert trace.collaborative_cases() == [expected]
+        assert pocket_digest(coloring, trace) == POCKET_DIGESTS[name]
+
+    @pytest.mark.parametrize("name, shown", sorted(FORCED_DIGESTS))
+    def test_forced_arms(self, name, shown, monkeypatch):
+        import strongedge.reduction as red
+        shape = SHAPES[name] if name in SHAPES else VARIANT_SHAPES[name][0]
+        g, info = build_pocket(shape)
+        part = build_partition(g, build_precolor_and_sequence(g, 0))
+        colors = set(range(1, 22)) if shown == "all" else {3}
+        monkeypatch.setattr(red, "_colors_at", lambda g, col, v: set(colors))
+        solver = red._Solver()
+        coloring = PartialColoring(21, solver._collaborative(g, part, 0))
+        assert_solved(g, coloring, solver.trace)
+        assert pocket_digest(coloring, solver.trace) == FORCED_DIGESTS[(name, shown)]
 
     def test_partition_invariants(self):
         g, info = build_pocket(SHAPES["r-sibling"])
