@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -239,7 +240,25 @@ class TestLineGraphSquare:
         assert not lg.adjacent(0, 3)
 
 
+# First 16 hex digits of sha256 of the witness coloring JSON plus the bounds
+# and node count: pins the exact solver's search on each graph.
+EXACT_DIGESTS = {
+    "blowup-c5-2": (lambda: gen_blowup_c5(2), "1c2ef3953044eff2"),
+    "pg2": (lambda: gen_incidence_pg(2), "170ee38228e8d371"),
+    "c5": (lambda: cycle(5), "cde27c1fb7be5cea"),
+    "cubic-14": (lambda: gen_random_regular(3, 14, 0), "ac70b191d52c3e4f"),
+}
+
+
 class TestExact:
+    @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+    def test_witness_digest(self, name):
+        build, digest = EXACT_DIGESTS[name]
+        res = exact_strong_index(build())
+        text = (coloring_to_json(res.coloring)
+                + f" lower={res.lower} upper={res.upper} nodes={res.nodes}")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_c5(self):
         assert exact_strong_index(cycle(5)).value == 5
 

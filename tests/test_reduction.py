@@ -212,24 +212,46 @@ class TestSolveSmall:
             solve21(g)
 
 
+# `pocket_digest` of each dispatch-path fixture below: the first step names
+# the path, the digest pins its coloring and trace.  Short-cycle fixtures are
+# keyed by (kind, vertex count).
+DISPATCH_DIGESTS = {
+    "sequence-complete": "4546972d4c87ce5e",
+    "low-degree": "7e8c79822d8d7aae",
+    "multi-edge": "d8c0c1d979fc62dc",
+    "small-cut": "974d87da51e7ac1d",
+    "shared-endpoint-cut": "dbf2968c1820506f",
+    ("triangle", 11): "766b45f8af3bd7dc",
+    ("k33", 12): "fa6a32b957af0e0a",
+    ("k24", 12): "3698ccada3a57ff1",
+    ("k23", 11): "a234cc060236a1e9",
+    ("k23", 13): "a1a4e4f76b178f4f",
+    ("c4", 22): "e3d1b7efe4edfedb",
+    ("c5", 19): "15f291086059aca0",
+}
+
+
 class TestDispatchPaths:
     def test_incidence_graph_by_sequence(self):
         g = gen_incidence_pg(3)
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert trace.tags() == ["sequence-complete"]
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["sequence-complete"]
 
     def test_cubic_graphs_peel_away(self):
         g = gen_incidence_pg(2)
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert trace.tags()[0] == "low-degree"
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["low-degree"]
 
     def test_multi_edge_reduction(self):
         g = multi_edge_fixture()
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert "kind=multi-edge" in trace.steps[0].params
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["multi-edge"]
 
     def test_small_cut_reduction(self):
         g = two_block_cut_fixture()
@@ -237,6 +259,7 @@ class TestDispatchPaths:
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         assert trace.tags()[0] == "small-cut"
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["small-cut"]
 
     @pytest.mark.parametrize("kind,builder", [
         ("triangle", lambda: circulant(11, (1, 2))),
@@ -254,6 +277,8 @@ class TestDispatchPaths:
         assert_solved(g, coloring, trace)
         first = next(s for s in trace.steps if s.tag == "short-cycle")
         assert f"kind={kind}" in first.params
+        key = (kind, g.num_vertices())
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS[key]
 
     def test_girth5_fixture_is_what_it_claims(self):
         g = girth5_graph()
@@ -633,6 +658,7 @@ class TestSharedEndpointCut:
         a1 = set(g.endpoints(cut_edges[0]))
         a2 = set(g.endpoints(cut_edges[1]))
         assert a1 & a2  # the sides share a vertex
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["shared-endpoint-cut"]
 
 
 class TestTraceInvariants:
