@@ -168,9 +168,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _hunt_one(mode: str, d: int, n: int, seed: int) -> dict:
-    g = gen_random_regular(d, n, seed)
-    record = {"seed": seed, "n": n, "m": g.num_edges()}
+def _hunt_one(mode: str, g: Graph, seed: int) -> dict:
+    record = {"seed": seed, "n": g.num_vertices(), "m": g.num_edges()}
     if mode in ("reduce21", "both"):
         coloring, trace = solve21(g)
         ok, _ = verify_strong_coloring(g, coloring)
@@ -189,8 +188,17 @@ def cmd_hunt(args) -> int:
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    records = [_hunt_one(args.alg, args.d, args.n, seed)
-               for seed in range(args.seed, args.seed + args.count)]
+    if args.alg != "exact" and args.d > 4:
+        print("error: reduce21 requires --d at most 4", file=sys.stderr)
+        return EXIT_USAGE
+    records = []
+    for seed in range(args.seed, args.seed + args.count):
+        try:
+            g = gen_random_regular(args.d, args.n, seed)
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        records.append(_hunt_one(args.alg, g, seed))
 
     bad = [r for r in records if not r.get("verified", False)]
     if bad:

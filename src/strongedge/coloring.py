@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, _json_int
 
 
 class PartialColoring:
@@ -67,36 +67,22 @@ class PartialColoring:
         return f"PartialColoring(k={self.k}, colored={len(self._assign)})"
 
 
-@dataclass(frozen=True)
-class EdgeNeighborhood:
-    """The two shells around an edge: n1 shares an endpoint, n2 is one step out."""
+def edge_neighborhood(g: Graph, e: int) -> frozenset:
+    """Edges seen by e: those sharing an endpoint with e and those at a vertex
+    adjacent to one of its endpoints.
 
-    n1: frozenset
-    n2: frozenset
-
-    @property
-    def all(self) -> frozenset:
-        return self.n1 | self.n2
-
-    def __len__(self):
-        return len(self.n1) + len(self.n2)
-
-
-def edge_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
-    """Edges seen by e: incident ones (n1) and those at adjacent vertices (n2).
-
-    With maximum degree four the union has at most 24 edges.
+    With maximum degree four there are at most 24.
     """
     u, v = g.endpoints(e)
-    n1 = {f for f in g.incident(u) + g.incident(v) if f != e}
+    seen = set(g.incident(u) + g.incident(v))
     near = set()
-    for f in n1:
-        a, b = g.endpoints(f)
-        near.add(a)
-        near.add(b)
+    for f in seen:
+        near.update(g.endpoints(f))
     near -= {u, v}
-    n2 = {f for w in near for f in g.incident(w)} - n1 - {e}
-    return EdgeNeighborhood(frozenset(n1), frozenset(n2))
+    for w in near:
+        seen.update(g.incident(w))
+    seen.discard(e)
+    return frozenset(seen)
 
 
 def sees(g: Graph, e: int, f: int) -> bool:
@@ -113,37 +99,11 @@ def sees(g: Graph, e: int, f: int) -> bool:
 
 def colors_seen(g: Graph, assignment: dict[int, int], e: int) -> set[int]:
     """Colors appearing on the neighborhood of e under a raw edge->color dict."""
-    return {assignment[f] for f in edge_neighborhood(g, e).all if f in assignment}
+    return {assignment[f] for f in edge_neighborhood(g, e) if f in assignment}
 
 
 def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> set[int]:
     return set(range(1, k + 1)) - colors_seen(g, assignment, e)
-
-
-class AvailabilityView:
-    """Read-only availability queries over a graph and a partial coloring."""
-
-    def __init__(self, g: Graph, coloring: PartialColoring):
-        self.g = g
-        self.coloring = coloring
-
-    def available(self, e: int) -> set[int]:
-        return available_colors(self.g, self.coloring._assign, e, self.coloring.k)
-
-    def used_at(self, v: int) -> set[int]:
-        c = self.coloring
-        return {c._assign[e] for e in self.g.incident(v) if e in c._assign}
-
-    def used_at_except(self, u: int, v: int) -> set[int]:
-        """Colors at u excluding any u-v edges."""
-        c = self.coloring
-        out = set()
-        for e in self.g.incident(u):
-            if self.g.other_end(e, u) == v:
-                continue
-            if e in c._assign:
-                out.add(c._assign[e])
-        return out
 
 
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
@@ -156,7 +116,7 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     assign = coloring._assign
     for e in sorted(assign):
         ce = assign[e]
-        for f in sorted(edge_neighborhood(g, e).all):
+        for f in sorted(edge_neighborhood(g, e)):
             if f > e and assign.get(f) == ce:
                 return False, (e, f)
     return True, None
@@ -243,42 +203,46 @@ def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
     return None, sorted(reach)
 
 
+def match_targets(g: Graph, assignment: dict[int, int], targets, k: int):
+    """Match the target edges to pairwise-distinct colors available in 1..k.
+
+    Returns (assignment, None) when every target is matched, otherwise
+    (None, deficient_targets), the targets that violate Hall's condition.
+    Distinctness makes the matched targets mutually safe, so adding the
+    assignment to a good partial coloring keeps it good.
+    """
+    targets = sorted(targets)
+    avail = {t: available_colors(g, assignment, t, k) for t in targets}
+    return _match_distinct(targets, avail)
+
+
 def sdr_extend(g: Graph, coloring: PartialColoring, targets) -> SdrResult:
     """Give the target edges pairwise-distinct colors from their availability.
 
-    Succeeds exactly when a system of distinct representatives exists; the
-    result is then a good partial coloring because distinctness makes the
-    targets mutually safe.  On failure the deficient target subset witnesses
-    the Hall violation.
+    Succeeds exactly when a system of distinct representatives exists; on
+    failure the deficient target subset witnesses the Hall violation.
     """
     targets = sorted(targets)
     for t in targets:
         if coloring.color(t) is not None:
             raise ValueError(f"target edge {t} is already colored")
-    avail = {t: available_colors(g, coloring._assign, t, coloring.k)
-             for t in targets}
-    assigned, deficient = _match_distinct(targets, avail)
+    assigned, deficient = match_targets(g, coloring._assign, targets, coloring.k)
     if assigned is None:
         return SdrResult(None, {}, deficient)
     out = coloring.copy()
-    for t, c in assigned.items():
-        out._assign[t] = c
+    out._assign.update(assigned)
     return SdrResult(out, assigned, [])
 
 
-def line_graph_square(g: Graph) -> Graph:
-    """Graph on the edges of g, adjacent iff the edges see each other.
+def line_graph_square(g: Graph) -> list[set[int]]:
+    """Neighbour sets of the graph on the edges of g, adjacent iff they see
+    each other.
 
-    Vertex i corresponds to the i-th edge of g in ascending edge-id order.
+    Index i stands for the i-th edge of g in ascending edge-id order.
     """
     eids = g.edges()
-    lg = Graph(len(eids))
-    for i, e in enumerate(eids):
-        nb = edge_neighborhood(g, e).all
-        for j in range(i + 1, len(eids)):
-            if eids[j] in nb:
-                lg.add_edge(i, j)
-    return lg
+    index = {e: i for i, e in enumerate(eids)}
+    return [{index[f] for f in edge_neighborhood(g, e)} for e in eids]
 
 
 # -- exact solver ---------------------------------------------------------------
@@ -340,11 +304,7 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     m = len(eids)
     if m == 0:
         return ExactResult(0, 0, PartialColoring(0), True, 0)
-    adj = [set() for _ in range(m)]
-    index = {e: i for i, e in enumerate(eids)}
-    for i, e in enumerate(eids):
-        for f in edge_neighborhood(g, e).all:
-            adj[i].add(index[f])
+    adj = line_graph_square(g)
 
     clique = _greedy_clique(adj)
     lower = max(len(clique), 1)
@@ -452,7 +412,12 @@ def coloring_to_json(coloring: PartialColoring) -> str:
 
 def coloring_from_json(text: str) -> PartialColoring:
     data = json.loads(text)
-    c = PartialColoring(int(data["k"]))
-    for e, col in data["colors"].items():
-        c.assign(int(e), int(col))
+    if not isinstance(data, dict):
+        raise ValueError("coloring JSON must be an object")
+    colors = data["colors"]
+    if not isinstance(colors, dict):
+        raise ValueError("coloring JSON 'colors' must be an object")
+    c = PartialColoring(_json_int(data["k"], "'k'"))
+    for e, col in colors.items():
+        c.assign(int(e), _json_int(col, f"the color of edge {e}"))
     return c

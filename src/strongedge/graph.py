@@ -22,6 +22,10 @@ CONFIGURATION_KINDS = (MULTI_EDGE, TRIANGLE, K33, K24, K23, C4, C5)
 
 INFINITE = math.inf
 
+#: Largest vertex count a graph file may declare.  The parsers reject more,
+#: and negative counts, before allocating the graph.
+MAX_VERTICES = 1_000_000
+
 
 class Graph:
     """Undirected loopless multigraph.
@@ -577,6 +581,20 @@ def is_2k2_free(g: Graph) -> bool:
 # -- text / JSON formats -------------------------------------------------------
 
 
+def _declared_vertices(n: int) -> int:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"declared vertex count {n} outside 0..{MAX_VERTICES}")
+    return n
+
+
+def _json_int(value, what: str) -> int:
+    """int(value) for a JSON field; ValueError on null, lists, objects, inf."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: "p <n> <m>" then m lines "e <u> <v>".
 
@@ -595,7 +613,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
             n, m_declared = int(parts[1]), int(parts[2])
-            g = Graph(n)
+            g = Graph(_declared_vertices(n))
         elif parts[0] == "e":
             if g is None:
                 raise ValueError(f"line {lineno}: edge before p line")
@@ -632,7 +650,15 @@ def graph_to_json(g: Graph) -> str:
 
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
-    g = Graph(int(data["n"]))
-    for u, v in data["edges"]:
-        g.add_edge(int(u), int(v))
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise ValueError("graph JSON 'edges' must be a list")
+    g = Graph(_declared_vertices(_json_int(data["n"], "'n'")))
+    for pair in edges:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"graph JSON edge {pair!r} is not a pair")
+        u, v = (_json_int(x, "a vertex id") for x in pair)
+        g.add_edge(u, v)
     return g

@@ -43,6 +43,7 @@ from .coloring import (
     colors_seen,
     edge_neighborhood,
     exact_strong_index,
+    match_targets,
     sees,
     verify_strong_coloring,
 )
@@ -154,12 +155,13 @@ def _find_permutation(k: int, fixed: dict, forbid: dict):
     return assigned
 
 
-def _rename_dict(col: dict, fixed_edges: dict, forbid_edges=None, k=PALETTE):
-    """Rename a raw coloring so listed edges carry required colors.
+def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None, k=PALETTE):
+    """Globally permute the colors of a raw coloring to meet edge constraints.
 
     fixed_edges maps edge id -> required color; forbid_edges maps edge id ->
     colors that edge must avoid.  Returns the renamed dict or None when no
-    color permutation of 1..k satisfies the constraints.
+    color permutation of 1..k satisfies the constraints.  Permuting colors
+    never invalidates a good partial coloring.
     """
     fixed: dict[int, int] = {}
     for e, t in fixed_edges.items():
@@ -174,31 +176,6 @@ def _rename_dict(col: dict, fixed_edges: dict, forbid_edges=None, k=PALETTE):
     if perm is None:
         return None
     return {e: perm[c] for e, c in col.items()}
-
-
-def rename_colors(coloring: PartialColoring, fixed, forbid=(), distinct=()):
-    """Globally permute colors to satisfy point and distinctness constraints.
-
-    fixed is a list of (edge, required color) pairs; forbid is a list of
-    (edge, forbidden color set) pairs; each group in distinct lists edges
-    whose colors must be pairwise different (a permutation can only achieve
-    this when they already are).  Returns a new coloring or None.  Permuting
-    colors never invalidates a good partial coloring.
-    """
-    col = coloring.as_dict()
-    for group in distinct:
-        seen = {}
-        for e in group:
-            c = col[e]
-            if c in seen and seen[c] != e:
-                return None
-            seen[c] = e
-    renamed = _rename_dict(col, dict(fixed),
-                           {e: set(bad) for e, bad in forbid},
-                           k=coloring.k)
-    if renamed is None:
-        return None
-    return PartialColoring(coloring.k, renamed)
 
 
 # -- anchored decomposition: labels, seed coloring, edge sequence ------------------
@@ -317,7 +294,7 @@ def build_precolor_and_sequence(g: Graph, x: int) -> SequencePlan:
     ]
 
     # Grow to the closure: an edge joins once four of its neighborhood are in.
-    neighborhoods = {e: edge_neighborhood(g, e).all for e in g.edges()}
+    neighborhoods = {e: edge_neighborhood(g, e) for e in g.edges()}
     count = {e: 0 for e in g.edges()}
     in_seq = set(tail)
     added: list[int] = []
@@ -345,7 +322,7 @@ def audit_sequence(g: Graph, plan: SequencePlan) -> dict:
     position = {e: i for i, e in enumerate(plan.order)}
     body_ok = True
     for e in plan.order[:-len(plan.tail)]:
-        behind = sum(1 for f in edge_neighborhood(g, e).all
+        behind = sum(1 for f in edge_neighborhood(g, e)
                      if f in position and position[f] > position[e])
         if behind < 4:
             body_ok = False
@@ -353,7 +330,7 @@ def audit_sequence(g: Graph, plan: SequencePlan) -> dict:
     for e in g.edges():
         if e in seq or psi.color(e) is not None:
             continue
-        seen = sum(1 for f in edge_neighborhood(g, e).all if f in seq)
+        seen = sum(1 for f in edge_neighborhood(g, e) if f in seq)
         outside_max = max(outside_max, seen)
     good, _ = verify_strong_coloring(g, psi)
     return {
@@ -597,16 +574,6 @@ class _Solver:
 
     # .. simple reductions ..
 
-    def _low_degree(self, g: Graph, v: int, depth: int) -> dict:
-        self.trace.record(depth, "low-degree", f"v={v}", g)
-        pendant = g.incident(v)
-        g2 = g.copy()
-        g2.remove_vertex(v)
-        col = self.solve(g2, depth + 1, g.measure())
-        for e in pendant:
-            _greedy_assign(g, col, e, "low-degree extension")
-        return col
-
     def _low_degree_batch(self, g: Graph, depth: int) -> dict:
         """Peel low-degree vertices iteratively, recurse once, extend back.
 
@@ -657,8 +624,8 @@ class _Solver:
         col1 = self.solve(g1, depth + 1, g.measure())
         col2 = self.solve(g2, depth + 1, g.measure())
 
-        col1 = _rename_dict(col1, {stubs1[s]: s + 1 for s in range(t)})
-        col2 = _rename_dict(col2, {stubs2[s]: s + 1 for s in range(t)})
+        col1 = rename_colors(col1, {stubs1[s]: s + 1 for s in range(t)})
+        col2 = rename_colors(col2, {stubs2[s]: s + 1 for s in range(t)})
         if col1 is None or col2 is None:
             raise FallbackTriggered("cut stub renaming infeasible")
 
@@ -707,9 +674,7 @@ class _Solver:
         if conf.kind == K23:
             return self._k23(g, conf, depth)
 
-        if conf.kind == TRIANGLE or conf.kind == C4 or conf.kind == C5:
-            delete = conf.vertices
-        elif conf.kind == K33:
+        if conf.kind in (TRIANGLE, K33, C4, C5):
             delete = conf.vertices
         elif conf.kind == K24:
             delete = conf.vertices[4:]
@@ -768,7 +733,9 @@ class _Solver:
         targets = sorted(t for t in targets if t not in col)
         if not targets:
             return
-        if self._try_sdr(g, col, targets):
+        assigned, _ = match_targets(g, col, targets, PALETTE)
+        if assigned is not None:
+            col.update(assigned)
             self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=direct", g)
             return
         if self._try_pair_families(g, col, targets):
@@ -781,14 +748,6 @@ class _Solver:
             self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=search", g)
             return
         raise FallbackTriggered(f"completion exhausted for {len(targets)} target edges")
-
-    def _try_sdr(self, g: Graph, col: dict, targets) -> bool:
-        avail = {t: available_colors(g, col, t, PALETTE) for t in targets}
-        assigned, _ = _match_distinct(sorted(targets), avail)
-        if assigned is None:
-            return False
-        col.update(assigned)
-        return True
 
     def _candidate_pairs(self, g: Graph, col: dict, targets):
         un = [t for t in targets if t not in col]
@@ -814,7 +773,9 @@ class _Solver:
             placed += [e, f]
         if ok:
             rest = [t for t in targets if t not in col]
-            if not rest or self._try_sdr(g, col, rest):
+            assigned, _ = match_targets(g, col, rest, PALETTE)
+            if assigned is not None:
+                col.update(assigned)
                 return True
         for e in placed:
             del col[e]
@@ -842,7 +803,7 @@ class _Solver:
     def _try_recolor_two(self, g: Graph, col: dict, targets) -> bool:
         near = set()
         for t in targets:
-            near |= edge_neighborhood(g, t).all
+            near |= edge_neighborhood(g, t)
         cand = sorted(e for e in near if e in col)
         attempts = 0
         for i, f1 in enumerate(cand):
@@ -858,8 +819,11 @@ class _Solver:
                 if common:
                     c = min(common)
                     col[f1] = col[f2] = c
-                    if self._try_sdr(g, col, targets) \
-                            or self._try_pair_families(g, col, targets):
+                    assigned, _ = match_targets(g, col, targets, PALETTE)
+                    if assigned is not None:
+                        col.update(assigned)
+                        return True
+                    if self._try_pair_families(g, col, targets):
                         return True
                 col[f1], col[f2] = c1, c2
         return False
@@ -1133,7 +1097,7 @@ class _Solver:
         if sub.max_degree() > 4:
             raise FallbackTriggered("block exceeded degree four")
         col = self.solve(sub, depth + 1, g.measure())
-        renamed = _rename_dict(col, fixed(col))
+        renamed = rename_colors(col, fixed(col))
         if renamed is None:
             raise FallbackTriggered(
                 f"renaming infeasible while normalizing the {side} block")
@@ -1495,15 +1459,6 @@ def solve21(g: Graph):
     if not ok:
         raise RuntimeError(f"solver produced an invalid coloring: {witness}")
     return coloring, solver.trace
-
-
-def reduce_low_degree(g: Graph, v: int):
-    """Recursively color g - v and extend over v's at most three edges."""
-    if g.degree(v) > 3:
-        raise ValueError("vertex degree exceeds three")
-    solver = _Solver()
-    col = solver._low_degree(g, v, 0)
-    return PartialColoring(PALETTE, col), solver.trace
 
 
 def reduce_small_cut(g: Graph, cut: EdgeCut):

@@ -281,6 +281,6 @@ def strong_adjacency(g: Graph):
     index = {e: i for i, e in enumerate(eids)}
     adj = [set() for _ in eids]
     for i, e in enumerate(eids):
-        for f in edge_neighborhood(g, e).all:
+        for f in edge_neighborhood(g, e):
             adj[i].add(index[f])
     return [sorted(s) for s in adj]

@@ -17,8 +17,8 @@ from strongedge.graph import (
     is_2k2_free,
 )
 from strongedge.coloring import (
-    AvailabilityView,
     PartialColoring,
+    available_colors,
     edge_neighborhood,
     exact_strong_index,
     greedy_color,
@@ -183,8 +183,8 @@ def test_criterion_07_sdr_oracle_equivalence():
         rng.shuffle(uncolored)
         targets = sorted(uncolored[:rng.randint(1, 8)])
         res = sdr_extend(g, coloring, targets)
-        view = AvailabilityView(g, coloring)
-        brute = brute_distinct_assignment({t: view.available(t) for t in targets})
+        brute = brute_distinct_assignment(
+            {t: available_colors(g, coloring.as_dict(), t, k) for t in targets})
         if res.ok != (brute is not None):
             discrepancies += 1
         elif res.ok:

@@ -17,6 +17,21 @@ def c5_file(tmp_path):
     return write_graph(tmp_path, gen_blowup_c5(1), "c5.txt")
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# Graph JSON of the wrong shape: not an object, edges not a list, an entry
+# that is not a pair, a null vertex count.
+BAD_GRAPH_JSON = ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0, 1, 2]]}',
+                  '{"n": null, "edges": []}']
+
+# Coloring JSON of the wrong shape: not an object, colors not an object,
+# a color that is a list.
+BAD_COLORING_JSON = ["[1, 2]", '{"k": 5, "colors": 5}', '{"k": 5, "colors": {"0": [1]}}']
+
+
 class TestColor:
     def test_reduce21_on_incidence_graph(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, gen_incidence_pg(3))
@@ -58,6 +73,20 @@ class TestColor:
         p = tmp_path / "bad.txt"
         p.write_text("e 0 1\n")
         assert main(["color", str(p)]) == 2
+
+    @pytest.mark.parametrize("text", BAD_GRAPH_JSON)
+    def test_graph_json_shape_exits_two(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["color", str(p)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_oversized_vertex_count_exits_two(self, tmp_path, capsys):
+        # rejected before the graph is allocated
+        p = tmp_path / "huge.txt"
+        p.write_text("p 400000000 0\n")
+        assert main(["color", str(p)]) == 2
+        assert_one_line_error(capsys)
 
     def test_deterministic_output(self, tmp_path):
         gpath = write_graph(tmp_path, gen_incidence_pg(3))
@@ -122,6 +151,22 @@ class TestVerify:
         out.write_text("{")
         assert main(["verify", gpath, str(out)]) == 2
 
+    @pytest.mark.parametrize("text", BAD_GRAPH_JSON)
+    def test_graph_json_shape_exits_two(self, tmp_path, capsys, text):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(text)
+        out = tmp_path / "col.json"
+        out.write_text(json.dumps({"k": 5, "colors": {"0": 1}}))
+        assert main(["verify", str(gpath), str(out)]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", BAD_COLORING_JSON)
+    def test_coloring_json_shape_exits_two(self, tmp_path, capsys, text):
+        out = tmp_path / "col.json"
+        out.write_text(text)
+        assert main(["verify", c5_file(tmp_path), str(out)]) == 2
+        assert_one_line_error(capsys)
+
 
 class TestGen:
     def test_blowup(self, tmp_path, capsys):
@@ -182,6 +227,16 @@ class TestHunt:
     def test_zero_count_exits_two(self, tmp_path, capsys):
         assert main(["hunt", "--count", "0", "--out", str(tmp_path / "r.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_degree_five_exits_two(self, tmp_path, capsys):
+        assert main(["hunt", "--d", "5", "--n", "12", "--count", "1",
+                     "--out", str(tmp_path / "r.txt")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_negative_n_exits_two(self, tmp_path, capsys):
+        assert main(["hunt", "--n", "-4", "--count", "1",
+                     "--out", str(tmp_path / "r.txt")]) == 2
+        assert_one_line_error(capsys)
 
 
 class TestUsage:

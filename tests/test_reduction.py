@@ -14,8 +14,9 @@ from strongedge.graph import (
     TRIANGLE,
 )
 from strongedge.coloring import (
-    AvailabilityView,
     PartialColoring,
+    available_colors,
+    match_targets,
     coloring_to_json,
     greedy_color,
     verify_strong_coloring,
@@ -28,7 +29,6 @@ from strongedge.reduction import (
     build_precolor_and_sequence,
     collaborative_color,
     extend_sequence,
-    reduce_low_degree,
     reduce_short_cycle,
     reduce_small_cut,
     rename_colors,
@@ -126,49 +126,42 @@ class TestRenameColors:
     def base(self):
         g = cycle(5)
         c, _ = greedy_color(g, 21)
-        return g, c
+        return g, c.as_dict()
 
     def test_identity_when_satisfied(self):
         g, c = self.base()
-        out = rename_colors(c, [(0, c.color(0))])
-        assert out is not None and out.color(0) == c.color(0)
+        out = rename_colors(c, {0: c[0]})
+        assert out is not None and out[0] == c[0]
 
     def test_point_swap_preserves_validity(self):
         g, c = self.base()
-        out = rename_colors(c, [(0, c.color(1)), (1, c.color(0))])
+        out = rename_colors(c, {0: c[1], 1: c[0]})
         assert out is not None
-        assert out.color(0) == c.color(1) and out.color(1) == c.color(0)
-        ok, _ = verify_strong_coloring(g, out)
+        assert out[0] == c[1] and out[1] == c[0]
+        ok, _ = verify_strong_coloring(g, PartialColoring(21, out))
         assert ok
 
     def test_forbidden_colors_respected(self):
         g, c = self.base()
-        banned = {c.color(0), c.color(1)}
-        out = rename_colors(c, [], forbid=[(0, banned), (1, banned)])
+        banned = {c[0], c[1]}
+        out = rename_colors(c, {}, {0: banned, 1: banned})
         assert out is not None
-        assert out.color(0) not in banned and out.color(1) not in banned
+        assert out[0] not in banned and out[1] not in banned
 
     def test_conflicting_points_infeasible(self):
         g, c = self.base()
         # edges 0 and 1 hold different colors; a permutation cannot merge them
-        out = rename_colors(c, [(0, 5), (1, 5)])
+        out = rename_colors(c, {0: 5, 1: 5})
         assert out is None
-
-    def test_distinct_group_checks(self):
-        g = path(4)
-        c = PartialColoring(9, {0: 1, 1: 2, 2: 3, 3: 1})
-        assert rename_colors(c, [], distinct=[[0, 3]]) is None
-        assert rename_colors(c, [], distinct=[[0, 1, 2]]) is not None
 
     def test_large_separation(self):
         # mirror of the cut splice: force nine colors away from nine others
-        g = path(18)
-        c = PartialColoring(21, {e: e + 1 for e in range(18)})
+        c = {e: e + 1 for e in range(18)}
         avoid = set(range(1, 10))
-        out = rename_colors(c, [], forbid=[(e, avoid) for e in range(9)])
+        out = rename_colors(c, {}, {e: avoid for e in range(9)})
         assert out is not None
         for e in range(9):
-            assert out.color(e) not in avoid
+            assert out[e] not in avoid
 
 
 class TestSolveSmall:
@@ -304,15 +297,6 @@ class TestDispatchPaths:
 
 
 class TestPublicReductions:
-    def test_reduce_low_degree(self):
-        g = gen_incidence_pg(2)
-        v = g.vertices()[0]
-        coloring, trace = reduce_low_degree(g, v)
-        ok, _ = verify_strong_coloring(g, coloring)
-        assert ok and set(coloring.colored()) == set(g.edges())
-        with pytest.raises(ValueError):
-            reduce_low_degree(gen_incidence_pg(3), 0)
-
     def test_reduce_small_cut(self):
         g = two_block_cut_fixture()
         cut = find_edge_cut_at_most(g, 3)
@@ -388,11 +372,10 @@ class TestBlockedTailManeuver:
         blocked = plan.tail[0]
         later_tail = set(plan.tail[2:]) | {plan.tail[1]}
         psi = plan.precolor
-        nb = edge_neighborhood(g, blocked).all
+        nb = edge_neighborhood(g, blocked)
         targets = sorted(nb - later_tail - set(psi.colored()))
         assert len(targets) == 20
-        view = AvailabilityView(g, psi)
-        avail = {t: view.available(t) - {1} for t in targets}
+        avail = {t: available_colors(g, psi.as_dict(), t, 21) - {1} for t in targets}
         assignment = brute_distinct_assignment(avail)
         assert assignment is not None
         seeded = psi.copy()
@@ -407,7 +390,7 @@ class TestBlockedTailManeuver:
         labels = plan.labels
         w = labels.w
         e_ww1 = g.edges_between(w, labels.children[w][0])[0]
-        assert not (AvailabilityView(g, seeded).available(blocked))
+        assert not available_colors(g, seeded.as_dict(), blocked, 21)
         tail_plan = SequencePlan(labels, seeded, plan.tail, list(plan.tail))
         out = extend_sequence(g, tail_plan)
         ok, _ = verify_strong_coloring(g, out)
@@ -555,7 +538,7 @@ class TestCompletionStrategies:
         col = {1: 1, 2: 2, 4: 1, 5: 2}
         solver = red._Solver()
         # both targets can only take color 3, so distinctness is hopeless
-        assert not solver._try_sdr(g, dict(col), [t1, t2])
+        assert match_targets(g, col, [t1, t2], red.PALETTE)[0] is None
         solver._complete_targets(g, col, [t1, t2], 0)
         assert col[t1] == 3 and col[t2] == 3
         assert "outcome=paired" in solver.trace.steps[-1].params
