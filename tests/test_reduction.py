@@ -297,6 +297,13 @@ class TestDispatchPaths:
 
 
 class TestPublicReductions:
+    def test_reduce_low_degree(self):
+        g = gen_incidence_pg(2)
+        coloring, trace = solve21(g)
+        ok, _ = verify_strong_coloring(g, coloring)
+        assert ok and set(coloring.colored()) == set(g.edges())
+        assert trace.tags()[0] == "low-degree"
+
     def test_reduce_small_cut(self):
         g = two_block_cut_fixture()
         cut = find_edge_cut_at_most(g, 3)
