@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 MULTI_EDGE = "multi-edge"
@@ -33,7 +35,8 @@ class Graph:
     Vertex and edge ids are non-negative integers that stay stable under
     deletion: removing a vertex or edge never renumbers the survivors.
     Parallel edges are allowed and get distinct ids; self-loops are rejected.
-    All iteration helpers return ascending ids so callers are deterministic.
+    All iteration helpers return ascending ids so callers are deterministic;
+    each vertex's incidence list is kept in ascending edge-id order.
     """
 
     __slots__ = ("_adj", "_edges", "_next_vertex", "_next_edge")
@@ -98,8 +101,8 @@ class Graph:
         if u == v or u not in self._adj or v not in self._adj:
             raise ValueError(f"bad endpoints ({u}, {v}) for restore")
         self._edges[e] = (u, v)
-        self._adj[u].append(e)
-        self._adj[v].append(e)
+        insort(self._adj[u], e)
+        insort(self._adj[v], e)
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph on `vertices` keeping vertex and edge ids.
@@ -155,7 +158,7 @@ class Graph:
         raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
 
     def incident(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
+        return list(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -277,91 +280,144 @@ def girth(g: Graph):
 # -- minimum edge cut ---------------------------------------------------------
 
 
-def _augment(g: Graph, flow: dict[int, int], s: int, t: int) -> bool:
-    """One BFS augmenting path for unit-capacity undirected edges."""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for e in g.incident(u):
-            w = g.other_end(e, u)
-            a, _ = g.endpoints(e)
-            # flow is stored relative to the (a, b) orientation of the edge
-            f = flow[e] if u == a else -flow[e]
-            if f < 1 and w not in seen:
-                seen.add(w)
-                parent[w] = (u, e)
-                queue.append(w)
-    if t not in seen:
-        return False
-    v = t
-    while v != s:
-        u, e = parent[v]
-        a, _ = g.endpoints(e)
-        flow[e] += 1 if u == a else -1
-        v = u
-    return True
-
-
-def _max_flow(g: Graph, s: int, t: int, stop_at=None):
-    """Unit-capacity max flow value and the flow map; stops early at stop_at."""
-    flow = {e: 0 for e in g.edges()}
-    value = 0
-    while stop_at is None or value < stop_at:
-        if not _augment(g, flow, s, t):
-            break
-        value += 1
-    return value, flow
-
-
-def _residual_side(g: Graph, flow: dict[int, int], s: int) -> set[int]:
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for e in g.incident(u):
-            w = g.other_end(e, u)
-            a, _ = g.endpoints(e)
-            f = flow[e] if u == a else -flow[e]
-            if f < 1 and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def find_edge_cut_at_most(g: Graph, k: int):
-    """Minimum edge cut of a connected graph if its size is at most k.
+    """Canonical minimum edge cut of a connected graph if it has at most k edges.
 
     Returns an EdgeCut whose cut is globally minimum, or None when every edge
     cut has more than k edges.  Raises on disconnected input; callers must
-    split components first.
+    split components first.  The cut returned is the canonical one:
+
+    - the source s is the lowest vertex id;
+    - the sink is the first t, in ascending id order, with minimum local edge
+      connectivity lambda(s, t);
+    - side1 is the residual reach from s of a maximum s-t flow (the minimal
+      minimum s-t cut, the same for every maximum flow);
+    - cut_edges are sorted by edge id.
+
+    The flows are unit-capacity augmenting-path flows over flat arrays:
+    vertices are indexed 0..n-1 in ascending id order, and arcs 2j and 2j+1
+    are the two directions of the j-th edge in ascending edge-id order.  Each
+    flow stops once its value reaches the best found so far (k+1 at first),
+    past which it cannot change the answer, and the scan stops at the first
+    sink whose value is known to be the minimum.
+
+    Gate (Matula, "Determining edge connectivity in O(nm)", FOCS 1987): in a
+    simple graph whose edge connectivity is below its minimum degree, each
+    side of every minimum cut holds a vertex whose neighbours all lie on that
+    side, so every dominating set has a vertex strictly inside each side.
+    When g has no parallel edges and minimum degree above k, flows first run
+    only from s to the other vertices of a greedy dominating set grown from
+    s, and None is returned when all of them exceed k.  The lemma fails on
+    multigraphs, so there the gate is skipped.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.num_vertices() <= 1:
-        return None
-    if not g.is_connected():
-        raise ValueError("graph is disconnected; handle components separately")
     verts = g.vertices()
-    s = verts[0]
-    best_value = None
-    best_t = None
-    for t in verts[1:]:
-        cap = best_value if best_value is not None else g.degree(s) + 1
-        value, _ = _max_flow(g, s, t, stop_at=cap)
-        if best_value is None or value < best_value:
-            best_value, best_t = value, t
-    if best_value is None or best_value > k:
+    n = len(verts)
+    if n <= 1:
         return None
-    _, flow = _max_flow(g, s, best_t)
-    side1 = _residual_side(g, flow, s)
-    side2 = [v for v in verts if v not in side1]
-    cut = [e for e in g.edges()
-           if (g.endpoints(e)[0] in side1) != (g.endpoints(e)[1] in side1)]
-    return EdgeCut(sorted(side1), side2, cut)
+    index = {v: i for i, v in enumerate(verts)}
+    eids = g.edges()
+    m = len(eids)
+    head = [0] * (2 * m)            # head[a]: the vertex index arc a enters
+    out = [[] for _ in range(n)]    # out[i]: (arc, head) for each arc leaving i
+    pairs = set()
+    for j, e in enumerate(eids):
+        a, b = g._edges[e]
+        ia, ib = index[a], index[b]
+        head[2 * j], head[2 * j + 1] = ib, ia
+        out[ia].append((2 * j, ib))
+        out[ib].append((2 * j + 1, ia))
+        pairs.add((ia, ib) if ia < ib else (ib, ia))
+    s = 0
+    mark = [0] * n      # mark[i] == stamp: reached by the latest search
+    parent = [0] * n    # parent[i]: the arc the latest search entered i by
+    stamp = 0
+
+    def augment(t, res):
+        """Push one unit along a shortest residual s-t path, if there is one.
+
+        On failure, the vertices marked with the current stamp are the
+        residual reach from s.
+        """
+        nonlocal stamp
+        stamp += 1
+        st = stamp
+        mark[s] = st
+        queue = [s]
+        for u in queue:
+            for a, w in out[u]:
+                if res[a] and mark[w] != st:
+                    mark[w] = st
+                    parent[w] = a
+                    if w == t:
+                        while w != s:
+                            a = parent[w]
+                            res[a] -= 1
+                            res[a ^ 1] += 1
+                            w = head[a ^ 1]
+                        return True
+                    queue.append(w)
+        return False
+
+    def flow(t, stop):
+        """min(lambda(s, t), stop); below stop, the marks hold s's residual reach."""
+        res = [1] * (2 * m)
+        value = 0
+        while value < stop and augment(t, res):
+            value += 1
+        return value
+
+    # No sink index is -1, so this search marks the whole component of s.
+    augment(-1, [1] * (2 * m))
+    if mark.count(stamp) < n:
+        raise ValueError("graph is disconnected; handle components separately")
+
+    floor = 1
+    if len(pairs) == m and min(map(len, out)) > k:
+        # Greedy dominating set: s, then repeatedly the vertex that dominates
+        # the most vertices not yet dominated, the lowest index on ties.  Gains
+        # only fall, so an entry whose gain is still current is a maximum.
+        dominated = [False] * n
+        dom = []
+
+        def gain(i):
+            return (not dominated[i]) + sum(not dominated[w] for _, w in out[i])
+
+        def take(i):
+            dom.append(i)
+            dominated[i] = True
+            for _, w in out[i]:
+                dominated[w] = True
+
+        take(s)
+        heap = [(-gain(i), i) for i in range(1, n)]
+        heapify(heap)
+        while heap:
+            neg, i = heappop(heap)
+            now = gain(i)
+            if now and now < -neg:
+                heappush(heap, (-now, i))
+            elif now:
+                take(i)
+        floor = min((flow(t, k + 1) for t in dom[1:]), default=k + 1)
+        if floor > k:
+            return None
+
+    best, inside = k + 1, None
+    for t in range(1, n):
+        value = flow(t, best)
+        if value < best:
+            best = value
+            inside = [x == stamp for x in mark]
+            if value == floor:
+                break
+    if inside is None:
+        return None
+    return EdgeCut([verts[i] for i in range(n) if inside[i]],
+                   [verts[i] for i in range(n) if not inside[i]],
+                   [eids[j] for j in range(m)
+                    if inside[head[2 * j]] != inside[head[2 * j + 1]]])
 
 
 # -- forbidden configurations -------------------------------------------------

@@ -53,6 +53,10 @@ PALETTE = 21
 #: Maximum instance size handed straight to the exact solver.
 BASE_CASE_EDGES = 20
 
+#: Search nodes the exact solver may spend finishing a subinstance after a
+#: fallback; past it the solve stops with an error instead of searching on.
+EXACT_FINISH_BUDGET = 1_000_000
+
 
 class FallbackTriggered(Exception):
     """A proof-backed step found no valid move; the exact solver takes over."""
@@ -254,7 +258,8 @@ class SequencePlan:
         return self.sequence_set() == uncolored
 
 
-def build_precolor_and_sequence(g: Graph, x: int) -> SequencePlan:
+def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
+                                ) -> SequencePlan:
     """Seed three colors around anchor x and grow the edge sequence to a fixpoint.
 
     Requires a 4-regular simple graph of girth at least six, which makes the
@@ -263,10 +268,13 @@ def build_precolor_and_sequence(g: Graph, x: int) -> SequencePlan:
     two child edges, then the four anchor edges) and repeatedly prepends any
     uncolored edge already seeing four sequence edges; the result is maximal,
     so no outside edge sees four sequence edges.
+
+    With girth_known the caller vouches for girth at least six and the girth
+    check is skipped; the degree and two-ball checks always run.
     """
     if any(g.degree(v) != 4 for v in g.vertices()):
         raise ValueError("anchored decomposition needs a 4-regular graph")
-    if girth(g) < 6:
+    if not girth_known and girth(g) < 6:
         raise ValueError("anchored decomposition needs girth at least six")
     nx = sorted(g.neighbors(x))
     labels = BranchLabels(x, nx)
@@ -567,7 +575,12 @@ class _Solver:
         return self._anchored(g, depth)
 
     def _exact_finish(self, g: Graph, depth: int) -> dict:
-        res = exact_strong_index(g, stop_at=PALETTE)
+        res = exact_strong_index(g, budget=EXACT_FINISH_BUDGET, stop_at=PALETTE)
+        if res.upper > PALETTE and not res.exact:
+            raise RuntimeError(
+                f"exact fallback on a subinstance with {g.num_vertices()} vertices "
+                f"and {g.num_edges()} edges ran out of its {EXACT_FINISH_BUDGET}-node "
+                f"budget above {PALETTE} colors")
         if res.upper > PALETTE:
             raise RuntimeError(f"exact fallback needed {res.upper} colors")
         return res.coloring.as_dict()
@@ -862,8 +875,10 @@ class _Solver:
     # .. the anchored decomposition ..
 
     def _anchored(self, g: Graph, depth: int) -> dict:
+        # _dispatch gets here only after ruling out multi-edges, triangles,
+        # C4 and C5, so the girth is at least six.
         x = g.vertices()[0]
-        plan = build_precolor_and_sequence(g, x)
+        plan = build_precolor_and_sequence(g, x, girth_known=True)
         if plan.covers_all(g):
             self.trace.record(depth, "sequence-complete",
                               f"anchor={x} len={len(plan.order)}", g)

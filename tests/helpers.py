@@ -1,9 +1,10 @@
 """Independent brute-force oracles and instance builders for the test suite.
 
 Everything here deliberately avoids the library's own algorithms: girth via
-per-root BFS, cuts via bipartition enumeration, patterns via itertools over
-vertex tuples, chromatic numbers via plain backtracking in id order, and
-distinct-representative checks via exhaustive assignment search.
+per-root BFS, cuts via bipartition enumeration or networkx flows, patterns
+via itertools over vertex tuples, chromatic numbers via plain backtracking in
+id order, and distinct-representative checks via exhaustive assignment
+search.
 """
 import random
 from itertools import combinations, permutations
@@ -156,6 +157,44 @@ def brute_min_cut(g: Graph):
         if best is None or len(cut) < best:
             best = len(cut)
     return best
+
+
+def canonical_cut_oracle(g: Graph):
+    """The canonical minimum edge cut of a connected graph, by networkx flows.
+
+    Source: the lowest vertex id.  Sink: the first vertex, in ascending id
+    order, whose local edge connectivity to the source is minimum, computed as
+    a networkx maximum flow with capacity equal to edge multiplicity in both
+    directions.  Source side: the vertices reachable from the source over arcs
+    with residual capacity left by that flow.  Returns (side1, side2,
+    cut_edges), each ascending.
+    """
+    import networkx as nx
+    verts = g.vertices()
+    d = nx.DiGraph()
+    d.add_nodes_from(verts)
+    for e in g.edges():
+        u, v = g.endpoints(e)
+        for a, b in ((u, v), (v, u)):
+            cap = d[a][b]["capacity"] + 1 if d.has_edge(a, b) else 1
+            d.add_edge(a, b, capacity=cap)
+    s = verts[0]
+    value = {t: nx.maximum_flow_value(d, s, t) for t in verts[1:]}
+    low = min(value.values())
+    t = next(t for t in verts[1:] if value[t] == low)
+    _, flow = nx.maximum_flow(d, s, t)
+    reach = {s}
+    queue = [s]
+    for a in queue:
+        for b in d[a]:
+            left = d[a][b]["capacity"] - flow[a][b] + flow[b][a]
+            if left > 0 and b not in reach:
+                reach.add(b)
+                queue.append(b)
+    side2 = [v for v in verts if v not in reach]
+    cut = [e for e in g.edges()
+           if (g.endpoints(e)[0] in reach) != (g.endpoints(e)[1] in reach)]
+    return sorted(reach), side2, cut
 
 
 def brute_has_configuration(g: Graph, kind: str) -> bool:

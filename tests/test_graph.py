@@ -1,4 +1,7 @@
 import math
+import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +31,7 @@ from strongedge.graph import (
 from helpers import (
     brute_has_configuration,
     brute_min_cut,
+    canonical_cut_oracle,
     circulant,
     complete,
     complete_bipartite,
@@ -83,6 +87,20 @@ class TestGraphBasics:
             g.restore_edge(e, a, b)
         assert g.edges() == sorted(eids)
         assert g.degree(0) == 2
+
+    def test_incident_stays_sorted_through_restore(self):
+        g = random_graph(9, 20, 3)
+        for v in (4, 0, 7):
+            removed = [(e, *g.endpoints(e)) for e in g.incident(v)]
+            g.remove_vertex(v)
+            g.restore_vertex(v)
+            for e, a, b in reversed(removed):
+                g.restore_edge(e, a, b)
+        for v in g.vertices():
+            assert g.incident(v) == sorted(g.incident(v)), f"vertex {v}"
+        # a new list each call: changing it leaves the graph alone
+        g.incident(4).clear()
+        assert g.degree(4) == len(g.incident(4)) > 0
 
 
 class TestGirth:
@@ -164,6 +182,117 @@ class TestEdgeCut:
             for e in cut.cut_edges:
                 h.remove_edge(e)
             assert not h.is_connected()
+
+
+    # Two multigraphs of minimum degree 4 whose minimum cut is the two edges
+    # into a triple edge, while a greedy dominating set has no vertex past
+    # it: the dominating-set lemma needs a simple graph.  K5 minus 0-1 with
+    # 0-5 and 1-6 defeats a dominating set grown in ascending order ({0, 1});
+    # K6 minus 0-4 and 0-5 with 0-6 and 5-7 defeats one grown by largest gain
+    # counted over incidences ({0, 5}).
+    @pytest.mark.parametrize("core, missing, ties, far", [
+        (5, [(0, 1)], [(0, 5), (1, 6)], [5, 6]),
+        (6, [(0, 4), (0, 5)], [(0, 6), (5, 7)], [6, 7]),
+    ])
+    def test_gate_skips_multigraphs(self, core, missing, ties, far):
+        g = Graph(core + 2)
+        for i, j in combinations(range(core), 2):
+            if (i, j) not in missing:
+                g.add_edge(i, j)
+        for _ in range(3):
+            g.add_edge(*far)
+        for u, v in ties:
+            g.add_edge(u, v)
+        assert min(g.degree(v) for v in g.vertices()) == 4
+        cut = find_edge_cut_at_most(g, 3)
+        assert cut is not None
+        assert cut.side1 == list(range(core)) and cut.side2 == far
+        assert [g.endpoints(e) for e in cut.cut_edges] == ties
+
+    def test_canonical_cut_against_flow_oracle(self):
+        pytest.importorskip("networkx")
+        rng = random.Random(11)
+        graphs = [random_multigraph(rng) for _ in range(40)]
+        graphs += [regular_pair(rng, joins=1 + i % 3) for i in range(12)]
+        graphs += [regular_pair(rng, joins=0) for _ in range(4)]
+        graphs += [k5e_ring(blobs, rng) for blobs in (3, 4, 5)]
+        graphs += [shuffled(gen_random_regular(4, 12 + 2 * i, i), rng) for i in range(6)]
+        branches = Counter()
+        for g in graphs:
+            expected = canonical_cut_oracle(g)
+            simple = not brute_has_configuration(g, MULTI_EDGE)
+            min_degree = min(g.degree(v) for v in g.vertices())
+            for k in (1, 2, 3, g.num_edges()):
+                cut = find_edge_cut_at_most(g, k)
+                got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
+                assert got == (expected if len(expected[2]) <= k else None), (g, k)
+                if not simple or min_degree <= k:
+                    branches["no gate"] += 1
+                else:
+                    branches["gate: none" if got is None else "gate: scan"] += 1
+        assert set(branches) == {"no gate", "gate: none", "gate: scan"}, branches
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """Copy of g under a random vertex relabelling and edge order."""
+    label = g.vertices()
+    rng.shuffle(label)
+    pairs = [g.endpoints(e) for e in g.edges()]
+    rng.shuffle(pairs)
+    h = Graph(len(label))
+    for u, v in pairs:
+        h.add_edge(label[u], label[v])
+    return h
+
+
+def random_multigraph(rng: random.Random) -> Graph:
+    """Connected multigraph on 3-9 vertices whose ids skip two values."""
+    n = rng.randint(3, 9)
+    g = Graph(n + 2)
+    g.remove_vertex(0)
+    g.remove_vertex(n // 2 + 1)
+    vs = g.vertices()
+    for i in range(1, len(vs)):
+        g.add_edge(vs[rng.randrange(i)], vs[i])
+    for _ in range(rng.randint(0, 2 * n)):
+        g.add_edge(*rng.sample(vs, 2))
+    return g
+
+
+def regular_pair(rng: random.Random, joins: int) -> Graph:
+    """Two random 4-regular graphs on 10-16 vertices each, relabelled at random.
+
+    With joins 1-3, that many new edges join them (a planted cut, minimum
+    degree 4); with joins 0, one edge a-b of the first and c-d of the second
+    are swapped for a-c and b-d (4-regular, a planted 2-edge cut).
+    """
+    n1, n2 = rng.choice((10, 12, 14, 16)), rng.choice((10, 12, 14, 16))
+    left = gen_random_regular(4, n1, rng.randrange(10 ** 6))
+    right = gen_random_regular(4, n2, rng.randrange(10 ** 6))
+    pairs = [left.endpoints(e) for e in left.edges()]
+    pairs += [(n1 + u, n1 + v) for u, v in (right.endpoints(e) for e in right.edges())]
+    if joins:
+        for u, v in zip(rng.sample(range(n1), joins), rng.sample(range(n2), joins)):
+            pairs.append((u, n1 + v))
+    else:
+        (a, b), (c, d) = pairs.pop(0), pairs.pop()
+        pairs += [(a, c), (b, d)]
+    g = Graph(n1 + n2)
+    for u, v in pairs:
+        g.add_edge(u, v)
+    return shuffled(g, rng)
+
+
+def k5e_ring(blobs: int, rng: random.Random) -> Graph:
+    """Ring of K5-minus-an-edge blobs, each blob's two degree-3 vertices tied
+    to the neighbouring blobs: 4-regular with edge connectivity 2."""
+    g = Graph(5 * blobs)
+    for b in range(blobs):
+        for i, j in combinations(range(5), 2):
+            if (i, j) != (0, 4):
+                g.add_edge(5 * b + i, 5 * b + j)
+        g.add_edge(5 * b + 4, 5 * ((b + 1) % blobs))
+    return shuffled(g, rng)
 
 
 class TestConfigurations:

@@ -477,6 +477,20 @@ class TestPartitionFixtures:
         assert trace.collaborative_cases() == [expected]
         assert pocket_digest(coloring, trace) == POCKET_DIGESTS[name]
 
+    def test_dispatch_skips_girth(self, monkeypatch):
+        # the finders rule out cycles shorter than six before the anchored
+        # step, so the dispatcher never asks for the girth
+        import strongedge.reduction as red
+
+        def no_girth(g):
+            raise AssertionError("girth() called during dispatch")
+
+        monkeypatch.setattr(red, "girth", no_girth)
+        g, info = build_pocket(SHAPES["hub-deg2"])
+        coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert pocket_digest(coloring, trace) == POCKET_DIGESTS["hub-deg2"]
+
     @pytest.mark.parametrize("name, shown", sorted(FORCED_DIGESTS))
     def test_forced_arms(self, name, shown, monkeypatch):
         import strongedge.reduction as red
@@ -610,6 +624,19 @@ class TestCompletionStrategies:
         assert trace.fallback_count >= 1
         assert any("forced by test" in s.params for s in trace.steps
                    if s.tag == "fallback")
+
+    def test_exact_finish_budget_is_bounded(self, monkeypatch):
+        # C7 needs 4 colors; with a palette of 3 and a one-node budget the
+        # exact finish must stop and say so instead of searching on
+        import strongedge.reduction as red
+        monkeypatch.setattr(red, "PALETTE", 3)
+        monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", 1)
+        with pytest.raises(RuntimeError,
+                           match="7 vertices and 7 edges .* 1-node budget"):
+            red._Solver()._exact_finish(cycle(7), 0)
+        monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", 1000)
+        with pytest.raises(RuntimeError, match="needed 4 colors"):
+            red._Solver()._exact_finish(cycle(7), 0)
 
 
 class TestSharedEndpointCut:
