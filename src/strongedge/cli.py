@@ -1,8 +1,9 @@
 """Command line surface: coloring, exact values, verification, generation, sweeps.
 
 Exit codes: 0 success, 1 coloring failure or invalid coloring, 2 usage or
-malformed input, 3 internal error (an artifact failed re-verification),
-4 exact-solver budget exhausted.
+malformed input, 3 internal error (an artifact failed re-verification or
+the solver raised), 4 exact-solver budget exhausted (by `exact`, or by the
+exact finish of a reduce21 solve).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .coloring import (
     greedy_color,
     verify_strong_coloring,
 )
-from .reduction import solve21
+from .reduction import ExactFinishBudgetError, solve21
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -63,6 +64,13 @@ def _regularity_str(g: Graph) -> str:
     return f"{next(iter(degs))}-regular" if len(degs) == 1 else "irregular"
 
 
+def _solve_error(exc: RuntimeError) -> int:
+    """Report a solve21 failure in one line: exit 4 when the exact finish ran
+    out of its node budget, 3 otherwise."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_BUDGET if isinstance(exc, ExactFinishBudgetError) else EXIT_INTERNAL
+
+
 def cmd_color(args) -> int:
     try:
         g = _read_graph(args.input)
@@ -74,7 +82,10 @@ def cmd_color(args) -> int:
         if g.max_degree() > 4:
             print("error: reduce21 requires maximum degree at most 4", file=sys.stderr)
             return EXIT_USAGE
-        coloring, trace = solve21(g)
+        try:
+            coloring, trace = solve21(g)
+        except RuntimeError as exc:
+            return _solve_error(exc)
         if trace.fallback_count:
             print(f"warning: {trace.fallback_count} fallback event(s); "
                   "coloring is still valid", file=sys.stderr)
@@ -198,7 +209,10 @@ def cmd_hunt(args) -> int:
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        records.append(_hunt_one(args.alg, g, seed))
+        try:
+            records.append(_hunt_one(args.alg, g, seed))
+        except RuntimeError as exc:
+            return _solve_error(exc)
 
     bad = [r for r in records if not r.get("verified", False)]
     if bad:

@@ -107,19 +107,38 @@ def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> se
 
 
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
-    """Check that no two same-colored edges see each other.
+    """Check that every color class is an induced matching.
 
-    Returns (True, None) or (False, (e, f)) with the first offending pair in
-    ascending id order.  Edges colored outside 1..k are impossible by
+    One map from each vertex and color to the edges of that color at that
+    vertex marks the class endpoints.  Two same-colored edges conflict when
+    some edge of g, colored or not, joins an endpoint of one to an endpoint
+    of the other, so one pass over g's edges, pairing the class edges marked
+    at its two ends, finds every conflict.  Two class edges that share an
+    endpoint are paired by the pass over either of them.  Nothing here uses
+    edge_neighborhood.
+
+    Returns (True, None) or (False, (e, f)) where e < f is the smallest
+    conflicting pair.  Edges colored outside 1..k are impossible by
     construction of PartialColoring.
     """
-    assign = coloring._assign
-    for e in sorted(assign):
-        ce = assign[e]
-        for f in sorted(edge_neighborhood(g, e)):
-            if f > e and assign.get(f) == ce:
-                return False, (e, f)
-    return True, None
+    marks: dict[int, dict[int, list[int]]] = {}
+    for e, c in coloring._assign.items():
+        for v in g.endpoints(e):
+            marks.setdefault(v, {}).setdefault(c, []).append(e)
+    best = None
+    for e in g.edges():
+        u, v = g.endpoints(e)
+        at_u, at_v = marks.get(u), marks.get(v)
+        if not at_u or not at_v:
+            continue
+        for c, xs in at_u.items():
+            for y in at_v.get(c, ()):
+                for x in xs:
+                    if x != y:
+                        pair = (x, y) if x < y else (y, x)
+                        if best is None or pair < best:
+                            best = pair
+    return (True, None) if best is None else (False, best)
 
 
 def greedy_color(g: Graph, k: int, order=None):

@@ -7,6 +7,7 @@ import random
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -423,114 +424,193 @@ def find_edge_cut_at_most(g: Graph, k: int):
 # -- forbidden configurations -------------------------------------------------
 
 
-def _find_multi_edge(g: Graph):
-    seen: dict[tuple[int, int], int] = {}
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return Configuration(MULTI_EDGE, [key[0], key[1]])
-        seen[key] = e
-    return None
+#: Common neighbours a vertex pair needs for each kind the 2-path pass serves.
+_COMMON_NEED = {K33: 3, K24: 4, K23: 3, C4: 2}
 
 
-def _find_triangle(g: Graph):
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
-        if common:
-            a, b = (u, v) if u < v else (v, u)
-            return Configuration(TRIANGLE, sorted([a, b, common[0]]))
-    return None
+class _Lazy(dict):
+    """Dict that builds a missing value from its key on first lookup."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
-def _pairs_with_common(g: Graph, need: int):
-    """Vertex pairs (a < b) with at least `need` common neighbors."""
-    for a in g.vertices():
-        na = set(g.neighbors(a))
-        candidates = sorted({w for n in na for w in g.neighbors(n)})
-        for b in candidates:
-            if b <= a:
-                continue
-            common = sorted(na & set(g.neighbors(b)) - {a, b})
-            if len(common) >= need:
-                yield a, b, common
+class _Census:
+    """State one find_configuration call shares between its scans.
 
+    Neighbour sets and sorted neighbour lists are built on first use, and the
+    2-path pass runs at most once.
+    """
 
-def _find_k23(g: Graph):
-    for a, b, common in _pairs_with_common(g, 3):
-        return Configuration(K23, common[:3] + [a, b])
-    return None
+    def __init__(self, g: Graph, top: int):
+        self.g = g
+        self.top = top      # the largest common-neighbour count asked for
+        self._first = None  # need -> (a, b, common) from the 2-path pass
 
+    @cached_property
+    def nb(self):
+        adj, ends = self.g._adj, self.g._edges
 
-def _find_k24(g: Graph):
-    for a, b, common in _pairs_with_common(g, 4):
-        return Configuration(K24, common[:4] + [a, b])
-    return None
+        def neighbour_set(v):
+            s = {x for e in adj[v] for x in ends[e]}
+            s.discard(v)
+            return s
 
+        return _Lazy(neighbour_set)
 
-def _find_k33(g: Graph):
-    for v1 in g.vertices():
-        for triple in combinations(g.neighbors(v1), 3):
-            common = set(g.neighbors(triple[0]))
-            common &= set(g.neighbors(triple[1]))
-            common &= set(g.neighbors(triple[2]))
-            common.discard(v1)
-            common -= set(triple)
-            if len(common) >= 2:
-                others = sorted(common)[:2]
-                return Configuration(K33, list(triple) + sorted([v1] + others))
-    return None
+    @cached_property
+    def srt(self):
+        nb = self.nb
+        return _Lazy(lambda v: sorted(nb[v]))
 
+    def multi_edge(self):
+        ends = self.g._edges
+        # most graphs have no parallel pair; rule that out before sorting
+        if len({(u, v) if u < v else (v, u) for u, v in ends.values()}) == len(ends):
+            return None
+        seen = set()
+        for e in sorted(ends):
+            u, v = ends[e]
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                return Configuration(MULTI_EDGE, [key[0], key[1]])
+            seen.add(key)
+        return None
 
-def _find_c4(g: Graph):
-    for a, b, common in _pairs_with_common(g, 2):
-        p, q = common[0], common[1]
-        return Configuration(C4, [a, p, b, q])
-    return None
+    def triangle(self):
+        nb = self.nb
+        for e in self.g.edges():
+            u, v = self.g._edges[e]
+            common = nb[u] & nb[v]
+            if common:
+                return Configuration(TRIANGLE, sorted([u, v, min(common)]))
+        return None
 
+    def common_pair(self, need: int):
+        """First pair a < b, in ascending order, with at least `need` common
+        neighbours, as (a, b, the common neighbours ascending), or None.
 
-def _find_c5(g: Graph):
-    for a in g.vertices():
-        for b in g.neighbors(a):
-            if b <= a:
-                continue
-            for c in g.neighbors(b):
-                if c == a or c <= a:
+        One pass over the 2-paths a-x-b with b > a records the first pair for
+        every count up to `top`, and stops at the first pair that reaches it.
+        """
+        if self._first is None:
+            srt, top = self.srt, self.top
+            self._first = first = {}
+            for a in self.g.vertices():
+                common: dict[int, list[int]] = {}
+                for x in srt[a]:
+                    for b in srt[x]:
+                        if b > a:
+                            common.setdefault(b, []).append(x)
+                for b in sorted(b for b, xs in common.items() if len(xs) > 1):
+                    xs = common[b]
+                    for count in range(2, min(len(xs), top) + 1):
+                        first.setdefault(count, (a, b, xs))
+                    if len(xs) >= top:
+                        return first.get(need)
+        return self._first.get(need)
+
+    def k33(self):
+        # two vertices of one side of a K3,3 have three common neighbours
+        if self.common_pair(3) is None:
+            return None
+        nb = self.nb
+        for v1 in self.g.vertices():
+            for triple in combinations(self.srt[v1], 3):
+                common = nb[triple[0]] & nb[triple[1]] & nb[triple[2]]
+                common.discard(v1)
+                if len(common) >= 2:
+                    others = sorted(common)[:2]
+                    return Configuration(K33, list(triple) + sorted([v1] + others))
+        return None
+
+    def k24(self):
+        hit = self.common_pair(4)
+        return hit and Configuration(K24, hit[2][:4] + [hit[0], hit[1]])
+
+    def k23(self):
+        hit = self.common_pair(3)
+        return hit and Configuration(K23, hit[2][:3] + [hit[0], hit[1]])
+
+    def c4(self):
+        hit = self.common_pair(2)
+        return hit and Configuration(C4, [hit[0], hit[2][0], hit[1], hit[2][1]])
+
+    def c5(self):
+        nb, srt = self.nb, self.srt
+        for a in self.g.vertices():
+            na = nb[a]
+            for b in srt[a]:
+                if b <= a:
                     continue
-                for d in g.neighbors(c):
-                    if d in (a, b) or d <= a:
+                for c in srt[b]:
+                    if c <= a:
                         continue
-                    for e in g.neighbors(d):
-                        if e in (a, b, c) or e <= b:
+                    for d in srt[c]:
+                        if d <= a or d == b:
                             continue
-                        if g.adjacent(e, a):
-                            return Configuration(C5, [a, b, c, d, e])
-    return None
+                        ends = [e for e in na & nb[d] if e > b and e != c]
+                        if ends:
+                            return Configuration(C5, [a, b, c, d, min(ends)])
+        return None
 
 
-_FINDERS = {
-    MULTI_EDGE: _find_multi_edge,
-    TRIANGLE: _find_triangle,
-    K33: _find_k33,
-    K24: _find_k24,
-    K23: _find_k23,
-    C4: _find_c4,
-    C5: _find_c5,
+_SCANS = {
+    MULTI_EDGE: _Census.multi_edge,
+    TRIANGLE: _Census.triangle,
+    K33: _Census.k33,
+    K24: _Census.k24,
+    K23: _Census.k23,
+    C4: _Census.c4,
+    C5: _Census.c5,
 }
 
 
-def find_configuration(g: Graph, kind: str):
-    """First embedding of the named pattern, scanning ascending vertex ids.
+def find_configuration(g: Graph, *kinds: str):
+    """First embedding of the first kind in `kinds` that g contains, or None.
 
-    Patterns are matched as subgraphs (not induced).  Returns None when the
-    pattern is absent.
+    Patterns are matched as subgraphs (not induced).  The kinds are scanned
+    lazily in the order given, and the call returns at the first hit, so a
+    later kind costs nothing once an earlier one is found.  Each kind's
+    embedding is the first one its scan meets:
+
+    - multi-edge: the first edge id whose endpoint pair repeats an earlier
+      edge's, as [low, high];
+    - triangle: the first edge id uv with a common neighbour w, the lowest
+      such w, as sorted [u, v, w];
+    - k24, k23, c4: the first pair a < b, in ascending order, with at least
+      4, 3 or 2 common neighbours x1 < x2 < ...; k24 is [x1..x4, a, b], k23
+      is [x1, x2, x3, a, b] and c4 is [a, x1, b, x2].  One pass over the
+      2-paths serves all three;
+    - k33: run only when some pair has 3 common neighbours.  The first
+      vertex v1, ascending, with three neighbours t1 < t2 < t3 (in
+      lexicographic order of the triple) that have two more common
+      neighbours besides v1; the two lowest, o1 and o2, give
+      [t1, t2, t3] + sorted [v1, o1, o2];
+    - c5: the first 5-cycle a-b-c-d-e-a of distinct vertices that a
+      depth-first search over ascending neighbour lists meets, with b, c
+      and d above a and e above b, as [a, b, c, d, e].
+
+    Raises ValueError when no kind is given or a kind is unknown.
     """
-    try:
-        finder = _FINDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown configuration kind {kind!r}") from None
-    return finder(g)
+    if not kinds:
+        raise ValueError("no configuration kind given")
+    for kind in kinds:
+        if kind not in _SCANS:
+            raise ValueError(f"unknown configuration kind {kind!r}")
+    census = _Census(g, max(_COMMON_NEED.get(kind, 0) for kind in kinds))
+    for kind in kinds:
+        conf = _SCANS[kind](census)
+        if conf is not None:
+            return conf
+    return None
 
 
 # -- generators ----------------------------------------------------------------

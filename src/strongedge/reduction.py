@@ -58,6 +58,10 @@ BASE_CASE_EDGES = 20
 EXACT_FINISH_BUDGET = 1_000_000
 
 
+class ExactFinishBudgetError(RuntimeError):
+    """The exact finish after a fallback ran out of EXACT_FINISH_BUDGET."""
+
+
 class FallbackTriggered(Exception):
     """A proof-backed step found no valid move; the exact solver takes over."""
 
@@ -567,17 +571,16 @@ class _Solver:
         if cut is not None:
             return self._small_cut(g, cut, depth)
 
-        for kind in (TRIANGLE, K33, K24, K23, C4, C5):
-            conf = find_configuration(g, kind)
-            if conf is not None:
-                return self._short_cycle(g, conf, depth)
+        conf = find_configuration(g, TRIANGLE, K33, K24, K23, C4, C5)
+        if conf is not None:
+            return self._short_cycle(g, conf, depth)
 
         return self._anchored(g, depth)
 
     def _exact_finish(self, g: Graph, depth: int) -> dict:
         res = exact_strong_index(g, budget=EXACT_FINISH_BUDGET, stop_at=PALETTE)
         if res.upper > PALETTE and not res.exact:
-            raise RuntimeError(
+            raise ExactFinishBudgetError(
                 f"exact fallback on a subinstance with {g.num_vertices()} vertices "
                 f"and {g.num_edges()} edges ran out of its {EXACT_FINISH_BUDGET}-node "
                 f"budget above {PALETTE} colors")

@@ -4,12 +4,24 @@ Everything here deliberately avoids the library's own algorithms: girth via
 per-root BFS, cuts via bipartition enumeration or networkx flows, patterns
 via itertools over vertex tuples, chromatic numbers via plain backtracking in
 id order, and distinct-representative checks via exhaustive assignment
-search.
+search.  The exceptions, at the end, are the library's replaced
+implementations of the configuration finders and of the verifier, kept
+verbatim as differential oracles for their successors.
 """
 import random
 from itertools import combinations, permutations
 
-from strongedge.graph import Graph
+from strongedge.graph import (
+    C4,
+    C5,
+    K23,
+    K24,
+    K33,
+    MULTI_EDGE,
+    TRIANGLE,
+    Configuration,
+    Graph,
+)
 
 
 def circulant(n, dists):
@@ -323,3 +335,132 @@ def strong_adjacency(g: Graph):
         for f in edge_neighborhood(g, e):
             adj[i].add(index[f])
     return [sorted(s) for s in adj]
+
+
+# -- replaced implementations, kept as differential oracles ---------------------
+
+
+def _find_multi_edge(g: Graph):
+    seen: dict[tuple[int, int], int] = {}
+    for e in g.edges():
+        u, v = g.endpoints(e)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return Configuration(MULTI_EDGE, [key[0], key[1]])
+        seen[key] = e
+    return None
+
+
+def _find_triangle(g: Graph):
+    for e in g.edges():
+        u, v = g.endpoints(e)
+        common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
+        if common:
+            a, b = (u, v) if u < v else (v, u)
+            return Configuration(TRIANGLE, sorted([a, b, common[0]]))
+    return None
+
+
+def _pairs_with_common(g: Graph, need: int):
+    """Vertex pairs (a < b) with at least `need` common neighbors."""
+    for a in g.vertices():
+        na = set(g.neighbors(a))
+        candidates = sorted({w for n in na for w in g.neighbors(n)})
+        for b in candidates:
+            if b <= a:
+                continue
+            common = sorted(na & set(g.neighbors(b)) - {a, b})
+            if len(common) >= need:
+                yield a, b, common
+
+
+def _find_k23(g: Graph):
+    for a, b, common in _pairs_with_common(g, 3):
+        return Configuration(K23, common[:3] + [a, b])
+    return None
+
+
+def _find_k24(g: Graph):
+    for a, b, common in _pairs_with_common(g, 4):
+        return Configuration(K24, common[:4] + [a, b])
+    return None
+
+
+def _find_k33(g: Graph):
+    for v1 in g.vertices():
+        for triple in combinations(g.neighbors(v1), 3):
+            common = set(g.neighbors(triple[0]))
+            common &= set(g.neighbors(triple[1]))
+            common &= set(g.neighbors(triple[2]))
+            common.discard(v1)
+            common -= set(triple)
+            if len(common) >= 2:
+                others = sorted(common)[:2]
+                return Configuration(K33, list(triple) + sorted([v1] + others))
+    return None
+
+
+def _find_c4(g: Graph):
+    for a, b, common in _pairs_with_common(g, 2):
+        p, q = common[0], common[1]
+        return Configuration(C4, [a, p, b, q])
+    return None
+
+
+def _find_c5(g: Graph):
+    for a in g.vertices():
+        for b in g.neighbors(a):
+            if b <= a:
+                continue
+            for c in g.neighbors(b):
+                if c == a or c <= a:
+                    continue
+                for d in g.neighbors(c):
+                    if d in (a, b) or d <= a:
+                        continue
+                    for e in g.neighbors(d):
+                        if e in (a, b, c) or e <= b:
+                            continue
+                        if g.adjacent(e, a):
+                            return Configuration(C5, [a, b, c, d, e])
+    return None
+
+
+_FINDERS = {
+    MULTI_EDGE: _find_multi_edge,
+    TRIANGLE: _find_triangle,
+    K33: _find_k33,
+    K24: _find_k24,
+    K23: _find_k23,
+    C4: _find_c4,
+    C5: _find_c5,
+}
+
+
+def first_configuration_oracle(g: Graph, *kinds: str):
+    """The first embedding of the first kind in `kinds` that g contains, by
+    the one-scan-per-kind finders that find_configuration replaced; None when
+    all are absent."""
+    for kind in kinds:
+        conf = _FINDERS[kind](g)
+        if conf is not None:
+            return conf
+    return None
+
+
+def verify_oracle(g: Graph, coloring):
+    """Check that no two same-colored edges see each other, by the sorted
+    per-edge neighbourhood scan that verify_strong_coloring replaced.
+
+    Returns (True, None) or (False, (e, f)) with the first offending pair in
+    ascending id order.  Edges colored outside 1..k are impossible by
+    construction of PartialColoring.
+    """
+    from strongedge.coloring import edge_neighborhood
+    assign = coloring._assign
+    for e in sorted(assign):
+        ce = assign[e]
+        for f in sorted(edge_neighborhood(g, e)):
+            if f > e and assign.get(f) == ce:
+                return False, (e, f)
+    return True, None

@@ -6,6 +6,8 @@ from strongedge.cli import main
 from strongedge.graph import format_edge_list, gen_blowup_c5, gen_incidence_pg
 from strongedge.coloring import coloring_from_json
 
+from helpers import circulant
+
 
 def write_graph(tmp_path, g, name="graph.txt"):
     p = tmp_path / name
@@ -86,6 +88,19 @@ class TestColor:
         p = tmp_path / "huge.txt"
         p.write_text("p 400000000 0\n")
         assert main(["color", str(p)]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("budget, code", [(1, 4), (100_000, 3)])
+    def test_exact_finish_error_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                            budget, code):
+        # a 3-color palette forces a fallback on this 4-regular graph; a
+        # one-node finish budget runs out (4), a larger one proves that more
+        # than 3 colors are needed (3)
+        import strongedge.reduction as red
+        monkeypatch.setattr(red, "PALETTE", 3)
+        monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", budget)
+        gpath = write_graph(tmp_path, circulant(11, (1, 2)))
+        assert main(["color", gpath, "--out", str(tmp_path / "x.json")]) == code
         assert_one_line_error(capsys)
 
     def test_deterministic_output(self, tmp_path):
@@ -223,6 +238,14 @@ class TestHunt:
         assert main(["hunt", "--alg", "exact", "--d", "3", "--n", "8",
                      "--seed", "0", "--count", "2", "--out", str(out)]) == 0
         assert "max exact" in out.read_text()
+
+    def test_exact_finish_budget_exits_four(self, tmp_path, capsys, monkeypatch):
+        import strongedge.reduction as red
+        monkeypatch.setattr(red, "PALETTE", 3)
+        monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", 1)
+        assert main(["hunt", "--n", "11", "--seed", "0", "--count", "1",
+                     "--out", str(tmp_path / "r.txt")]) == 4
+        assert_one_line_error(capsys)
 
     def test_zero_count_exits_two(self, tmp_path, capsys):
         assert main(["hunt", "--count", "0", "--out", str(tmp_path / "r.txt")]) == 2

@@ -1,7 +1,9 @@
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_regular
 from strongedge.coloring import (
@@ -18,7 +20,7 @@ from strongedge.coloring import (
     sees,
     verify_strong_coloring,
 )
-from strongedge.reduction import _colors_at
+from strongedge.reduction import _colors_at, solve21
 
 from helpers import (
     brute_chromatic,
@@ -32,6 +34,7 @@ from helpers import (
     random_graph_max_deg,
     star,
     strong_adjacency,
+    verify_oracle,
 )
 
 
@@ -62,6 +65,13 @@ class TestNeighborhood:
                 assert sees(g, e, f) == (f in edge_neighborhood(g, e))
 
 
+@lru_cache(maxsize=None)
+def solved_regular(n, seed):
+    g = gen_random_regular(4, n, seed)
+    coloring, _ = solve21(g)
+    return g, coloring
+
+
 class TestVerify:
     def test_all_distinct_on_c5(self):
         g = cycle(5)
@@ -80,6 +90,44 @@ class TestVerify:
         c = PartialColoring(20, {e: i + 1 for i, e in enumerate(g.edges())})
         ok, _ = verify_strong_coloring(g, c)
         assert ok
+
+    def test_same_colored_parallel_edges(self):
+        g = Graph(3)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        g.add_edge(1, 2)
+        c = PartialColoring(2, {0: 1, 1: 2, 2: 2})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (False, (1, 2))
+
+    def test_uncolored_edge_joins_same_colored_edges(self):
+        g = path(3)
+        c = PartialColoring(1, {0: 1, 2: 1})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (False, (0, 2))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_sorted_scan_on_random_colorings(self, data):
+        n = data.draw(st.integers(2, 12))
+        g = Graph(n)
+        ends = st.integers(0, n - 1)
+        for u, v in data.draw(st.lists(st.tuples(ends, ends), max_size=30)):
+            if u != v and g.degree(u) < 4 and g.degree(v) < 4:
+                g.add_edge(u, v)
+        k = data.draw(st.integers(1, 6))
+        colors = data.draw(st.lists(st.integers(0, k), min_size=g.num_edges(),
+                                    max_size=g.num_edges()))
+        c = PartialColoring(k, {e: x for e, x in zip(g.edges(), colors) if x})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from([(12, 0), (16, 1), (24, 2), (40, 3)]),
+           st.integers(0, 10 ** 6), st.integers(1, 21))
+    def test_matches_sorted_scan_on_corrupted_solutions(self, instance, pick, color):
+        g, solved = solved_regular(*instance)
+        c = solved.copy()
+        eids = g.edges()
+        c.assign(eids[pick % len(eids)], color)
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c)
 
     def test_color_range_enforced(self):
         c = PartialColoring(3)

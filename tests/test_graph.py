@@ -36,6 +36,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    first_configuration_oracle,
     girth_oracle,
     path,
     petersen,
@@ -346,6 +347,61 @@ class TestConfigurations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             find_configuration(cycle(5), "heptagon")
+        with pytest.raises(ValueError):
+            find_configuration(cycle(5))
+        # checked before any scan, so an earlier hit does not hide it
+        with pytest.raises(ValueError):
+            find_configuration(complete(4), TRIANGLE, "heptagon")
+
+    SIX = (TRIANGLE, K33, K24, K23, C4, C5)
+
+    def test_first_hit_follows_kind_order(self):
+        # a C4 on the low ids and a triangle on the high ids: the C4 comes
+        # first in vertex order, the triangle first in kind order
+        g = cycle(4)
+        for _ in range(3):
+            g.add_vertex()
+        g.add_edge(4, 5)
+        g.add_edge(5, 6)
+        g.add_edge(4, 6)
+        assert find_configuration(g, C4).vertices == [0, 1, 2, 3]
+        assert find_configuration(g, *self.SIX).vertices == [4, 5, 6]
+        assert find_configuration(g, C4, TRIANGLE).kind == C4
+
+    def census_corpus(self):
+        """Dense simple graphs, multigraphs, max-degree-4 graphs, random
+        bipartite graphs (no triangle) and relabelled Petersen graphs with
+        random extra edges (girth 5 until an edge closes something shorter)."""
+        rng = random.Random(2024)
+        for seed in range(50):
+            yield random_graph(rng.randint(4, 11), rng.randint(4, 30), seed)
+            yield random_multigraph(rng)
+            yield random_graph_max_deg(rng.randint(6, 16), rng.randint(6, 32), 4, seed)
+            a, b = rng.randint(2, 6), rng.randint(2, 6)
+            bip = complete_bipartite(a, b)
+            for e in rng.sample(bip.edges(), rng.randint(0, a * b // 2)):
+                bip.remove_edge(e)
+            yield shuffled(bip, rng)
+            pete = shuffled(petersen(), rng)
+            for _ in range(rng.randint(0, 2)):
+                pete.add_edge(*rng.sample(range(10), 2))
+            yield pete
+
+    def test_census_matches_replaced_finders(self):
+        firsts = Counter()
+        both = 0
+        for g in self.census_corpus():
+            for kind in CONFIGURATION_KINDS:
+                assert find_configuration(g, kind) == first_configuration_oracle(g, kind)
+            conf = find_configuration(g, *self.SIX)
+            assert conf == first_configuration_oracle(g, *self.SIX)
+            firsts[conf and conf.kind] += 1
+            both += (first_configuration_oracle(g, TRIANGLE) is not None
+                     and first_configuration_oracle(g, C4) is not None)
+        # every kind wins the six-kind call somewhere, and the priority order
+        # is exercised on graphs holding both a triangle and a C4
+        assert set(firsts) == set(self.SIX) | {None}, firsts
+        assert both >= 20
 
 
 class TestGenerators:
