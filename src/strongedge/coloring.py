@@ -109,28 +109,36 @@ def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> se
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     """Check that every color class is an induced matching.
 
-    One map from each vertex and color to the edges of that color at that
-    vertex marks the class endpoints.  Two same-colored edges conflict when
-    some edge of g, colored or not, joins an endpoint of one to an endpoint
-    of the other, so one pass over g's edges, pairing the class edges marked
-    at its two ends, finds every conflict.  Two class edges that share an
-    endpoint are paired by the pass over either of them.  Nothing here uses
+    One map from each vertex and color to the two lowest edge ids of that
+    color at that vertex marks the class endpoints.  Two same-colored edges
+    conflict when some edge of g, colored or not, joins an endpoint of one to
+    an endpoint of the other, so one pass over g's edges, pairing the class
+    edges marked at its two ends, finds every conflict.  Two class edges that
+    share an endpoint are paired by the pass over either of them.  The
+    smallest conflicting pair across one edge uses only the two lowest class
+    edges at each end, so each edge costs O(colors at its sparser end),
+    however many edges share a color at a vertex.  Nothing here uses
     edge_neighborhood.
 
     Returns (True, None) or (False, (e, f)) where e < f is the smallest
     conflicting pair.  Edges colored outside 1..k are impossible by
     construction of PartialColoring.
     """
+    assign = coloring._assign
     marks: dict[int, dict[int, list[int]]] = {}
-    for e, c in coloring._assign.items():
+    for e in sorted(assign):
         for v in g.endpoints(e):
-            marks.setdefault(v, {}).setdefault(c, []).append(e)
+            low = marks.setdefault(v, {}).setdefault(assign[e], [])
+            if len(low) < 2:
+                low.append(e)
     best = None
     for e in g.edges():
         u, v = g.endpoints(e)
         at_u, at_v = marks.get(u), marks.get(v)
         if not at_u or not at_v:
             continue
+        if len(at_v) < len(at_u):
+            at_u, at_v = at_v, at_u
         for c, xs in at_u.items():
             for y in at_v.get(c, ()):
                 for x in xs:

@@ -424,57 +424,38 @@ def find_edge_cut_at_most(g: Graph, k: int):
 # -- forbidden configurations -------------------------------------------------
 
 
-#: Common neighbours a vertex pair needs for each kind the 2-path pass serves.
-_COMMON_NEED = {K33: 3, K24: 4, K23: 3, C4: 2}
-
-
-class _Lazy(dict):
-    """Dict that builds a missing value from its key on first lookup."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
+#: The 2-path pass stops at the first pair with this many common neighbours,
+#: the most any kind needs (K2,4).
+_COMMON_TOP = 4
 
 
 class _Census:
     """State one find_configuration call shares between its scans.
 
-    Neighbour sets and sorted neighbour lists are built on first use, and the
-    2-path pass runs at most once.
+    Neighbour sets and sorted neighbour lists are built for every vertex on
+    the first scan that needs them, and the 2-path pass runs at most once.
     """
 
-    def __init__(self, g: Graph, top: int):
+    def __init__(self, g: Graph):
         self.g = g
-        self.top = top      # the largest common-neighbour count asked for
-        self._first = None  # need -> (a, b, common) from the 2-path pass
+        self._first = None  # count -> (a, b, common) from the 2-path pass
 
     @cached_property
     def nb(self):
         adj, ends = self.g._adj, self.g._edges
-
-        def neighbour_set(v):
-            s = {x for e in adj[v] for x in ends[e]}
+        nb = {}
+        for v, es in adj.items():
+            s = {x for e in es for x in ends[e]}
             s.discard(v)
-            return s
-
-        return _Lazy(neighbour_set)
+            nb[v] = s
+        return nb
 
     @cached_property
     def srt(self):
-        nb = self.nb
-        return _Lazy(lambda v: sorted(nb[v]))
+        return {v: sorted(s) for v, s in self.nb.items()}
 
     def multi_edge(self):
         ends = self.g._edges
-        # most graphs have no parallel pair; rule that out before sorting
-        if len({(u, v) if u < v else (v, u) for u, v in ends.values()}) == len(ends):
-            return None
         seen = set()
         for e in sorted(ends):
             u, v = ends[e]
@@ -497,11 +478,11 @@ class _Census:
         """First pair a < b, in ascending order, with at least `need` common
         neighbours, as (a, b, the common neighbours ascending), or None.
 
-        One pass over the 2-paths a-x-b with b > a records the first pair for
-        every count up to `top`, and stops at the first pair that reaches it.
+        One pass over the 2-paths a-x-b with b > a records the first pair with
+        2, 3 and 4 common neighbours, and stops at the first pair with 4.
         """
         if self._first is None:
-            srt, top = self.srt, self.top
+            srt = self.srt
             self._first = first = {}
             for a in self.g.vertices():
                 common: dict[int, list[int]] = {}
@@ -511,9 +492,9 @@ class _Census:
                             common.setdefault(b, []).append(x)
                 for b in sorted(b for b, xs in common.items() if len(xs) > 1):
                     xs = common[b]
-                    for count in range(2, min(len(xs), top) + 1):
+                    for count in range(2, min(len(xs), _COMMON_TOP) + 1):
                         first.setdefault(count, (a, b, xs))
-                    if len(xs) >= top:
+                    if len(xs) >= _COMMON_TOP:
                         return first.get(need)
         return self._first.get(need)
 
@@ -605,7 +586,7 @@ def find_configuration(g: Graph, *kinds: str):
     for kind in kinds:
         if kind not in _SCANS:
             raise ValueError(f"unknown configuration kind {kind!r}")
-    census = _Census(g, max(_COMMON_NEED.get(kind, 0) for kind in kinds))
+    census = _Census(g)
     for kind in kinds:
         conf = _SCANS[kind](census)
         if conf is not None:

@@ -104,6 +104,31 @@ class TestVerify:
         c = PartialColoring(1, {0: 1, 2: 1})
         assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (False, (0, 2))
 
+    @pytest.mark.parametrize("g", [complete(120), star(300)], ids=["K120", "star300"])
+    def test_one_color_at_a_high_degree_vertex(self, g):
+        # one class holds 119 edges at each K120 vertex and 300 at the star's
+        # hub; pairing whole classes across each edge would take about 1e8
+        # steps on K120
+        c = PartialColoring(1, {e: 1 for e in g.edges()})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (False, (0, 1))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_sorted_scan_on_dense_colorings(self, data):
+        # no degree cap and few colors: classes of many edges at one vertex,
+        # with a witness that need not be the first two edges
+        n = data.draw(st.integers(2, 20))
+        g = Graph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if data.draw(st.booleans()):
+                    g.add_edge(u, v)
+        k = data.draw(st.integers(2, 8))
+        colors = data.draw(st.lists(st.integers(0, k), min_size=g.num_edges(),
+                                    max_size=g.num_edges()))
+        c = PartialColoring(k, {e: x for e, x in zip(g.edges(), colors) if x})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c)
+
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.data())
     def test_matches_sorted_scan_on_random_colorings(self, data):
