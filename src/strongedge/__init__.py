@@ -21,13 +21,11 @@ from .graph import (
     girth,
     graph_from_json,
     graph_to_json,
-    is_2k2_free,
     parse_edge_list,
 )
 from .coloring import (
     ExactResult,
     PartialColoring,
-    SdrResult,
     bounds,
     coloring_from_json,
     coloring_to_json,
@@ -35,7 +33,6 @@ from .coloring import (
     exact_strong_index,
     greedy_color,
     line_graph_square,
-    sdr_extend,
     sees,
     verify_strong_coloring,
 )
@@ -46,13 +43,9 @@ from .reduction import (
     ReductionTrace,
     SequencePlan,
     VertexPartition,
-    audit_sequence,
     build_partition,
     build_precolor_and_sequence,
-    collaborative_color,
     extend_sequence,
-    reduce_short_cycle,
-    reduce_small_cut,
     rename_colors,
     solve21,
 )

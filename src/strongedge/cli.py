@@ -155,6 +155,11 @@ def cmd_verify(args) -> int:
         print(f"invalid: edges {witness[0]} and {witness[1]} share a color "
               "and see each other", file=sys.stderr)
         return EXIT_FAILURE
+    uncolored = [e for e in g.edges() if coloring.color(e) is None]
+    if uncolored:
+        print(f"incomplete: {len(uncolored)} edge(s) uncolored, lowest {uncolored[0]}",
+              file=sys.stderr)
+        return EXIT_FAILURE
     print("valid")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Partial strong colorings, availability bookkeeping, and solvers.
+"""Partial strong colorings, the verifier, and the greedy and exact solvers.
 
 Colors are integers 1..k.  Two edges "see" each other when they share an
 endpoint or an edge joins their endpoint sets; a strong edge-coloring gives
@@ -8,7 +8,7 @@ matching.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, _json_int
 
@@ -36,9 +36,6 @@ class PartialColoring:
             raise ValueError(f"color {color} outside palette 1..{self.k}")
         self._assign[e] = color
 
-    def unassign(self, e: int) -> None:
-        del self._assign[e]
-
     def color(self, e: int):
         return self._assign.get(e)
 
@@ -47,14 +44,6 @@ class PartialColoring:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._assign)
-
-    def copy(self) -> "PartialColoring":
-        c = PartialColoring(self.k)
-        c._assign = dict(self._assign)
-        return c
-
-    def num_colored(self) -> int:
-        return len(self._assign)
 
     def colors_used(self) -> set[int]:
         return set(self._assign.values())
@@ -97,13 +86,10 @@ def sees(g: Graph, e: int, f: int) -> bool:
             or g.adjacent(v1, u2) or g.adjacent(v1, v2))
 
 
-def colors_seen(g: Graph, assignment: dict[int, int], e: int) -> set[int]:
-    """Colors appearing on the neighborhood of e under a raw edge->color dict."""
-    return {assignment[f] for f in edge_neighborhood(g, e) if f in assignment}
-
-
 def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> set[int]:
-    return set(range(1, k + 1)) - colors_seen(g, assignment, e)
+    """Colors of 1..k on no edge that e sees, under a raw edge->color dict."""
+    return set(range(1, k + 1)) - {assignment[f] for f in edge_neighborhood(g, e)
+                                   if f in assignment}
 
 
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
@@ -163,28 +149,20 @@ def greedy_color(g: Graph, k: int, order=None):
     elif sorted(order) != eids:
         raise ValueError("order must be a permutation of the edge ids")
     coloring = PartialColoring(k)
+    assign = coloring._assign
     for e in order:
-        avail = available_colors(g, coloring._assign, e, k)
-        if not avail:
+        # only the colors e sees are enumerated, so k may be huge
+        seen = {assign[f] for f in edge_neighborhood(g, e) if f in assign}
+        c = 1
+        while c in seen:
+            c += 1
+        if c > k:
             return coloring, e
-        coloring._assign[e] = min(avail)
+        assign[e] = c
     return coloring, None
 
 
-# -- SDR extension -------------------------------------------------------------
-
-
-@dataclass
-class SdrResult:
-    """Outcome of a distinct-representatives extension attempt."""
-
-    coloring: object = None          # PartialColoring on success, else None
-    assigned: dict = field(default_factory=dict)
-    deficient: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.coloring is not None
+# -- distinct-representatives matching -----------------------------------------
 
 
 def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
@@ -241,24 +219,6 @@ def match_targets(g: Graph, assignment: dict[int, int], targets, k: int):
     targets = sorted(targets)
     avail = {t: available_colors(g, assignment, t, k) for t in targets}
     return _match_distinct(targets, avail)
-
-
-def sdr_extend(g: Graph, coloring: PartialColoring, targets) -> SdrResult:
-    """Give the target edges pairwise-distinct colors from their availability.
-
-    Succeeds exactly when a system of distinct representatives exists; on
-    failure the deficient target subset witnesses the Hall violation.
-    """
-    targets = sorted(targets)
-    for t in targets:
-        if coloring.color(t) is not None:
-            raise ValueError(f"target edge {t} is already colored")
-    assigned, deficient = match_targets(g, coloring._assign, targets, coloring.k)
-    if assigned is None:
-        return SdrResult(None, {}, deficient)
-    out = coloring.copy()
-    out._assign.update(assigned)
-    return SdrResult(out, assigned, [])
 
 
 def line_graph_square(g: Graph) -> list[set[int]]:

@@ -138,9 +138,6 @@ class Graph:
     def edges(self) -> list[int]:
         return sorted(self._edges)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     def has_edge_id(self, e: int) -> bool:
         return e in self._edges
 
@@ -677,22 +674,6 @@ def gen_random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Grap
             return g
     raise RuntimeError(f"pairing model failed after {max_tries} tries "
                        f"(d={d}, n={n}, seed={seed})")
-
-
-def is_2k2_free(g: Graph) -> bool:
-    """True iff every pair of edges shares an endpoint or is joined by an edge."""
-    eids = g.edges()
-    nbr = {v: set(g.neighbors(v)) for v in g.vertices()}
-    for i, e in enumerate(eids):
-        u1, v1 = g.endpoints(e)
-        for f in eids[i + 1:]:
-            u2, v2 = g.endpoints(f)
-            if u2 in (u1, v1) or v2 in (u1, v1):
-                continue
-            if u2 in nbr[u1] or u2 in nbr[v1] or v2 in nbr[u1] or v2 in nbr[v1]:
-                continue
-            return False
-    return True
 
 
 # -- text / JSON formats -------------------------------------------------------

@@ -23,7 +23,6 @@ from functools import partial
 from .graph import (
     C4,
     C5,
-    CONFIGURATION_KINDS,
     Configuration,
     EdgeCut,
     Graph,
@@ -40,7 +39,6 @@ from .coloring import (
     PartialColoring,
     _match_distinct,
     available_colors,
-    colors_seen,
     edge_neighborhood,
     exact_strong_index,
     match_targets,
@@ -97,13 +95,6 @@ class ReductionTrace:
     def tags(self) -> list[str]:
         return [s.tag for s in self.steps]
 
-    def collaborative_cases(self) -> list[str]:
-        out = []
-        for s in self.steps:
-            if s.tag == "collaborative":
-                out.append(s.params.split("case=", 1)[1].split()[0])
-        return out
-
     def format_text(self) -> str:
         return "\n".join(s.format() for s in self.steps) + "\n" if self.steps else ""
 
@@ -125,7 +116,7 @@ def _greedy_assign(g: Graph, col: dict, e: int, why: str) -> None:
 def _checked_assign(g: Graph, col: dict, e: int, c: int, why: str) -> None:
     if e in col:
         raise FallbackTriggered(f"edge {e} already colored during {why}")
-    if c in colors_seen(g, col, e):
+    if any(col.get(f) == c for f in edge_neighborhood(g, e)):
         raise FallbackTriggered(f"color {c} blocked on edge {e} during {why}")
     col[e] = c
 
@@ -327,33 +318,6 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
     return SequencePlan(labels, psi, tail, order)
 
 
-def audit_sequence(g: Graph, plan: SequencePlan) -> dict:
-    """Rule checks for a sequence plan, for assertions and tests."""
-    psi = plan.precolor
-    seq = plan.sequence_set()
-    position = {e: i for i, e in enumerate(plan.order)}
-    body_ok = True
-    for e in plan.order[:-len(plan.tail)]:
-        behind = sum(1 for f in edge_neighborhood(g, e)
-                     if f in position and position[f] > position[e])
-        if behind < 4:
-            body_ok = False
-    outside_max = 0
-    for e in g.edges():
-        if e in seq or psi.color(e) is not None:
-            continue
-        seen = sum(1 for f in edge_neighborhood(g, e) if f in seq)
-        outside_max = max(outside_max, seen)
-    good, _ = verify_strong_coloring(g, psi)
-    return {
-        "precolored_edges": psi.num_colored(),
-        "precolor_valid": good,
-        "tail_is_suffix": plan.order[-len(plan.tail):] == plan.tail,
-        "rule_behind_ok": body_ok,
-        "outside_max_seen": outside_max,
-    }
-
-
 def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     """Greedy-color the sequence in order on top of the seed coloring.
 
@@ -382,7 +346,7 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
             if moved is None:
                 raise FallbackTriggered("sequence stalled twice; donor edge already moved")
             del col[e_ww1]
-            if moved in colors_seen(g, col, e):
+            if any(col.get(f) == moved for f in edge_neighborhood(g, e)):
                 raise FallbackTriggered("donor color still blocked after removal")
             col[e] = moved
             pending_recolor = e_ww1
@@ -1477,30 +1441,3 @@ def solve21(g: Graph):
     if not ok:
         raise RuntimeError(f"solver produced an invalid coloring: {witness}")
     return coloring, solver.trace
-
-
-def reduce_small_cut(g: Graph, cut: EdgeCut):
-    """Split along a cut of at most three edges, color both sides, splice."""
-    if len(cut.cut_edges) > 3:
-        raise ValueError("cut has more than three edges")
-    if not cut.side1 or not cut.side2:
-        raise ValueError("cut sides must be nonempty")
-    solver = _Solver()
-    col = solver._small_cut(g, cut, 0)
-    return PartialColoring(PALETTE, col), solver.trace
-
-
-def reduce_short_cycle(g: Graph, conf: Configuration):
-    """Delete the configuration's prescribed vertices, recurse, and complete."""
-    if conf.kind not in CONFIGURATION_KINDS:
-        raise ValueError(f"unknown configuration kind {conf.kind}")
-    solver = _Solver()
-    col = solver._short_cycle(g, conf, 0)
-    return PartialColoring(PALETTE, col), solver.trace
-
-
-def collaborative_color(g: Graph, part: VertexPartition) -> PartialColoring:
-    """Color the two blocks independently and stitch them over the mid edges."""
-    solver = _Solver()
-    col = solver._collaborative(g, part, 0)
-    return PartialColoring(PALETTE, col)

@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own algorithms: girth via
 per-root BFS, cuts via bipartition enumeration or networkx flows, patterns
 via itertools over vertex tuples, chromatic numbers via plain backtracking in
 id order, and distinct-representative checks via exhaustive assignment
-search.  The exceptions, at the end, are the library's replaced
-implementations of the configuration finders and of the verifier, kept
-verbatim as differential oracles for their successors.
+search.  The sequence-plan audit, the 2K2 test and the trace's case list
+were library exports used only by tests; they live here now.  The
+exceptions, at the end, are the library's replaced implementations of the
+configuration finders and of the verifier, kept verbatim as differential
+oracles for their successors.
 """
 import random
 from itertools import combinations, permutations
@@ -335,6 +337,64 @@ def strong_adjacency(g: Graph):
         for f in edge_neighborhood(g, e):
             adj[i].add(index[f])
     return [sorted(s) for s in adj]
+
+
+def seen_edges(g: Graph, e: int) -> set:
+    """Edges that e sees: every other edge with an end in the closed
+    neighbourhood of e's ends."""
+    ends = set(g.endpoints(e))
+    near = ends.union(*(g.neighbors(a) for a in ends))
+    return {f for w in near for f in g.incident(w)} - {e}
+
+
+def is_2k2_free(g: Graph) -> bool:
+    """True iff every pair of edges shares an endpoint or is joined by an edge."""
+    eids = g.edges()
+    nbr = {v: set(g.neighbors(v)) for v in g.vertices()}
+    for i, e in enumerate(eids):
+        u1, v1 = g.endpoints(e)
+        for f in eids[i + 1:]:
+            u2, v2 = g.endpoints(f)
+            if u2 in (u1, v1) or v2 in (u1, v1):
+                continue
+            if u2 in nbr[u1] or u2 in nbr[v1] or v2 in nbr[u1] or v2 in nbr[v1]:
+                continue
+            return False
+    return True
+
+
+def audit_sequence(g: Graph, plan) -> dict:
+    """Rule checks for a plan from build_precolor_and_sequence: the seed size
+    and validity, the tail as suffix, at least four later sequence edges seen
+    by each body edge, and the most sequence edges any outside edge sees."""
+    psi = plan.precolor
+    seq = set(plan.order)
+    position = {e: i for i, e in enumerate(plan.order)}
+    body_ok = True
+    for e in plan.order[:-len(plan.tail)]:
+        behind = sum(1 for f in seen_edges(g, e)
+                     if f in position and position[f] > position[e])
+        if behind < 4:
+            body_ok = False
+    outside_max = 0
+    for e in g.edges():
+        if e in seq or psi.color(e) is not None:
+            continue
+        outside_max = max(outside_max, len(seen_edges(g, e) & seq))
+    good, _ = verify_oracle(g, psi)
+    return {
+        "precolored_edges": len(psi.colored()),
+        "precolor_valid": good,
+        "tail_is_suffix": plan.order[-len(plan.tail):] == plan.tail,
+        "rule_behind_ok": body_ok,
+        "outside_max_seen": outside_max,
+    }
+
+
+def collaborative_cases(trace) -> list[str]:
+    """The case of each collaborative step in a solve21 trace, in order."""
+    return [s.params.split("case=", 1)[1].split()[0]
+            for s in trace.steps if s.tag == "collaborative"]
 
 
 # -- replaced implementations, kept as differential oracles ---------------------

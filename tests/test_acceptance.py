@@ -14,7 +14,6 @@ from strongedge.graph import (
     gen_blowup_c5,
     gen_incidence_pg,
     gen_random_regular,
-    is_2k2_free,
 )
 from strongedge.coloring import (
     PartialColoring,
@@ -22,7 +21,7 @@ from strongedge.coloring import (
     edge_neighborhood,
     exact_strong_index,
     greedy_color,
-    sdr_extend,
+    match_targets,
     verify_strong_coloring,
 )
 from strongedge.reduction import build_partition, build_precolor_and_sequence, solve21
@@ -35,6 +34,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    is_2k2_free,
     path,
     random_graph,
     random_graph_max_deg,
@@ -182,13 +182,15 @@ def test_criterion_07_sdr_oracle_equivalence():
             continue
         rng.shuffle(uncolored)
         targets = sorted(uncolored[:rng.randint(1, 8)])
-        res = sdr_extend(g, coloring, targets)
+        col = coloring.as_dict()
+        assigned, _ = match_targets(g, col, targets, k)
         brute = brute_distinct_assignment(
-            {t: available_colors(g, coloring.as_dict(), t, k) for t in targets})
-        if res.ok != (brute is not None):
+            {t: available_colors(g, col, t, k) for t in targets})
+        if (assigned is not None) != (brute is not None):
             discrepancies += 1
-        elif res.ok:
-            ok, _ = verify_strong_coloring(g, res.coloring)
+        elif assigned is not None:
+            assert sorted(assigned) == targets
+            ok, _ = verify_strong_coloring(g, PartialColoring(k, {**col, **assigned}))
             assert ok
         checked += 1
     assert discrepancies == 0

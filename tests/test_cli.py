@@ -60,6 +60,18 @@ class TestColor:
         assert code == 1
         assert "failed at edge" in capsys.readouterr().err
 
+    def test_greedy_huge_palette(self, tmp_path, capsys):
+        # the palette is never enumerated, so k far beyond memory still runs
+        gpath = write_graph(tmp_path, gen_incidence_pg(3))
+        small, huge = tmp_path / "small.json", tmp_path / "huge.json"
+        assert main(["color", gpath, "--alg", "greedy", "--k", "25",
+                     "--out", str(small)]) == 0
+        assert main(["color", gpath, "--alg", "greedy", "--k", "100000000",
+                     "--out", str(huge)]) == 0
+        assert "(k=100000000)" in capsys.readouterr().out
+        colors = json.loads(huge.read_text())["colors"]
+        assert colors == json.loads(small.read_text())["colors"]
+
     def test_reduce21_rejects_degree_five(self, tmp_path):
         gpath = write_graph(tmp_path, gen_blowup_c5(3))  # 6-regular
         assert main(["color", gpath, "--alg", "reduce21",
@@ -153,6 +165,18 @@ class TestVerify:
         out.write_text(json.dumps(data))
         assert main(["verify", gpath, str(out)]) == 1
         assert "see each other" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("colors, message", [
+        ({}, "5 edge(s) uncolored, lowest 0"),
+        ({"0": 1, "1": 2, "3": 3, "4": 4}, "1 edge(s) uncolored, lowest 2"),
+    ], ids=["empty", "one-missing"])
+    def test_incomplete_coloring_exits_one(self, tmp_path, capsys, colors, message):
+        out = tmp_path / "col.json"
+        out.write_text(json.dumps({"k": 21, "colors": colors}))
+        assert main(["verify", c5_file(tmp_path), str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"incomplete: {message}\n"
+        assert "valid" not in captured.out
 
     def test_unknown_edge_id_exits_two(self, tmp_path):
         gpath = c5_file(tmp_path)

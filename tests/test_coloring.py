@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,7 @@ from strongedge.coloring import (
     exact_strong_index,
     greedy_color,
     line_graph_square,
-    sdr_extend,
+    match_targets,
     sees,
     verify_strong_coloring,
 )
@@ -149,7 +150,7 @@ class TestVerify:
            st.integers(0, 10 ** 6), st.integers(1, 21))
     def test_matches_sorted_scan_on_corrupted_solutions(self, instance, pick, color):
         g, solved = solved_regular(*instance)
-        c = solved.copy()
+        c = PartialColoring(solved.k, solved.as_dict())
         eids = g.edges()
         c.assign(eids[pick % len(eids)], color)
         assert verify_strong_coloring(g, c) == verify_oracle(g, c)
@@ -197,6 +198,15 @@ class TestGreedy:
         ok, _ = verify_strong_coloring(cycle(5), c)
         assert ok
 
+    def test_huge_palette_matches_small(self):
+        # only the colors an edge sees are scanned, so k costs no time or memory
+        g = gen_incidence_pg(2)
+        small, _ = greedy_color(g, 25)
+        start = time.perf_counter()
+        huge, failed = greedy_color(g, 10 ** 9)
+        assert time.perf_counter() - start < 0.5
+        assert failed is None and huge.as_dict() == small.as_dict()
+
     def test_k4_five_colors_fails(self):
         c, failed = greedy_color(complete(4), 5)
         assert failed is not None
@@ -220,19 +230,15 @@ class TestGreedy:
 
 class TestSdr:
     def test_forced_singletons(self):
-        g = path(3)
-        c = PartialColoring(3)
-        res = sdr_extend(g, c, [0, 1, 2])
-        assert res.ok
-        assert sorted(res.assigned.values()) == [1, 2, 3]
+        assigned, deficient = match_targets(path(3), {}, [0, 1, 2], 3)
+        assert deficient is None
+        assert sorted(assigned.values()) == [1, 2, 3]
 
     def test_hall_violation_reports_deficient_pair(self):
         # two adjacent edges under k=1 both have availability {1}
-        g = path(2)
-        c = PartialColoring(1)
-        res = sdr_extend(g, c, [0, 1])
-        assert not res.ok
-        assert res.deficient == [0, 1]
+        assigned, deficient = match_targets(path(2), {}, [0, 1], 1)
+        assert assigned is None
+        assert deficient == [0, 1]
 
     def test_triangle_deletion_scenario(self):
         # delete a triangle from a 4-regular graph, color the rest exactly,
@@ -254,14 +260,14 @@ class TestSdr:
             h = g.copy()
             for v in tri:
                 h.remove_vertex(v)
-            base = exact_strong_index(h).coloring
-            c = PartialColoring(21, base.as_dict())
-            res = sdr_extend(g, c, targets)
-            avail = {t: available_colors(g, c.as_dict(), t, 21) for t in targets}
+            col = exact_strong_index(h).coloring.as_dict()
+            assigned, _ = match_targets(g, col, targets, 21)
+            avail = {t: available_colors(g, col, t, 21) for t in targets}
             brute = brute_distinct_assignment(avail)
-            assert res.ok == (brute is not None)
-            if res.ok:
-                ok, _ = verify_strong_coloring(g, res.coloring)
+            assert (assigned is not None) == (brute is not None)
+            if assigned is not None:
+                assert sorted(assigned) == targets
+                ok, _ = verify_strong_coloring(g, PartialColoring(21, {**col, **assigned}))
                 assert ok
 
     def test_matches_brute_force_on_random_instances(self):
@@ -280,18 +286,14 @@ class TestSdr:
             targets = [e for e in g.edges() if trimmed.color(e) is None][:6]
             if not targets:
                 continue
-            res = sdr_extend(g, trimmed, targets)
-            avail = {t: available_colors(g, trimmed.as_dict(), t, k) for t in targets}
-            assert res.ok == (brute_distinct_assignment(avail) is not None), seed
-            if res.ok:
-                ok, _ = verify_strong_coloring(g, res.coloring)
+            col = trimmed.as_dict()
+            assigned, _ = match_targets(g, col, targets, k)
+            avail = {t: available_colors(g, col, t, k) for t in targets}
+            assert (assigned is not None) == (brute_distinct_assignment(avail) is not None), seed
+            if assigned is not None:
+                assert sorted(assigned) == targets
+                ok, _ = verify_strong_coloring(g, PartialColoring(k, {**col, **assigned}))
                 assert ok
-
-    def test_targets_must_be_uncolored(self):
-        g = path(2)
-        c = PartialColoring(5, {0: 1})
-        with pytest.raises(ValueError):
-            sdr_extend(g, c, [0, 1])
 
 
 class TestLineGraphSquare:
@@ -418,4 +420,5 @@ class TestColoringJson:
     def test_sorted_output_is_deterministic(self):
         g = gen_blowup_c5(2)
         c, _ = greedy_color(g, 21)
-        assert coloring_to_json(c) == coloring_to_json(c.copy())
+        shuffled = PartialColoring(c.k, dict(reversed(c.as_dict().items())))
+        assert coloring_to_json(c) == coloring_to_json(shuffled)

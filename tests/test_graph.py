@@ -24,7 +24,6 @@ from strongedge.graph import (
     girth,
     graph_from_json,
     graph_to_json,
-    is_2k2_free,
     parse_edge_list,
 )
 
@@ -38,6 +37,7 @@ from helpers import (
     cycle,
     first_configuration_oracle,
     girth_oracle,
+    is_2k2_free,
     path,
     petersen,
     random_graph,

@@ -24,21 +24,20 @@ from strongedge.coloring import (
 from strongedge.reduction import (
     FallbackTriggered,
     SequencePlan,
-    audit_sequence,
+    _Solver,
     build_partition,
     build_precolor_and_sequence,
-    collaborative_color,
     extend_sequence,
-    reduce_short_cycle,
-    reduce_small_cut,
     rename_colors,
     solve21,
 )
 
 from helpers import (
+    audit_sequence,
     bip_circulant,
     brute_distinct_assignment,
     circulant,
+    collaborative_cases,
     complete,
     cycle,
     path,
@@ -297,6 +296,9 @@ class TestDispatchPaths:
 
 
 class TestPublicReductions:
+    """Each reduction step on a graph that reaches it: through solve21, or
+    called on its own on a fresh _Solver."""
+
     def test_reduce_low_degree(self):
         g = gen_incidence_pg(2)
         coloring, trace = solve21(g)
@@ -308,23 +310,27 @@ class TestPublicReductions:
         g = two_block_cut_fixture()
         cut = find_edge_cut_at_most(g, 3)
         assert cut is not None and cut.size() == 2
-        coloring, trace = reduce_small_cut(g, cut)
+        solver = _Solver()
+        coloring = PartialColoring(21, solver._small_cut(g, cut, 0))
         ok, _ = verify_strong_coloring(g, coloring)
         assert ok and set(coloring.colored()) == set(g.edges())
+        assert solver.trace.tags()[0] == "small-cut"
 
     def test_reduce_short_cycle(self):
         g = circulant(11, (1, 2))
         conf = find_configuration(g, TRIANGLE)
-        coloring, trace = reduce_short_cycle(g, conf)
+        solver = _Solver()
+        coloring = PartialColoring(21, solver._short_cycle(g, conf, 0))
         ok, _ = verify_strong_coloring(g, coloring)
         assert ok and set(coloring.colored()) == set(g.edges())
+        assert solver.trace.tags()[0] == "short-cycle"
 
     def test_reduce_short_cycle_rejects_unknown(self):
         g = circulant(11, (1, 2))
         conf = find_configuration(g, TRIANGLE)
         conf.kind = "bogus"
-        with pytest.raises(ValueError):
-            reduce_short_cycle(g, conf)
+        with pytest.raises(ValueError, match="unhandled configuration bogus"):
+            _Solver()._short_cycle(g, conf, 0)
 
 
 class TestSequencePlan:
@@ -385,7 +391,7 @@ class TestBlockedTailManeuver:
         avail = {t: available_colors(g, psi.as_dict(), t, 21) - {1} for t in targets}
         assignment = brute_distinct_assignment(avail)
         assert assignment is not None
-        seeded = psi.copy()
+        seeded = PartialColoring(psi.k, psi.as_dict())
         for t, c in assignment.items():
             seeded.assign(t, c)
         ok, _ = verify_strong_coloring(g, seeded)
@@ -462,7 +468,7 @@ class TestPartitionFixtures:
         g, info = build_pocket(SHAPES[case])
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
-        assert trace.collaborative_cases() == [case]
+        assert collaborative_cases(trace) == [case]
         assert pocket_digest(coloring, trace) == POCKET_DIGESTS[case]
 
     @pytest.mark.parametrize("name", sorted(VARIANT_SHAPES))
@@ -474,7 +480,7 @@ class TestPartitionFixtures:
         g, info = build_pocket(shape)
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
-        assert trace.collaborative_cases() == [expected]
+        assert collaborative_cases(trace) == [expected]
         assert pocket_digest(coloring, trace) == POCKET_DIGESTS[name]
 
     def test_dispatch_skips_girth(self, monkeypatch):
@@ -533,7 +539,8 @@ class TestPartitionFixtures:
         g, info = build_pocket(SHAPES["mixed-branch"])
         plan = build_precolor_and_sequence(g, 0)
         part = build_partition(g, plan)
-        coloring = collaborative_color(g, part)
+        solver = _Solver()
+        coloring = PartialColoring(21, solver._collaborative(g, part, 0))
         ok, _ = verify_strong_coloring(g, coloring)
         assert ok and set(coloring.colored()) == set(g.edges())
 

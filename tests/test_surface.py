@@ -1,0 +1,66 @@
+"""The package's public names, the README's library sketch, and the layer
+names that perfbench's tracer patches."""
+import importlib.util
+import types
+from pathlib import Path
+
+import strongedge
+from strongedge import reduction
+
+from pocket import SHAPES, build_pocket
+from test_reduction import POCKET_DIGESTS, assert_solved, pocket_digest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = [
+    "BranchLabels", "C4", "C5", "CONFIGURATION_KINDS", "Configuration", "EdgeCut",
+    "ExactFinishBudgetError", "ExactResult", "FallbackTriggered", "Graph", "K23",
+    "K24", "K33", "MULTI_EDGE", "PartialColoring", "ReductionTrace", "SequencePlan",
+    "TRIANGLE", "VertexPartition", "bounds", "build_partition",
+    "build_precolor_and_sequence", "coloring_from_json", "coloring_to_json",
+    "edge_neighborhood", "exact_strong_index", "extend_sequence", "find_configuration",
+    "find_edge_cut_at_most", "format_edge_list", "gen_blowup_c5", "gen_incidence_pg",
+    "gen_random_regular", "girth", "graph_from_json", "graph_to_json", "greedy_color",
+    "line_graph_square", "parse_edge_list", "rename_colors", "sees", "solve21",
+    "verify_strong_coloring",
+]
+
+
+def test_public_names():
+    names = sorted(n for n, v in vars(strongedge).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_NAMES
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    exec(compile(sketch.split("\n```", 1)[0], "README.md", "exec"), {})
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_and_trace_a_solve():
+    # perfbench/run.py --trace 1 patches these attributes by name; a rename
+    # in the library would otherwise surface only as a KeyError there
+    tracer = load_tracer()
+    for owner, attr, _, _ in tracer.TARGETS:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+    originals = [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS]
+    g, _ = build_pocket(SHAPES["mixed-branch"])
+    with tracer.Tracer().installed() as t:
+        coloring, trace = reduction.solve21(g)
+    assert_solved(g, coloring, trace)
+    assert pocket_digest(coloring, trace) == POCKET_DIGESTS["mixed-branch"]
+    for layer in ("reduction.dispatch", "reduction.collaborative",
+                  "graph.find_edge_cut_at_most", "graph.find_configuration",
+                  "reduction.build_partition", "coloring.exact_strong_index"):
+        assert t.calls[layer] > 0, layer
+    assert set(t.calls) <= set(tracer.LAYERS)
+    assert [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS] == originals
