@@ -33,7 +33,6 @@ from .coloring import (
     exact_strong_index,
     greedy_color,
     line_graph_square,
-    sees,
     verify_strong_coloring,
 )
 from .reduction import (

@@ -74,18 +74,6 @@ def edge_neighborhood(g: Graph, e: int) -> frozenset:
     return frozenset(seen)
 
 
-def sees(g: Graph, e: int, f: int) -> bool:
-    """True iff edges e and f see each other (share or are joined by an edge)."""
-    if e == f:
-        return False
-    u1, v1 = g.endpoints(e)
-    u2, v2 = g.endpoints(f)
-    if u2 in (u1, v1) or v2 in (u1, v1):
-        return True
-    return (g.adjacent(u1, u2) or g.adjacent(u1, v2)
-            or g.adjacent(v1, u2) or g.adjacent(v1, v2))
-
-
 def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> set[int]:
     """Colors of 1..k on no edge that e sees, under a raw edge->color dict."""
     return set(range(1, k + 1)) - {assignment[f] for f in edge_neighborhood(g, e)

@@ -20,7 +20,8 @@ C4 = "c4"
 C5 = "c5"
 
 #: Search order used by the reduction solver; earlier kinds are assumed absent
-#: by the completion recipes of later ones.
+#: by the completion recipes of later ones.  The solver looks for the first
+#: kind before the small-cut detector and for the rest after it.
 CONFIGURATION_KINDS = (MULTI_EDGE, TRIANGLE, K33, K24, K23, C4, C5)
 
 INFINITE = math.inf

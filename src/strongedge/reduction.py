@@ -23,6 +23,7 @@ from functools import partial
 from .graph import (
     C4,
     C5,
+    CONFIGURATION_KINDS,
     Configuration,
     EdgeCut,
     Graph,
@@ -42,7 +43,6 @@ from .coloring import (
     edge_neighborhood,
     exact_strong_index,
     match_targets,
-    sees,
     verify_strong_coloring,
 )
 
@@ -54,6 +54,9 @@ BASE_CASE_EDGES = 20
 #: Search nodes the exact solver may spend finishing a subinstance after a
 #: fallback; past it the solve stops with an error instead of searching on.
 EXACT_FINISH_BUDGET = 1_000_000
+
+#: Search nodes that one short-cycle completion may spend over all its searches.
+COMPLETION_NODES = 200_000
 
 
 class ExactFinishBudgetError(RuntimeError):
@@ -378,8 +381,6 @@ class VertexPartition:
     left_edges: set
     crossing: list
     designated: set
-    crossing_mid: set
-    crossing_left: set
 
     def right_degree(self, g: Graph, v: int) -> int:
         return sum(1 for e in g.incident(v)
@@ -430,7 +431,6 @@ def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
         _partition_check(deg_f <= 1, f"left vertex {l} meets two crossing edges")
 
     crossing_mid = {p for e in crossing for p in g.endpoints(e)} - left
-    crossing_left = {p for e in crossing for p in g.endpoints(e)} & left
     _partition_check(crossing_mid <= designated | {x, u, v, w},
                      "crossing endpoint outside designated ring and anchor core")
     mid = {x, u, v, w} | crossing_mid
@@ -438,8 +438,7 @@ def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
     _partition_check({y, w2, w3} <= right, "free branch not in the right block")
     _partition_check(len(crossing) >= 4, "fewer than four crossing edges")
 
-    part = VertexPartition(labels, left, mid, right, h, crossing,
-                           designated, crossing_mid, crossing_left)
+    part = VertexPartition(labels, left, mid, right, h, crossing, designated)
     # no edge may join left to right
     for e in g.edges():
         a, b = g.endpoints(e)
@@ -498,6 +497,7 @@ def _check_partition_structure(g: Graph, part: VertexPartition) -> None:
 class _Solver:
     def __init__(self):
         self.trace = ReductionTrace()
+        self._nodes_left = COMPLETION_NODES  # reset by each _complete_targets
 
     # .. top level ..
 
@@ -527,7 +527,7 @@ class _Solver:
         if low is not None:
             return self._low_degree_batch(g, depth)
 
-        conf = find_configuration(g, MULTI_EDGE)
+        conf = find_configuration(g, *CONFIGURATION_KINDS[:1])
         if conf is not None:
             return self._short_cycle(g, conf, depth)
 
@@ -535,7 +535,7 @@ class _Solver:
         if cut is not None:
             return self._small_cut(g, cut, depth)
 
-        conf = find_configuration(g, TRIANGLE, K33, K24, K23, C4, C5)
+        conf = find_configuration(g, *CONFIGURATION_KINDS[1:])
         if conf is not None:
             return self._short_cycle(g, conf, depth)
 
@@ -710,113 +710,65 @@ class _Solver:
     # .. completion strategies for short-cycle targets ..
 
     def _complete_targets(self, g: Graph, col: dict, targets, depth: int) -> None:
+        """Color the uncolored targets, trying in order:
+
+        1. direct: distinct available colors (match_targets);
+        2. search: _try_backtrack over every coloring of the targets, with
+           all other edges fixed, so targets that do not see each other may
+           share a color;
+        3. recolored: give two nearby edges that do not see each other one
+           common color, then search again.
+
+        The searches of one call share COMPLETION_NODES nodes; when they are
+        spent or every step fails, the call falls back.
+        """
         targets = sorted(t for t in targets if t not in col)
         if not targets:
             return
         assigned, _ = match_targets(g, col, targets, PALETTE)
+        self._nodes_left = COMPLETION_NODES
         if assigned is not None:
             col.update(assigned)
-            self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=direct", g)
-            return
-        if self._try_pair_families(g, col, targets):
-            self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=paired", g)
-            return
-        if self._try_recolor_two(g, col, targets):
-            self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=recolored", g)
-            return
-        if self._try_backtrack(g, col, targets):
-            self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=search", g)
-            return
-        raise FallbackTriggered(f"completion exhausted for {len(targets)} target edges")
-
-    def _candidate_pairs(self, g: Graph, col: dict, targets):
-        un = [t for t in targets if t not in col]
-        pairs = []
-        for i, e in enumerate(un):
-            for f in un[i + 1:]:
-                if not sees(g, e, f):
-                    pairs.append((e, f))
-        return pairs
-
-    def _apply_family(self, g: Graph, col: dict, targets, family) -> bool:
-        placed = []
-        ok = True
-        for e, f in family:
-            common = (available_colors(g, col, e, PALETTE)
-                      & available_colors(g, col, f, PALETTE))
-            if not common:
-                ok = False
-                break
-            c = min(common)
-            col[e] = c
-            col[f] = c
-            placed += [e, f]
-        if ok:
-            rest = [t for t in targets if t not in col]
-            assigned, _ = match_targets(g, col, rest, PALETTE)
-            if assigned is not None:
-                col.update(assigned)
-                return True
-        for e in placed:
-            del col[e]
-        return False
-
-    def _try_pair_families(self, g: Graph, col: dict, targets) -> bool:
-        pairs = self._candidate_pairs(g, col, targets)
-        if not pairs:
-            return False
-        # each single pair, then a greedy maximal family seeded by each pair
-        for p in pairs:
-            if self._apply_family(g, col, targets, [p]):
-                return True
-        for start in range(len(pairs)):
-            family = [pairs[start]]
-            used = set(pairs[start])
-            for p in pairs:
-                if p[0] not in used and p[1] not in used:
-                    family.append(p)
-                    used.update(p)
-            if len(family) > 1 and self._apply_family(g, col, targets, family):
-                return True
-        return False
+            outcome = "direct"
+        elif self._try_backtrack(g, col, targets):
+            outcome = "search"
+        elif self._try_recolor_two(g, col, targets):
+            outcome = "recolored"
+        else:
+            raise FallbackTriggered(f"completion exhausted for {len(targets)} target edges")
+        self.trace.record(depth, "sdr", f"targets={len(targets)} outcome={outcome}", g)
 
     def _try_recolor_two(self, g: Graph, col: dict, targets) -> bool:
         near = set()
         for t in targets:
             near |= edge_neighborhood(g, t)
         cand = sorted(e for e in near if e in col)
-        attempts = 0
         for i, f1 in enumerate(cand):
+            seen = edge_neighborhood(g, f1)
             for f2 in cand[i + 1:]:
-                if col[f1] == col[f2] or sees(g, f1, f2):
+                if col[f1] == col[f2] or f2 in seen:
                     continue
-                attempts += 1
-                if attempts > 4000:
+                if self._nodes_left <= 0:
                     return False
                 c1, c2 = col.pop(f1), col.pop(f2)
                 common = (available_colors(g, col, f1, PALETTE)
                           & available_colors(g, col, f2, PALETTE))
                 if common:
-                    c = min(common)
-                    col[f1] = col[f2] = c
-                    assigned, _ = match_targets(g, col, targets, PALETTE)
-                    if assigned is not None:
-                        col.update(assigned)
-                        return True
-                    if self._try_pair_families(g, col, targets):
+                    col[f1] = col[f2] = min(common)
+                    if self._try_backtrack(g, col, targets):
                         return True
                 col[f1], col[f2] = c1, c2
         return False
 
-    def _try_backtrack(self, g: Graph, col: dict, targets, node_cap=200000) -> bool:
+    def _try_backtrack(self, g: Graph, col: dict, targets) -> bool:
+        """Search the colorings of the uncolored targets, fewest available
+        colors first, spending at most the solver's remaining nodes."""
         un = sorted(t for t in targets if t not in col)
-        nodes = 0
 
         def rec():
-            nonlocal nodes
-            if nodes > node_cap:
+            if self._nodes_left <= 0:
                 return False
-            nodes += 1
+            self._nodes_left -= 1
             pick, avail = None, None
             for t in un:
                 if t in col:

@@ -11,7 +11,7 @@ configuration finders and of the verifier, kept verbatim as differential
 oracles for their successors.
 """
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from strongedge.graph import (
     C4,
@@ -325,6 +325,19 @@ def brute_distinct_assignment(avail: dict):
         return None
 
     return rec(0, frozenset(), {})
+
+
+def brute_completion(g: Graph, col: dict, targets, k: int):
+    """First coloring of the targets from 1..k, in product order, under which
+    no target shares a color with an edge it sees, colored or target; the
+    other edges keep their colors.  Returns a dict or None."""
+    seen = {t: seen_edges(g, t) for t in targets}
+    for colors in product(range(1, k + 1), repeat=len(targets)):
+        full = dict(col)
+        full.update(zip(targets, colors))
+        if all(full.get(f) != full[t] for t in targets for f in seen[t]):
+            return dict(zip(targets, colors))
+    return None
 
 
 def strong_adjacency(g: Graph):

@@ -47,6 +47,22 @@ class TestColor:
         assert trace.read_text().strip()
         assert main(["verify", gpath, str(out)]) == 0
 
+    def test_json_trace_matches_text_trace(self, tmp_path):
+        # the triangle reduction gives a trace of several depths and tags
+        gpath = write_graph(tmp_path, circulant(11, (1, 2)))
+        paths = {}
+        for suffix in ("json", "txt"):
+            paths[suffix] = tmp_path / f"trace.{suffix}"
+            assert main(["color", gpath, "--alg", "reduce21", "--out",
+                         str(tmp_path / "col.json"), "--trace", str(paths[suffix])]) == 0
+        steps = json.loads(paths["json"].read_text())
+        lines = paths["txt"].read_text().splitlines()
+        assert len(steps) == len(lines) > 1
+        for step, line in zip(steps, lines):
+            assert sorted(step) == ["depth", "m", "n", "params", "tag"]
+            head = " ".join(str(x) for x in (step["depth"], step["tag"], step["params"]) if x != "")
+            assert line == f"{head} |V|={step['n']} |E|={step['m']}"
+
     def test_greedy_bound_succeeds(self, tmp_path):
         gpath = write_graph(tmp_path, gen_incidence_pg(3))
         out = tmp_path / "col.json"

@@ -18,7 +18,6 @@ from strongedge.coloring import (
     greedy_color,
     line_graph_square,
     match_targets,
-    sees,
     verify_strong_coloring,
 )
 from strongedge.reduction import _colors_at, solve21
@@ -62,8 +61,7 @@ class TestNeighborhood:
         g = random_graph_max_deg(9, 12, 4, 3)
         for e in g.edges():
             for f in g.edges():
-                assert sees(g, e, f) == sees(g, f, e)
-                assert sees(g, e, f) == (f in edge_neighborhood(g, e))
+                assert (f in edge_neighborhood(g, e)) == (e in edge_neighborhood(g, f))
 
 
 @lru_cache(maxsize=None)

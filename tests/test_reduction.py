@@ -1,6 +1,8 @@
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongedge.graph import (
     Graph,
@@ -35,6 +37,7 @@ from strongedge.reduction import (
 from helpers import (
     audit_sequence,
     bip_circulant,
+    brute_completion,
     brute_distinct_assignment,
     circulant,
     collaborative_cases,
@@ -42,6 +45,8 @@ from helpers import (
     cycle,
     path,
     random_graph_max_deg,
+    seen_edges,
+    verify_oracle,
 )
 from pocket import SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
 
@@ -213,6 +218,7 @@ DISPATCH_DIGESTS = {
     "multi-edge": "d8c0c1d979fc62dc",
     "small-cut": "974d87da51e7ac1d",
     "shared-endpoint-cut": "dbf2968c1820506f",
+    "components": "9f1db9bf734189d5",
     ("triangle", 11): "766b45f8af3bd7dc",
     ("k33", 12): "fa6a32b957af0e0a",
     ("k24", 12): "3698ccada3a57ff1",
@@ -230,6 +236,20 @@ class TestDispatchPaths:
         assert_solved(g, coloring, trace)
         assert trace.tags() == ["sequence-complete"]
         assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["sequence-complete"]
+
+    def test_components_are_solved_apart(self):
+        pg = gen_incidence_pg(3)
+        n = pg.num_vertices()
+        g = Graph(2 * n)
+        for shift in (0, n):
+            for e in pg.edges():
+                a, b = pg.endpoints(e)
+                g.add_edge(a + shift, b + shift)
+        coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert trace.tags() == ["components", "sequence-complete", "sequence-complete"]
+        assert trace.steps[0].params == "count=2"
+        assert pocket_digest(coloring, trace) == DISPATCH_DIGESTS["components"]
 
     def test_cubic_graphs_peel_away(self):
         g = gen_incidence_pg(2)
@@ -552,10 +572,11 @@ class TestPartitionFixtures:
 
 
 class TestCompletionStrategies:
-    """The rarer completion stages, driven by synthetic availability states.
+    """The search and recolor-two steps of _complete_targets, driven by
+    synthetic availability states.
 
     Natural instances close by direct distinct-representative extension, so
-    these stages are exercised with a shrunk palette and hand-built seeds.
+    these steps are exercised with a shrunk palette and hand-built seeds.
     """
 
     def test_pairing_rescues_equal_singletons(self, monkeypatch):
@@ -569,7 +590,7 @@ class TestCompletionStrategies:
         assert match_targets(g, col, [t1, t2], red.PALETTE)[0] is None
         solver._complete_targets(g, col, [t1, t2], 0)
         assert col[t1] == 3 and col[t2] == 3
-        assert "outcome=paired" in solver.trace.steps[-1].params
+        assert "outcome=search" in solver.trace.steps[-1].params
 
     def test_recolor_two_frees_a_blocked_edge(self, monkeypatch):
         import strongedge.reduction as red
@@ -604,6 +625,50 @@ class TestCompletionStrategies:
         work = {0: 1, 2: 2}
         # middle edge sees both colors of a two-color palette
         assert not solver._try_backtrack(g, work, [1])
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_search_matches_brute_force(self, data):
+        # a small multigraph of maximum degree four, a strong partial
+        # coloring of its other edges, and up to five uncolored targets
+        import strongedge.reduction as red
+        n = data.draw(st.integers(2, 14))
+        g = Graph(n)
+        ends = st.integers(0, n - 1)
+        for u, v in data.draw(st.lists(st.tuples(ends, ends), max_size=30)):
+            if u != v and g.degree(u) < 4 and g.degree(v) < 4:
+                g.add_edge(u, v)
+        if not g.num_edges():
+            return
+        k = data.draw(st.integers(2, 5))
+        targets = sorted(data.draw(st.sets(st.sampled_from(g.edges()),
+                                           min_size=1, max_size=5)))
+        col = {}
+        for e in g.edges():
+            c = data.draw(st.integers(0, k))
+            if (e not in targets and c
+                    and all(col.get(f) != c for f in seen_edges(g, e))):
+                col[e] = c
+        expected = brute_completion(g, col, targets, k)
+        with mock.patch.object(red, "PALETTE", k):
+            work = dict(col)
+            found = red._Solver()._try_backtrack(g, work, targets)
+            assert found == (expected is not None)
+            if found:
+                assert set(targets) <= set(work)
+                assert verify_oracle(g, PartialColoring(k, work)) == (True, None)
+                assert {e: c for e, c in work.items() if e not in targets} == col
+            solver = red._Solver()
+            work = dict(col)
+            try:
+                solver._complete_targets(g, work, targets, 0)
+            except FallbackTriggered:
+                assert expected is None
+                return
+        assert set(targets) <= set(work)
+        assert verify_oracle(g, PartialColoring(k, work)) == (True, None)
+        outcome = solver.trace.steps[-1].params.split("outcome=")[1]
+        assert (outcome == "recolored") == (expected is None)
 
     def test_blocked_tail_state_closes_by_recoloring(self):
         state = TestBlockedTailManeuver().blocked_state()
