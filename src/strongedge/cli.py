@@ -22,7 +22,6 @@ from .graph import (
     parse_edge_list,
 )
 from .coloring import (
-    PartialColoring,
     coloring_from_json,
     coloring_to_json,
     exact_strong_index,

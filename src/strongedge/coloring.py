@@ -154,14 +154,11 @@ def greedy_color(g: Graph, k: int, order=None):
 
 
 def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
-    """Kuhn's augmenting-path matching of targets to distinct colors.
-
-    Returns (assignment, None) when every target is matched, otherwise
-    (None, deficient_targets) where the deficient set violates Hall's
-    condition.
+    """Kuhn's augmenting-path matching of targets, in the given order, to
+    distinct colors, each tried in ascending order.  Returns the assignment,
+    or None when some target stays unmatched.
     """
     color_owner: dict[int, int] = {}
-    assigned: dict[int, int] = {}
 
     def try_assign(t, visited):
         for c in sorted(avail[t]):
@@ -170,39 +167,21 @@ def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
             visited.add(c)
             if c not in color_owner or try_assign(color_owner[c], visited):
                 color_owner[c] = t
-                assigned[t] = c
                 return True
         return False
 
-    exposed = None
-    for t in targets:
-        if not try_assign(t, set()):
-            exposed = t
-            break
-    if exposed is None:
-        return assigned, None
-    # Alternating reachability from the exposed target gives a Hall violator.
-    reach = {exposed}
-    frontier = [exposed]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for c in avail[t]:
-                owner = color_owner.get(c)
-                if owner is not None and owner not in reach:
-                    reach.add(owner)
-                    nxt.append(owner)
-        frontier = nxt
-    return None, sorted(reach)
+    if all(try_assign(t, set()) for t in targets):
+        return {t: c for c, t in color_owner.items()}
+    return None
 
 
 def match_targets(g: Graph, assignment: dict[int, int], targets, k: int):
     """Match the target edges to pairwise-distinct colors available in 1..k.
 
-    Returns (assignment, None) when every target is matched, otherwise
-    (None, deficient_targets), the targets that violate Hall's condition.
-    Distinctness makes the matched targets mutually safe, so adding the
-    assignment to a good partial coloring keeps it good.
+    Returns the target -> color assignment, or None when Hall's condition
+    fails and no such matching exists.  Distinctness makes the matched
+    targets mutually safe, so adding the assignment to a good partial
+    coloring keeps it good.
     """
     targets = sorted(targets)
     avail = {t: available_colors(g, assignment, t, k) for t in targets}

@@ -26,8 +26,8 @@ CONFIGURATION_KINDS = (MULTI_EDGE, TRIANGLE, K33, K24, K23, C4, C5)
 
 INFINITE = math.inf
 
-#: Largest vertex count a graph file may declare.  The parsers reject more,
-#: and negative counts, before allocating the graph.
+#: Largest vertex count a graph file may declare or a generator may build, and
+#: half the edge count a generator may build; both are checked before allocating.
 MAX_VERTICES = 1_000_000
 
 
@@ -595,6 +595,12 @@ def find_configuration(g: Graph, *kinds: str):
 # -- generators ----------------------------------------------------------------
 
 
+def _check_generated_size(n: int, m: int) -> None:
+    if n > MAX_VERTICES or m > 2 * MAX_VERTICES:
+        raise ValueError(f"{n} vertices and {m} edges exceed the generator bound of "
+                         f"{MAX_VERTICES} vertices and {2 * MAX_VERTICES} edges")
+
+
 def gen_blowup_c5(t: int) -> Graph:
     """Blow-up of the 5-cycle: five independent t-sets, consecutive sets
     completely joined.  2t-regular with 5*t*t edges and no pair of edges at
@@ -602,6 +608,7 @@ def gen_blowup_c5(t: int) -> Graph:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    _check_generated_size(5 * t, 5 * t * t)
     g = Graph(5 * t)
     group = [list(range(i * t, (i + 1) * t)) for i in range(5)]
     for i in range(5):
@@ -652,6 +659,7 @@ def gen_random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Grap
         raise ValueError("d * n must be even")
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
+    _check_generated_size(n, n * d // 2)
     rng = random.Random(seed)
     for _ in range(max_tries):
         stubs = [v for v in range(n) for _ in range(d)]

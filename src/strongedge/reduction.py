@@ -135,35 +135,14 @@ def _verify_dict(g: Graph, col: dict):
 # -- color permutations ----------------------------------------------------------
 
 
-def _find_permutation(k: int, fixed: dict, forbid: dict):
-    """Permutation of 1..k meeting color-level point and avoidance constraints.
-
-    fixed maps a source color to its required image; forbid maps a source
-    color to images it must avoid.  Returns the permutation as a dict or None.
-    """
-    targets = set(fixed.values())
-    if len(targets) != len(fixed):
-        return None
-    allowed = {}
-    full = set(range(1, k + 1))
-    for s in range(1, k + 1):
-        if s in fixed:
-            if fixed[s] in forbid.get(s, ()):
-                return None
-            allowed[s] = {fixed[s]}
-        else:
-            allowed[s] = full - set(forbid.get(s, ()))
-    assigned, _ = _match_distinct(sorted(allowed), allowed)
-    return assigned
-
-
-def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None, k=PALETTE):
-    """Globally permute the colors of a raw coloring to meet edge constraints.
+def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None):
+    """Permute the colors 1..PALETTE of a raw coloring to meet edge constraints.
 
     fixed_edges maps edge id -> required color; forbid_edges maps edge id ->
-    colors that edge must avoid.  Returns the renamed dict or None when no
-    color permutation of 1..k satisfies the constraints.  Permuting colors
-    never invalidates a good partial coloring.
+    colors that edge must avoid.  The permutation is a Kuhn matching of the
+    source colors, in ascending order, to their allowed images.  Returns the
+    renamed dict, or None when no permutation meets the constraints.
+    Permuting colors never invalidates a good partial coloring.
     """
     fixed: dict[int, int] = {}
     for e, t in fixed_edges.items():
@@ -174,7 +153,16 @@ def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None, k=PALETTE):
     forbid: dict[int, set] = {}
     for e, bad in (forbid_edges or {}).items():
         forbid.setdefault(col[e], set()).update(bad)
-    perm = _find_permutation(k, fixed, forbid)
+    allowed = {}
+    full = set(range(1, PALETTE + 1))
+    for s in range(1, PALETTE + 1):
+        if s in fixed:
+            if fixed[s] in forbid.get(s, ()):
+                return None
+            allowed[s] = {fixed[s]}
+        else:
+            allowed[s] = full - set(forbid.get(s, ()))
+    perm = _match_distinct(sorted(allowed), allowed)
     if perm is None:
         return None
     return {e: perm[c] for e, c in col.items()}
@@ -585,48 +573,33 @@ class _Solver:
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:
+        """Color the two sides of a cut of t <= 3 edges apart and stitch them:
+
+        1. build each side as a block with an apex and one stub per cut edge;
+        2. solve each side and normalize its stubs, in cut order, to 1..t;
+        3. separate the boundaries: rename side two so that its edges at the
+           cut avoid side one's colors there (none is in 1..t: each sees
+           every stub through the apex);
+        4. splice, giving each cut edge its stubs' color, and verify.
+        """
         self.trace.record(depth, "small-cut", f"edges={cut.cut_edges}", g)
-        side1, side2 = set(cut.side1), set(cut.side2)
         cut_edges = sorted(cut.cut_edges)
-        t = len(cut_edges)
-
-        def build(side):
-            sub = g.induced_subgraph(side)
-            apex = sub.add_vertex()
-            stubs = []
-            for e in cut_edges:
-                a, b = g.endpoints(e)
-                stubs.append(sub.add_edge(apex, a if a in side else b))
-            return sub, stubs
-
-        g1, stubs1 = build(side1)
-        g2, stubs2 = build(side2)
-        col1 = self.solve(g1, depth + 1, g.measure())
-        col2 = self.solve(g2, depth + 1, g.measure())
-
-        col1 = rename_colors(col1, {stubs1[s]: s + 1 for s in range(t)})
-        col2 = rename_colors(col2, {stubs2[s]: s + 1 for s in range(t)})
-        if col1 is None or col2 is None:
-            raise FallbackTriggered("cut stub renaming infeasible")
-
-        def boundary_colors(col, sub, side, stubs):
-            verts = {g.endpoints(e)[0] if g.endpoints(e)[0] in side
-                     else g.endpoints(e)[1] for e in cut_edges}
-            out = set()
-            for a in verts:
-                for e in sub.incident(a):
-                    if e not in stubs:
-                        out.add(col[e])
-            return out
-
-        a_colors = boundary_colors(col1, g1, side1, set(stubs1))
-        b_colors = boundary_colors(col2, g2, side2, set(stubs2))
-        fixed = {s + 1: s + 1 for s in range(t)}
-        forbid = {c: a_colors | set(fixed) for c in b_colors if c not in fixed}
-        perm = _find_permutation(PALETTE, fixed, forbid)
-        if perm is None:
+        sides = []
+        for side in (set(cut.side1), set(cut.side2)):
+            ends = [next(p for p in g.endpoints(e) if p in side) for e in cut_edges]
+            sub, ids = self._block(g, side, [(_APEX, p, None) for p in ends])
+            apex = ids[_APEX]
+            stubs = sub.incident(apex)
+            col = self._solve_block(g, sub, depth, "cut",
+                                    lambda raw: dict(zip(stubs, (1, 2, 3))))
+            boundary = [e for s in stubs for e in sub.incident(sub.other_end(s, apex))
+                        if e not in stubs]
+            sides.append((sub, col, stubs, boundary))
+        (g1, col1, _, boundary1), (g2, col2, stubs2, boundary2) = sides
+        col2 = rename_colors(col2, {s: col2[s] for s in stubs2},
+                             dict.fromkeys(boundary2, {col1[e] for e in boundary1}))
+        if col2 is None:
             raise FallbackTriggered("cut boundary separation infeasible")
-        col2 = {e: perm[c] for e, c in col2.items()}
 
         working = {e: col1[e] for e in g1.edges() if g.has_edge_id(e)}
         working.update({e: col2[e] for e in g2.edges() if g.has_edge_id(e)})
@@ -686,12 +659,9 @@ class _Solver:
             return col
         e_v1z1 = _eid(g, v1, z1)
         e_v2z2 = _eid(g, v2, z2)
-        g2 = g.copy()
-        g2.remove_vertex(v1)
-        g2.remove_vertex(v2)
-        helper = g2.add_edge(z1, z2)
+        g2, ids = self._block(g, set(g.vertices()) - {v1, v2}, [(z1, z2, None)])
         col = self.solve(g2, depth + 1, g.measure())
-        shared = col.pop(helper)
+        shared = col.pop(ids[frozenset((z1, z2))])
         try:
             _checked_assign(g, col, e_v1z1, shared, "bridged spoke transfer")
             _checked_assign(g, col, e_v2z2, shared, "bridged spoke transfer")
@@ -725,7 +695,7 @@ class _Solver:
         targets = sorted(t for t in targets if t not in col)
         if not targets:
             return
-        assigned, _ = match_targets(g, col, targets, PALETTE)
+        assigned = match_targets(g, col, targets, PALETTE)
         self._nodes_left = COMPLETION_NODES
         if assigned is not None:
             col.update(assigned)

@@ -183,7 +183,7 @@ def test_criterion_07_sdr_oracle_equivalence():
         rng.shuffle(uncolored)
         targets = sorted(uncolored[:rng.randint(1, 8)])
         col = coloring.as_dict()
-        assigned, _ = match_targets(g, col, targets, k)
+        assigned = match_targets(g, col, targets, k)
         brute = brute_distinct_assignment(
             {t: available_colors(g, col, t, k) for t in targets})
         if (assigned is not None) != (brute is not None):

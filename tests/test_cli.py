@@ -4,7 +4,6 @@ import pytest
 
 from strongedge.cli import main
 from strongedge.graph import format_edge_list, gen_blowup_c5, gen_incidence_pg
-from strongedge.coloring import coloring_from_json
 
 from helpers import circulant
 
@@ -254,6 +253,13 @@ class TestGen:
         assert main(["gen", "regular", "--d", "3", "--n", "5",
                      "--out", str(tmp_path / "g.txt")]) == 2
 
+    # one past MAX_VERTICES vertices, and 5*633*633 edges past 2*MAX_VERTICES
+    @pytest.mark.parametrize("params", [["regular", "--d", "4", "--n", "1000001"],
+                                        ["blowup", "--t", "633"]])
+    def test_oversized_generator_exits_two(self, tmp_path, capsys, params):
+        assert main(["gen", *params, "--out", str(tmp_path / "g.txt")]) == 2
+        assert_one_line_error(capsys)
+
 
 class TestHunt:
     def test_small_sweep_report(self, tmp_path, capsys):
@@ -298,6 +304,11 @@ class TestHunt:
 
     def test_negative_n_exits_two(self, tmp_path, capsys):
         assert main(["hunt", "--n", "-4", "--count", "1",
+                     "--out", str(tmp_path / "r.txt")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_oversized_n_exits_two(self, tmp_path, capsys):
+        assert main(["hunt", "--n", "1000002", "--count", "1",
                      "--out", str(tmp_path / "r.txt")]) == 2
         assert_one_line_error(capsys)
 

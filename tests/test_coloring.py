@@ -228,15 +228,13 @@ class TestGreedy:
 
 class TestSdr:
     def test_forced_singletons(self):
-        assigned, deficient = match_targets(path(3), {}, [0, 1, 2], 3)
-        assert deficient is None
+        assigned = match_targets(path(3), {}, [0, 1, 2], 3)
+        assert assigned is not None
         assert sorted(assigned.values()) == [1, 2, 3]
 
-    def test_hall_violation_reports_deficient_pair(self):
+    def test_hall_violation_returns_none(self):
         # two adjacent edges under k=1 both have availability {1}
-        assigned, deficient = match_targets(path(2), {}, [0, 1], 1)
-        assert assigned is None
-        assert deficient == [0, 1]
+        assert match_targets(path(2), {}, [0, 1], 1) is None
 
     def test_triangle_deletion_scenario(self):
         # delete a triangle from a 4-regular graph, color the rest exactly,
@@ -259,7 +257,7 @@ class TestSdr:
             for v in tri:
                 h.remove_vertex(v)
             col = exact_strong_index(h).coloring.as_dict()
-            assigned, _ = match_targets(g, col, targets, 21)
+            assigned = match_targets(g, col, targets, 21)
             avail = {t: available_colors(g, col, t, 21) for t in targets}
             brute = brute_distinct_assignment(avail)
             assert (assigned is not None) == (brute is not None)
@@ -285,7 +283,7 @@ class TestSdr:
             if not targets:
                 continue
             col = trimmed.as_dict()
-            assigned, _ = match_targets(g, col, targets, k)
+            assigned = match_targets(g, col, targets, k)
             avail = {t: available_colors(g, col, t, k) for t in targets}
             assert (assigned is not None) == (brute_distinct_assignment(avail) is not None), seed
             if assigned is not None:

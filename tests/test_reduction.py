@@ -12,7 +12,6 @@ from strongedge.graph import (
     gen_random_regular,
     girth,
     K23,
-    MULTI_EDGE,
     TRIANGLE,
 )
 from strongedge.coloring import (
@@ -44,7 +43,6 @@ from helpers import (
     complete,
     cycle,
     path,
-    random_graph_max_deg,
     seen_edges,
     verify_oracle,
 )
@@ -157,6 +155,14 @@ class TestRenameColors:
         # edges 0 and 1 hold different colors; a permutation cannot merge them
         out = rename_colors(c, {0: 5, 1: 5})
         assert out is None
+
+    def test_one_color_fixed_to_two_targets_infeasible(self):
+        # edges 0 and 2 share color 1; a permutation cannot split them
+        assert rename_colors({0: 1, 1: 2, 2: 1}, {0: 3, 2: 4}) is None
+
+    def test_fixed_target_forbidden_infeasible(self):
+        g, c = self.base()
+        assert rename_colors(c, {0: 5}, {0: {5}}) is None
 
     def test_large_separation(self):
         # mirror of the cut splice: force nine colors away from nine others
@@ -587,7 +593,7 @@ class TestCompletionStrategies:
         col = {1: 1, 2: 2, 4: 1, 5: 2}
         solver = red._Solver()
         # both targets can only take color 3, so distinctness is hopeless
-        assert match_targets(g, col, [t1, t2], red.PALETTE)[0] is None
+        assert match_targets(g, col, [t1, t2], red.PALETTE) is None
         solver._complete_targets(g, col, [t1, t2], 0)
         assert col[t1] == 3 and col[t2] == 3
         assert "outcome=search" in solver.trace.steps[-1].params

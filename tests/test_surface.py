@@ -1,5 +1,6 @@
-"""The package's public names, the README's library sketch, and the layer
-names that perfbench's tracer patches."""
+"""The package's public names, the README's library sketch, the layer
+names that perfbench's tracer patches, and unused imports."""
+import ast
 import importlib.util
 import types
 from pathlib import Path
@@ -64,3 +65,37 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert t.calls[layer] > 0, layer
     assert set(t.calls) <= set(tracer.LAYERS)
     assert [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS] == originals
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in `source` and never read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_no_unused_imports():
+    # the package __init__ imports its public surface, which PUBLIC_NAMES pins
+    exempt = ROOT / "src" / "strongedge" / "__init__.py"
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        if path != exempt:
+            names = unused_imports(path.read_text(encoding="utf-8"))
+            if names:
+                found[str(path.relative_to(ROOT))] = names
+    assert not found
+
+
+def test_unused_import_check_flags_an_unread_name():
+    assert unused_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == [
+        "e (line 2)", "os (line 1)"]
