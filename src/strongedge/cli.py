@@ -120,6 +120,9 @@ def cmd_color(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        print("error: --budget must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     try:
         g = _read_graph(args.input)
     except (OSError, ValueError, KeyError) as exc:

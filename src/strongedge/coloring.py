@@ -235,14 +235,6 @@ def _greedy_clique(adj: list[set[int]]) -> list[int]:
     return best
 
 
-class _Budget(Exception):
-    pass
-
-
-class _StopEarly(Exception):
-    pass
-
-
 def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     """Exact strong chromatic index via branch and bound on the edge graph.
 
@@ -252,7 +244,8 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     exhausted the result carries bounds and exact=False; the coloring witness
     always verifies.  With stop_at set, the search halts as soon as the
     incumbent uses at most stop_at colors (useful when any small coloring
-    will do).
+    will do).  The search keeps its own stack, so its depth, one level per
+    colored edge, has no limit from Python's recursion limit.
     """
     eids = g.edges()
     m = len(eids)
@@ -280,60 +273,77 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
         witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})
         return ExactResult(lower if not exact else upper, upper, witness, exact, 0)
 
+    # seen[v]: bit c set when a colored neighbour of v has color c.  score[v]:
+    # saturation * (m + 1) + degree while v is uncolored, -1 once colored, so
+    # the first maximum is the branching edge of largest (saturation, degree)
+    # and lowest index.
     colors = [0] * m
-    neighbor_colors = [set() for _ in range(m)]
+    seen = [0] * m
     for pos, v in enumerate(clique):
         colors[v] = pos + 1
         for w in adj[v]:
-            neighbor_colors[w].add(pos + 1)
+            seen[w] |= 1 << (pos + 1)
+    step = m + 1
+    score = [-1 if colors[v] else seen[v].bit_count() * step + len(adj[v])
+             for v in range(m)]
 
+    # The search tree is walked with an explicit stack, one frame per edge
+    # being branched on: [edge, its score, color cap, colors in use above it,
+    # the color it has now, the neighbours that color saturated].  The cap is
+    # fixed when the frame is entered, even if upper falls below it later.
     nodes = 0
     complete = True
-
-    def choose():
-        pick, key = None, None
-        for v in range(m):
-            if colors[v]:
-                continue
-            kv = (len(neighbor_colors[v]), len(adj[v]))
-            if pick is None or kv > key:
-                pick, key = v, kv
-        return pick
-
-    def backtrack(used_count):
-        nonlocal upper, best, nodes
+    stack = []
+    used = len(clique)
+    while True:
         if budget is not None and nodes >= budget:
-            raise _Budget()
+            complete = False
+            break
         nodes += 1
-        v = choose()
-        if v is None:
-            if used_count < upper:
-                upper = used_count
+        top = max(score)
+        if top >= 0:
+            v = score.index(top)
+            score[v] = -1
+            stack.append([v, top, min(upper - 1, used + 1), used, 0, ()])
+        else:
+            if used < upper:
+                upper = used
                 best = list(colors)
             if stop_at is not None and upper <= stop_at:
-                raise _StopEarly()
-            return
-        cap = min(upper - 1, used_count + 1)
-        for c in range(1, cap + 1):
-            if c in neighbor_colors[v]:
+                complete = False
+                break
+        # Undo the color of the deepest frame and try its next one; a frame
+        # with no color left, or any frame once upper meets lower, is popped,
+        # and an empty stack ends the search.
+        while stack:
+            frame = stack[-1]
+            v, _, cap, used, c, touched = frame
+            if c:
+                colors[v] = 0
+                bit = 1 << c
+                for w in touched:
+                    seen[w] ^= bit
+                    score[w] -= step
+                if upper == lower:
+                    c = cap
+            c += 1
+            while c <= cap and seen[v] >> c & 1:
+                c += 1
+            if c > cap:
+                score[v] = frame[1]
+                stack.pop()
                 continue
             colors[v] = c
-            touched = []
-            for w in adj[v]:
-                if not colors[w] and c not in neighbor_colors[w]:
-                    neighbor_colors[w].add(c)
-                    touched.append(w)
-            backtrack(max(used_count, c))
-            colors[v] = 0
+            bit = 1 << c
+            touched = [w for w in adj[v] if not colors[w] and not seen[w] & bit]
             for w in touched:
-                neighbor_colors[w].remove(c)
-            if upper == lower:
-                return
-
-    try:
-        backtrack(len(clique))
-    except (_Budget, _StopEarly):
-        complete = False
+                seen[w] |= bit
+                score[w] += step
+            frame[4], frame[5] = c, touched
+            used = max(used, c)
+            break
+        else:
+            break
 
     exact = complete or lower == upper
     witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})

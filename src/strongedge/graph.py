@@ -300,6 +300,19 @@ def find_edge_cut_at_most(g: Graph, k: int):
     past which it cannot change the answer, and the scan stops at the first
     sink whose value is known to be the minimum.
 
+    Each augmenting path is found by bidirectional breadth-first search
+    (Pohl, "Bi-directional search", Machine Intelligence 6, 1971): one
+    search grows from s over residual arcs, one from t over arcs whose
+    reverse is residual, and each round grows the smaller frontier by one
+    level, until a vertex is reached from both.  On expanders both frontiers
+    meet after about half the distance, so a search visits far fewer
+    vertices than one grown from s alone.  Which paths are taken does not
+    change a flow's value, nor the residual reach from s once the flow is
+    maximum, so the cut is the same as with one-sided search.  A failed
+    search may stop when the search from t runs out first, leaving s's
+    reach only partly marked; so when a sink of the scan sets a new best,
+    the reach from s is searched once more, forward only, to give side1.
+
     Gate (Matula, "Determining edge connectivity in O(nm)", FOCS 1987): in a
     simple graph whose edge connectivity is below its minimum degree, each
     side of every minimum cut holds a vertex whose neighbours all lie on that
@@ -329,16 +342,65 @@ def find_edge_cut_at_most(g: Graph, k: int):
         out[ib].append((2 * j + 1, ia))
         pairs.add((ia, ib) if ia < ib else (ib, ia))
     s = 0
-    mark = [0] * n      # mark[i] == stamp: reached by the latest search
-    parent = [0] * n    # parent[i]: the arc the latest search entered i by
-    stamp = 0
+    mark = [0] * n      # mark[i] == stamp: reached from s by the latest search
+    back = [0] * n      # back[i] == stamp: reached from t by the latest search
+    parent = [0] * n    # parent[i]: the arc the search from s entered i by
+    later = [0] * n     # later[i]: the arc the search from t entered i by; the
+    stamp = 0           # residual path from i to t runs over its reverse
 
     def augment(t, res):
-        """Push one unit along a shortest residual s-t path, if there is one.
+        """Push one unit along a residual s-t path, if there is one.
 
-        On failure, the vertices marked with the current stamp are the
-        residual reach from s.
+        Bidirectional BFS: each round grows the smaller of the two frontiers
+        by one whole level, until a vertex is reached from both sides.
         """
+        nonlocal stamp
+        stamp += 1
+        st = stamp
+        mark[s] = back[t] = st
+        ahead, behind = [s], [t]
+        while ahead and behind:
+            level = []
+            if len(ahead) <= len(behind):
+                for u in ahead:
+                    for a, w in out[u]:
+                        if res[a] and mark[w] != st:
+                            mark[w] = st
+                            parent[w] = a
+                            if back[w] == st:
+                                return push(w, t, res)
+                            level.append(w)
+                ahead = level
+            else:
+                for u in behind:
+                    for a, w in out[u]:
+                        if res[a ^ 1] and back[w] != st:
+                            back[w] = st
+                            later[w] = a
+                            if mark[w] == st:
+                                return push(w, t, res)
+                            level.append(w)
+                behind = level
+        return False
+
+    def push(meet, t, res):
+        """Push one unit along the s-meet half and the meet-t half."""
+        w = meet
+        while w != s:
+            a = parent[w]
+            res[a] -= 1
+            res[a ^ 1] += 1
+            w = head[a ^ 1]
+        w = meet
+        while w != t:
+            a = later[w]
+            res[a ^ 1] -= 1
+            res[a] += 1
+            w = head[a ^ 1]
+        return True
+
+    def reach(res):
+        """Mark s's residual reach with a new stamp; return it as a list."""
         nonlocal stamp
         stamp += 1
         st = stamp
@@ -348,28 +410,18 @@ def find_edge_cut_at_most(g: Graph, k: int):
             for a, w in out[u]:
                 if res[a] and mark[w] != st:
                     mark[w] = st
-                    parent[w] = a
-                    if w == t:
-                        while w != s:
-                            a = parent[w]
-                            res[a] -= 1
-                            res[a ^ 1] += 1
-                            w = head[a ^ 1]
-                        return True
                     queue.append(w)
-        return False
+        return queue
 
     def flow(t, stop):
-        """min(lambda(s, t), stop); below stop, the marks hold s's residual reach."""
+        """(min(lambda(s, t), stop), the residual capacities it leaves)."""
         res = [1] * (2 * m)
         value = 0
         while value < stop and augment(t, res):
             value += 1
-        return value
+        return value, res
 
-    # No sink index is -1, so this search marks the whole component of s.
-    augment(-1, [1] * (2 * m))
-    if mark.count(stamp) < n:
+    if len(reach([1] * (2 * m))) < n:
         raise ValueError("graph is disconnected; handle components separately")
 
     floor = 1
@@ -399,15 +451,16 @@ def find_edge_cut_at_most(g: Graph, k: int):
                 heappush(heap, (-now, i))
             elif now:
                 take(i)
-        floor = min((flow(t, k + 1) for t in dom[1:]), default=k + 1)
+        floor = min((flow(t, k + 1)[0] for t in dom[1:]), default=k + 1)
         if floor > k:
             return None
 
     best, inside = k + 1, None
     for t in range(1, n):
-        value = flow(t, best)
+        value, res = flow(t, best)
         if value < best:
             best = value
+            reach(res)
             inside = [x == stamp for x in mark]
             if value == floor:
                 break

@@ -6,6 +6,7 @@ from strongedge.cli import main
 from strongedge.graph import format_edge_list, gen_blowup_c5, gen_incidence_pg
 
 from helpers import circulant
+from pocket import SHAPES, build_pocket
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -160,6 +161,17 @@ class TestExact:
         p.write_text("p 7 7\n" + "".join(f"e {i} {(i + 1) % 7}\n" for i in range(7)))
         assert main(["exact", str(p), "--budget", "1"]) == 4
         assert "bounds" in capsys.readouterr().out
+
+    def test_deep_search_prints_bounds(self, tmp_path, capsys):
+        # 1,178 edges: the search runs deeper than Python's recursion limit
+        gpath = write_graph(tmp_path, build_pocket(SHAPES["hub-deg2"])[0])
+        assert main(["exact", gpath, "--budget", "1500"]) == 4
+        assert capsys.readouterr().out == ("bounds: 7 <= strong chromatic index <= 12 "
+                                           "(budget exhausted after 1500 nodes)\n")
+
+    def test_negative_budget_exits_two(self, tmp_path, capsys):
+        assert main(["exact", c5_file(tmp_path), "--budget", "-1"]) == 2
+        assert_one_line_error(capsys)
 
     def test_witness_verifies(self, tmp_path):
         gpath = write_graph(tmp_path, gen_blowup_c5(2))

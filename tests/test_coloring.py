@@ -36,6 +36,7 @@ from helpers import (
     strong_adjacency,
     verify_oracle,
 )
+from pocket import SHAPES, build_pocket
 
 
 class TestNeighborhood:
@@ -379,6 +380,14 @@ class TestExact:
         assert ok
         full = exact_strong_index(g)
         assert full.value == 4
+
+    def test_deep_search_returns_bounds(self):
+        # 1,178 edges: the search runs deeper than Python's recursion limit
+        g, _ = build_pocket(SHAPES["hub-deg2"])
+        res = exact_strong_index(g, budget=1500)
+        assert (res.lower, res.upper, res.exact, res.nodes) == (7, 12, False, 1500)
+        ok, _ = verify_strong_coloring(g, res.coloring)
+        assert ok
 
     def test_empty_graph(self):
         res = exact_strong_index(Graph(3))

@@ -218,6 +218,7 @@ class TestEdgeCut:
         graphs += [regular_pair(rng, joins=0) for _ in range(4)]
         graphs += [k5e_ring(blobs, rng) for blobs in (3, 4, 5)]
         graphs += [shuffled(gen_random_regular(4, 12 + 2 * i, i), rng) for i in range(6)]
+        graphs += [pendant_k5e(rng, joins) for joins in (1, 2, 3)]
         branches = Counter()
         for g in graphs:
             expected = canonical_cut_oracle(g)
@@ -282,6 +283,26 @@ def regular_pair(rng: random.Random, joins: int) -> Graph:
     for u, v in pairs:
         g.add_edge(u, v)
     return shuffled(g, rng)
+
+
+def pendant_k5e(rng: random.Random, joins: int) -> Graph:
+    """A random 4-regular graph on 200 vertices with a K5-minus-an-edge hung
+    off it by `joins` new edges, the first two at the blob's degree-3 ends.
+
+    The blob takes the highest ids, so the source lies outside it and the
+    sink side of the minimum cut is small: the search from the sink runs out
+    first, and the source's residual reach must be searched for afresh.
+    """
+    g = gen_random_regular(4, 200, rng.randrange(10 ** 6))
+    blob = [g.add_vertex() for _ in range(5)]
+    pairs = [g.endpoints(e) for e in g.edges()]
+    pairs += [(blob[i], blob[j]) for i, j in combinations(range(5), 2) if (i, j) != (0, 4)]
+    pairs += [(u, blob[i]) for u, i in zip(rng.sample(range(200), joins), (0, 4, 2))]
+    rng.shuffle(pairs)
+    h = Graph(205)
+    for u, v in pairs:
+        h.add_edge(u, v)
+    return h
 
 
 def k5e_ring(blobs: int, rng: random.Random) -> Graph:
