@@ -245,8 +245,11 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     always verifies.  With stop_at set, the search halts as soon as the
     incumbent uses at most stop_at colors (useful when any small coloring
     will do).  The search keeps its own stack, so its depth, one level per
-    colored edge, has no limit from Python's recursion limit.
+    colored edge, has no limit from Python's recursion limit.  A negative
+    budget raises ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
     eids = g.edges()
     m = len(eids)
     if m == 0:

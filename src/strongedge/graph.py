@@ -8,7 +8,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 MULTI_EDGE = "multi-edge"
@@ -313,14 +312,27 @@ def find_edge_cut_at_most(g: Graph, k: int):
     reach only partly marked; so when a sink of the scan sets a new best,
     the reach from s is searched once more, forward only, to give side1.
 
-    Gate (Matula, "Determining edge connectivity in O(nm)", FOCS 1987): in a
-    simple graph whose edge connectivity is below its minimum degree, each
-    side of every minimum cut holds a vertex whose neighbours all lie on that
-    side, so every dominating set has a vertex strictly inside each side.
-    When g has no parallel edges and minimum degree above k, flows first run
-    only from s to the other vertices of a greedy dominating set grown from
-    s, and None is returned when all of them exceed k.  The lemma fails on
-    multigraphs, so there the gate is skipped.
+    Gate (cycle-space labelling; Pritchard and Thurimella, "Fast computation
+    of small cuts via cycle space sampling", ACM TALG 2011), O(n + m): a
+    breadth-first spanning tree is grown from s, which also checks that g is
+    connected.  Each non-tree edge gets a random 64-bit label, and each tree
+    edge the XOR of the labels of the non-tree edges whose fundamental cycle
+    runs through it.  Taken exactly, as sets of non-tree edges, the labels
+    obey the cut-space lemma: an edge set is a cut (the edges across some
+    bipartition of the vertices) iff its labels XOR to the empty set.  So a
+    bridge has the empty label, and in a bridgeless graph {e, f} is a 2-edge
+    cut iff e and f have equal labels.  The random labels are the exact ones
+    under a linear map, so every bridge still gets label 0 and every cut
+    pair equal labels: with no zero label g has no bridge, and with no
+    repeated label no 2-edge cut either.  A collision can only add a zero or
+    repeated label with no cut behind it; that lowers the floor below, which
+    costs a longer scan but never changes the answer.  (Exact labels would
+    take O(n(m - n)) bits.)  When every degree is even, every cut is even
+    too (the degrees on one side sum to twice the edges inside it plus the
+    cut), so g then has no 3-edge cut.  The floor, 1 to 4, is the edge
+    connectivity these facts guarantee: None is returned at once when it
+    exceeds k, and otherwise the scan stops at the first sink that reaches
+    it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -333,15 +345,48 @@ def find_edge_cut_at_most(g: Graph, k: int):
     m = len(eids)
     head = [0] * (2 * m)            # head[a]: the vertex index arc a enters
     out = [[] for _ in range(n)]    # out[i]: (arc, head) for each arc leaving i
-    pairs = set()
     for j, e in enumerate(eids):
         a, b = g._edges[e]
         ia, ib = index[a], index[b]
         head[2 * j], head[2 * j + 1] = ib, ia
         out[ia].append((2 * j, ib))
         out[ib].append((2 * j + 1, ia))
-        pairs.add((ia, ib) if ia < ib else (ib, ia))
     s = 0
+
+    up = [-1] * n       # up[i]: the arc the spanning tree enters i by; up[s]
+    up[s] = 2 * m       # is no arc, only a mark that s is in the tree
+    order = [s]
+    for u in order:
+        for a, w in out[u]:
+            if up[w] < 0:
+                up[w] = a
+                order.append(w)
+    if len(order) < n:
+        raise ValueError("graph is disconnected; handle components separately")
+    tree = [False] * m
+    for i in order[1:]:
+        tree[up[i] >> 1] = True
+    rng = random.Random(0)
+    label = [0] * m
+    fold = [0] * n      # fold[i]: XOR of the labels of the non-tree edges at i,
+    for j in range(m):  # then, leaves first, of those leaving i's subtree
+        if not tree[j]:
+            x = label[j] = rng.getrandbits(64)
+            fold[head[2 * j]] ^= x
+            fold[head[2 * j + 1]] ^= x
+    for i in reversed(order[1:]):
+        a = up[i]
+        label[a >> 1] = fold[i]
+        fold[head[a ^ 1]] ^= fold[i]
+    if 0 in label:
+        floor = 1
+    elif len(set(label)) < m:
+        floor = 2
+    else:
+        floor = 3 if any(len(arcs) % 2 for arcs in out) else 4
+    if floor > k:
+        return None
+
     mark = [0] * n      # mark[i] == stamp: reached from s by the latest search
     back = [0] * n      # back[i] == stamp: reached from t by the latest search
     parent = [0] * n    # parent[i]: the arc the search from s entered i by
@@ -420,40 +465,6 @@ def find_edge_cut_at_most(g: Graph, k: int):
         while value < stop and augment(t, res):
             value += 1
         return value, res
-
-    if len(reach([1] * (2 * m))) < n:
-        raise ValueError("graph is disconnected; handle components separately")
-
-    floor = 1
-    if len(pairs) == m and min(map(len, out)) > k:
-        # Greedy dominating set: s, then repeatedly the vertex that dominates
-        # the most vertices not yet dominated, the lowest index on ties.  Gains
-        # only fall, so an entry whose gain is still current is a maximum.
-        dominated = [False] * n
-        dom = []
-
-        def gain(i):
-            return (not dominated[i]) + sum(not dominated[w] for _, w in out[i])
-
-        def take(i):
-            dom.append(i)
-            dominated[i] = True
-            for _, w in out[i]:
-                dominated[w] = True
-
-        take(s)
-        heap = [(-gain(i), i) for i in range(1, n)]
-        heapify(heap)
-        while heap:
-            neg, i = heappop(heap)
-            now = gain(i)
-            if now and now < -neg:
-                heappush(heap, (-now, i))
-            elif now:
-                take(i)
-        floor = min((flow(t, k + 1)[0] for t in dom[1:]), default=k + 1)
-        if floor > k:
-            return None
 
     best, inside = k + 1, None
     for t in range(1, n):

@@ -55,6 +55,15 @@ def cycle(n):
     return g
 
 
+def doubled(g: Graph) -> Graph:
+    """Copy of g on vertices 0..n-1 with every edge doubled."""
+    h = Graph(g.num_vertices())
+    for e in g.edges():
+        h.add_edge(*g.endpoints(e))
+        h.add_edge(*g.endpoints(e))
+    return h
+
+
 def path(n_edges):
     g = Graph(n_edges + 1)
     for i in range(n_edges):
@@ -181,9 +190,12 @@ def canonical_cut_oracle(g: Graph):
     a networkx maximum flow with capacity equal to edge multiplicity in both
     directions.  Source side: the vertices reachable from the source over arcs
     with residual capacity left by that flow.  Returns (side1, side2,
-    cut_edges), each ascending.
+    cut_edges), each ascending.  Both flows use Edmonds-Karp, faster than the
+    default preflow-push here; flow values and the minimal minimum cut do not
+    depend on the algorithm.
     """
     import networkx as nx
+    from networkx.algorithms.flow import edmonds_karp
     verts = g.vertices()
     d = nx.DiGraph()
     d.add_nodes_from(verts)
@@ -193,10 +205,11 @@ def canonical_cut_oracle(g: Graph):
             cap = d[a][b]["capacity"] + 1 if d.has_edge(a, b) else 1
             d.add_edge(a, b, capacity=cap)
     s = verts[0]
-    value = {t: nx.maximum_flow_value(d, s, t) for t in verts[1:]}
+    value = {t: nx.maximum_flow_value(d, s, t, flow_func=edmonds_karp)
+             for t in verts[1:]}
     low = min(value.values())
     t = next(t for t in verts[1:] if value[t] == low)
-    _, flow = nx.maximum_flow(d, s, t)
+    _, flow = nx.maximum_flow(d, s, t, flow_func=edmonds_karp)
     reach = {s}
     queue = [s]
     for a in queue:

@@ -381,6 +381,12 @@ class TestExact:
         full = exact_strong_index(g)
         assert full.value == 4
 
+    def test_negative_budget_raises(self):
+        # checked before any search, even on a graph with no edges
+        for g in (cycle(7), Graph(3)):
+            with pytest.raises(ValueError, match="budget"):
+                exact_strong_index(g, budget=-1)
+
     def test_deep_search_returns_bounds(self):
         # 1,178 edges: the search runs deeper than Python's recursion limit
         g, _ = build_pocket(SHAPES["hub-deg2"])

@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongedge.graph import (
     C4,
@@ -35,6 +36,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    doubled,
     first_configuration_oracle,
     girth_oracle,
     is_2k2_free,
@@ -186,11 +188,10 @@ class TestEdgeCut:
 
 
     # Two multigraphs of minimum degree 4 whose minimum cut is the two edges
-    # into a triple edge, while a greedy dominating set has no vertex past
-    # it: the dominating-set lemma needs a simple graph.  K5 minus 0-1 with
-    # 0-5 and 1-6 defeats a dominating set grown in ascending order ({0, 1});
-    # K6 minus 0-4 and 0-5 with 0-6 and 5-7 defeats one grown by largest gain
-    # counted over incidences ({0, 5}).
+    # into a triple edge, so a high minimum degree rules out no small cut;
+    # the gate finds the two edges as a cut pair with equal labels.  Both
+    # graphs also defeat a gate that flows only to a greedy dominating set,
+    # whose lemma needs a simple graph.
     @pytest.mark.parametrize("core, missing, ties, far", [
         (5, [(0, 1)], [(0, 5), (1, 6)], [5, 6]),
         (6, [(0, 4), (0, 5)], [(0, 6), (5, 7)], [6, 7]),
@@ -209,6 +210,50 @@ class TestEdgeCut:
         assert cut is not None
         assert cut.side1 == list(range(core)) and cut.side2 == far
         assert [g.endpoints(e) for e in cut.cut_edges] == ties
+
+    def test_odd_degrees_keep_three_edge_cuts(self):
+        # two K5s joined by three disjoint edges: degree 5 at the joined ends,
+        # edge connectivity 3 and no cut pair, so only the odd degrees say
+        # that a 3-edge cut may exist
+        g = Graph(10)
+        for base in (0, 5):
+            for i, j in combinations(range(5), 2):
+                g.add_edge(base + i, base + j)
+        joins = [g.add_edge(i, 5 + i) for i in range(3)]
+        cut = find_edge_cut_at_most(g, 3)
+        assert cut is not None
+        assert (cut.side1, cut.side2, cut.cut_edges) == (
+            [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], joins)
+        assert find_edge_cut_at_most(g, 2) is None
+
+    @pytest.mark.parametrize("g", [
+        circulant(9, (1, 2)),
+        circulant(13, (1, 5)),
+        doubled(cycle(6)),
+        gen_random_regular(4, 12, 3),
+    ], ids=["c9-12", "c13-15", "doubled-c6", "random-12"])
+    def test_four_regular_four_edge_connected(self, g):
+        assert brute_min_cut(g) == 4
+        assert find_edge_cut_at_most(g, 3) is None
+        cut = find_edge_cut_at_most(g, 4)
+        assert cut is not None and cut.size() == 4
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_gate_against_bipartition_oracle(self, data):
+        g = planted_cut_multigraph(data.draw)
+        expected = brute_min_cut(g)
+        for k in (1, 2, 3):
+            cut = find_edge_cut_at_most(g, k)
+            if expected > k:
+                assert cut is None, k
+                continue
+            assert cut is not None and cut.size() == expected, k
+            inside = set(cut.side1)
+            assert sorted(cut.side1 + cut.side2) == g.vertices()
+            assert cut.cut_edges == [e for e in g.edges()
+                                     if (g.endpoints(e)[0] in inside)
+                                     != (g.endpoints(e)[1] in inside)]
 
     def test_canonical_cut_against_flow_oracle(self):
         pytest.importorskip("networkx")
@@ -233,6 +278,39 @@ class TestEdgeCut:
                 else:
                     branches["gate: none" if got is None else "gate: scan"] += 1
         assert set(branches) == {"no gate", "gate: none", "gate: scan"}, branches
+
+
+def planted_cut_multigraph(draw) -> Graph:
+    """Connected multigraph on 2-12 vertices, relabelled at random: a path
+    or ring of 1-3 random multigraph blobs, neighbouring blobs joined by 1-3
+    edges.  On a path one join plants a bridge and two a cut pair, parallel
+    when both ends repeat; in a ring two single joins make a cut pair."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) > 1))
+    n = sum(sizes)
+    blobs, start = [], 0
+    for size in sizes:
+        blobs.append(range(start, start + size))
+        start += size
+    pairs = []
+    for blob in blobs:
+        for i in range(1, len(blob)):
+            pairs.append((blob[draw(st.integers(0, i - 1))], blob[i]))
+        if len(blob) > 1:
+            for _ in range(draw(st.integers(len(blob), 3 * len(blob)))):
+                u, v = draw(st.lists(st.sampled_from(blob), min_size=2, max_size=2,
+                                     unique=True))
+                pairs.append((u, v))
+    ring = len(blobs) > 2 and draw(st.booleans())
+    for b in range(len(blobs) - 1 + ring):
+        left, right = blobs[b], blobs[(b + 1) % len(blobs)]
+        for _ in range(draw(st.integers(1, 3))):
+            pairs.append((draw(st.sampled_from(left)), draw(st.sampled_from(right))))
+    label = draw(st.permutations(range(n)))
+    g = Graph(n)
+    for u, v in draw(st.permutations(pairs)):
+        g.add_edge(label[u], label[v])
+    return g
 
 
 def shuffled(g: Graph, rng: random.Random) -> Graph:
