@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 from .graph import Graph, _json_int
 
@@ -57,27 +59,46 @@ class PartialColoring:
 
 
 def edge_neighborhood(g: Graph, e: int) -> frozenset:
-    """Edges seen by e: those sharing an endpoint with e and those at a vertex
-    adjacent to one of its endpoints.
+    """Edges seen by e: those at a vertex of the closed neighbourhood of an
+    endpoint of e, e itself excepted.
 
-    With maximum degree four there are at most 24.
+    Read straight from the graph's adjacency, without copying edge lists.
+    With maximum degree four there are at most 24.  An unknown edge id raises
+    ValueError.  The solver's neighbourhood maps (SequencePlan.neighborhoods,
+    line_graph_square) come from here; verify_strong_coloring does not.
     """
-    u, v = g.endpoints(e)
-    seen = set(g.incident(u) + g.incident(v))
-    near = set()
-    for f in seen:
-        near.update(g.endpoints(f))
-    near -= {u, v}
-    for w in near:
-        seen.update(g.incident(w))
+    adj, ends = g._adj, g._edges
+    if e not in ends:
+        raise ValueError(f"unknown edge id {e}")
+    u, v = ends[e]
+    near = set(chain.from_iterable(map(ends.__getitem__, adj[u] + adj[v])))
+    seen = set(chain.from_iterable(map(adj.__getitem__, near)))
     seen.discard(e)
     return frozenset(seen)
 
 
-def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> set[int]:
+def _neighborhoods(g: Graph) -> dict[int, frozenset]:
+    """edge_neighborhood of every edge of g, in ascending edge-id order."""
+    return {e: edge_neighborhood(g, e) for e in g.edges()}
+
+
+def _first_free(shown, k: int):
+    """Smallest color of 1..k not in `shown`, or None; k may be huge."""
+    c = 1
+    while c in shown:
+        c += 1
+    return c if c <= k else None
+
+
+@lru_cache(maxsize=4)
+def _palette(k: int) -> frozenset:
+    return frozenset(range(1, k + 1))
+
+
+def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> frozenset:
     """Colors of 1..k on no edge that e sees, under a raw edge->color dict."""
-    return set(range(1, k + 1)) - {assignment[f] for f in edge_neighborhood(g, e)
-                                   if f in assignment}
+    return _palette(k) - {assignment[f] for f in edge_neighborhood(g, e)
+                          if f in assignment}
 
 
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
@@ -92,7 +113,7 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     smallest conflicting pair across one edge uses only the two lowest class
     edges at each end, so each edge costs O(colors at its sparser end),
     however many edges share a color at a vertex.  Nothing here uses
-    edge_neighborhood.
+    edge_neighborhood or the helpers built on it.
 
     Returns (True, None) or (False, (e, f)) where e < f is the smallest
     conflicting pair.  Edges colored outside 1..k are impossible by
@@ -139,12 +160,8 @@ def greedy_color(g: Graph, k: int, order=None):
     coloring = PartialColoring(k)
     assign = coloring._assign
     for e in order:
-        # only the colors e sees are enumerated, so k may be huge
-        seen = {assign[f] for f in edge_neighborhood(g, e) if f in assign}
-        c = 1
-        while c in seen:
-            c += 1
-        if c > k:
+        c = _first_free({assign[f] for f in edge_neighborhood(g, e) if f in assign}, k)
+        if c is None:
             return coloring, e
         assign[e] = c
     return coloring, None
@@ -194,9 +211,9 @@ def line_graph_square(g: Graph) -> list[set[int]]:
 
     Index i stands for the i-th edge of g in ascending edge-id order.
     """
-    eids = g.edges()
-    index = {e: i for i, e in enumerate(eids)}
-    return [{index[f] for f in edge_neighborhood(g, e)} for e in eids]
+    hoods = _neighborhoods(g)
+    index = {e: i for i, e in enumerate(hoods)}
+    return [{index[f] for f in seen} for seen in hoods.values()]
 
 
 # -- exact solver ---------------------------------------------------------------
@@ -263,11 +280,7 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     colors = [0] * m
     order = sorted(range(m), key=lambda v: (-len(adj[v]), v))
     for v in order:
-        used = {colors[w] for w in adj[v]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
+        colors[v] = _first_free({colors[w] for w in adj[v]}, m)
     upper = max(colors)
     best = list(colors)
 

@@ -759,11 +759,11 @@ def _declared_vertices(n: int) -> int:
 
 
 def _json_int(value, what: str) -> int:
-    """int(value) for a JSON field; ValueError on null, lists, objects, inf."""
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """A JSON field that must be an integer: ValueError on anything else,
+    floats, booleans and numeric strings included."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -38,7 +38,9 @@ from .graph import (
 )
 from .coloring import (
     PartialColoring,
+    _first_free,
     _match_distinct,
+    _neighborhoods,
     available_colors,
     edge_neighborhood,
     exact_strong_index,
@@ -109,11 +111,12 @@ class ReductionTrace:
 # -- shared assignment helpers -------------------------------------------------
 
 
-def _greedy_assign(g: Graph, col: dict, e: int, why: str) -> None:
-    avail = available_colors(g, col, e, PALETTE)
-    if not avail:
+def _greedy_assign(col: dict, e: int, seen, why: str) -> None:
+    """Give e the smallest color on none of the edges it sees, `seen`."""
+    c = _first_free({col[f] for f in seen if f in col}, PALETTE)
+    if c is None:
         raise FallbackTriggered(f"no color available for edge {e} during {why}")
-    col[e] = min(avail)
+    col[e] = c
 
 
 def _checked_assign(g: Graph, col: dict, e: int, c: int, why: str) -> None:
@@ -153,15 +156,11 @@ def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None):
     forbid: dict[int, set] = {}
     for e, bad in (forbid_edges or {}).items():
         forbid.setdefault(col[e], set()).update(bad)
-    allowed = {}
-    full = set(range(1, PALETTE + 1))
-    for s in range(1, PALETTE + 1):
-        if s in fixed:
-            if fixed[s] in forbid.get(s, ()):
-                return None
-            allowed[s] = {fixed[s]}
-        else:
-            allowed[s] = full - set(forbid.get(s, ()))
+    if any(t in forbid.get(s, ()) for s, t in fixed.items()):
+        return None
+    palette = range(1, PALETTE + 1)
+    allowed = {s: {fixed[s]} if s in fixed else set(palette) - forbid.get(s, set())
+               for s in palette}
     perm = _match_distinct(sorted(allowed), allowed)
     if perm is None:
         return None
@@ -197,21 +196,10 @@ class BranchLabels:
     branch: list[int]
     children: dict[int, list[int]] = field(default_factory=dict)
 
-    @property
-    def u(self):
-        return self.branch[0]
-
-    @property
-    def v(self):
-        return self.branch[1]
-
-    @property
-    def w(self):
-        return self.branch[2]
-
-    @property
-    def y(self):
-        return self.branch[3]
+    u = property(lambda self: self.branch[0])
+    v = property(lambda self: self.branch[1])
+    w = property(lambda self: self.branch[2])
+    y = property(lambda self: self.branch[3])
 
     def swap_uv(self):
         self.branch[0], self.branch[1] = self.branch[1], self.branch[0]
@@ -228,20 +216,20 @@ class SequencePlan:
     Every edge of the sequence before the fixed eight-edge tail sees at least
     four later sequence edges, so a forward greedy pass with 21 colors always
     has room; the tail itself is saved by color repetition in the seed and by
-    one sanctioned recolor move.
+    one sanctioned recolor move.  neighborhoods maps every edge of the graph
+    to its edge_neighborhood, built once with the plan; extend_sequence reads
+    every neighbourhood it needs from it.
     """
 
     labels: BranchLabels
     precolor: PartialColoring
     tail: list[int]
     order: list[int]
-
-    def sequence_set(self) -> set[int]:
-        return set(self.order)
+    neighborhoods: dict[int, frozenset]
 
     def covers_all(self, g: Graph) -> bool:
         uncolored = set(g.edges()) - set(self.precolor.colored())
-        return self.sequence_set() == uncolored
+        return set(self.order) == uncolored
 
 
 def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
@@ -288,25 +276,20 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
     ]
 
     # Grow to the closure: an edge joins once four of its neighborhood are in.
-    neighborhoods = {e: edge_neighborhood(g, e) for e in g.edges()}
-    count = {e: 0 for e in g.edges()}
+    neighborhoods = _neighborhoods(g)
+    count = dict.fromkeys(neighborhoods, 0)
     in_seq = set(tail)
-    added: list[int] = []
     queue = list(tail)
-    qi = 0
-    while qi < len(queue):
-        f = queue[qi]
-        qi += 1
+    for f in queue:
         for e in sorted(neighborhoods[f]):
             if e in in_seq or e in precolored:
                 continue
             count[e] += 1
             if count[e] == 4:
                 in_seq.add(e)
-                added.append(e)
                 queue.append(e)
-    order = list(reversed(added)) + tail
-    return SequencePlan(labels, psi, tail, order)
+    order = queue[len(tail):][::-1] + tail
+    return SequencePlan(labels, psi, tail, order, neighborhoods)
 
 
 def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
@@ -316,9 +299,11 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     of the tail; a stall there means their whole colored neighborhood shows
     all 21 colors, so the seed color 1 on the third branch's first child edge
     is moved onto the stalled edge and that child edge is recolored once its
-    slack returns.  A stall anywhere else raises FallbackTriggered.
+    slack returns, after the second grandchild edge (or the order's last
+    edge).  A stall anywhere else raises FallbackTriggered.
     """
     col = plan.precolor.as_dict()
+    hoods = plan.neighborhoods
     labels = plan.labels
     w = labels.w
     e_ww1 = _eid(g, w, labels.children[w][0])
@@ -327,9 +312,9 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     pending_recolor = None
 
     for e in plan.order:
-        avail = available_colors(g, col, e, PALETTE)
-        if avail:
-            col[e] = min(avail)
+        c = _first_free({col[f] for f in hoods[e] if f in col}, PALETTE)
+        if c is not None:
+            col[e] = c
         else:
             if e not in allowed_stalls:
                 raise FallbackTriggered(f"sequence stalled at edge {e}")
@@ -337,15 +322,14 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
             if moved is None:
                 raise FallbackTriggered("sequence stalled twice; donor edge already moved")
             del col[e_ww1]
-            if any(col.get(f) == moved for f in edge_neighborhood(g, e)):
+            if any(col.get(f) == moved for f in hoods[e]):
                 raise FallbackTriggered("donor color still blocked after removal")
             col[e] = moved
             pending_recolor = e_ww1
-        if e == flush_after and pending_recolor is not None:
-            _greedy_assign(g, col, pending_recolor, "recolor of moved seed edge")
+        if pending_recolor is not None and e in (flush_after, plan.order[-1]):
+            _greedy_assign(col, pending_recolor, hoods[pending_recolor],
+                           "recolor of moved seed edge")
             pending_recolor = None
-    if pending_recolor is not None:
-        _greedy_assign(g, col, pending_recolor, "recolor of moved seed edge")
     return PartialColoring(PALETTE, col)
 
 
@@ -371,8 +355,7 @@ class VertexPartition:
     designated: set
 
     def right_degree(self, g: Graph, v: int) -> int:
-        return sum(1 for e in g.incident(v)
-                   if g.other_end(e, v) in self.right and v in self.right)
+        return len(_edges_in(g, self.right, v))
 
 
 def _partition_check(cond: bool, why: str) -> None:
@@ -390,7 +373,7 @@ def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
     labels = plan.labels
     x, (u, v, w, y) = labels.x, labels.branch
     psi_edges = set(plan.precolor.colored())
-    seq = plan.sequence_set()
+    seq = set(plan.order)
     h = {e for e in g.edges() if e not in psi_edges and e not in seq}
     _partition_check(bool(h), "no leftover uncolored edges")
 
@@ -569,7 +552,7 @@ class _Solver:
             for e, a, b in pendant:
                 g2.restore_edge(e, a, b)
             for e, _, _ in pendant:
-                _greedy_assign(g2, col, e, "low-degree extension")
+                _greedy_assign(col, e, edge_neighborhood(g2, e), "low-degree extension")
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:
@@ -621,7 +604,7 @@ class _Solver:
             g2 = g.copy()
             g2.remove_edge(e)
             col = self.solve(g2, depth + 1, g.measure())
-            _greedy_assign(g, col, e, "parallel edge reinsertion")
+            _greedy_assign(col, e, edge_neighborhood(g, e), "parallel edge reinsertion")
             return col
 
         if conf.kind == K23:
@@ -709,9 +692,7 @@ class _Solver:
         self.trace.record(depth, "sdr", f"targets={len(targets)} outcome={outcome}", g)
 
     def _try_recolor_two(self, g: Graph, col: dict, targets) -> bool:
-        near = set()
-        for t in targets:
-            near |= edge_neighborhood(g, t)
+        near = set().union(*(edge_neighborhood(g, t) for t in targets))
         cand = sorted(e for e in near if e in col)
         for i, f1 in enumerate(cand):
             seen = edge_neighborhood(g, f1)
@@ -968,11 +949,11 @@ class _Solver:
                     _checked_assign(g, col, e, d, why)
                     order.remove(ref)
             elif e not in col:
-                _greedy_assign(g, col, e, f"{kind} pass")
+                _greedy_assign(col, e, edge_neighborhood(g, e), f"{kind} pass")
         for e in [_edge(g, ref) for ref in order]:
             if e in col:
                 raise FallbackTriggered(f"ordered edge {e} was already colored")
-            _greedy_assign(g, col, e, "final order")
+            _greedy_assign(col, e, edge_neighborhood(g, e), "final order")
         missing = [e for e in g.edges() if e not in col]
         if missing:
             raise FallbackTriggered(f"recipe left {len(missing)} edges uncolored")

@@ -224,6 +224,19 @@ def canonical_cut_oracle(g: Graph):
     return sorted(reach), side2, cut
 
 
+def cycle_space_floor(g: Graph, min_cut: int):
+    """The floor that find_edge_cut_at_most's cycle-space gate takes on a
+    connected g whose minimum cut has min_cut edges, when no labels collide:
+    1 with a bridge, 2 with a 2-edge cut, otherwise 3 when some degree is odd
+    and 4 when every degree is even (every cut is then even).  None below two
+    vertices, where the function returns before the gate."""
+    if g.num_vertices() < 2:
+        return None
+    if min_cut <= 2:
+        return min_cut
+    return 3 if any(g.degree(v) % 2 for v in g.vertices()) else 4
+
+
 def brute_has_configuration(g: Graph, kind: str) -> bool:
     verts = g.vertices()
     adj = {v: set(g.neighbors(v)) for v in verts}

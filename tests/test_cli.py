@@ -25,13 +25,16 @@ def assert_one_line_error(capsys):
 
 
 # Graph JSON of the wrong shape: not an object, edges not a list, an entry
-# that is not a pair, a null vertex count.
+# that is not a pair, a null vertex count, a fractional vertex count, a
+# boolean vertex id.
 BAD_GRAPH_JSON = ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0, 1, 2]]}',
-                  '{"n": null, "edges": []}']
+                  '{"n": null, "edges": []}', '{"n": 3.5, "edges": []}',
+                  '{"n": 3, "edges": [[true, 2]]}']
 
 # Coloring JSON of the wrong shape: not an object, colors not an object,
-# a color that is a list.
-BAD_COLORING_JSON = ["[1, 2]", '{"k": 5, "colors": 5}', '{"k": 5, "colors": {"0": [1]}}']
+# a color that is a list, a palette size that is a string, a fractional color.
+BAD_COLORING_JSON = ["[1, 2]", '{"k": 5, "colors": 5}', '{"k": 5, "colors": {"0": [1]}}',
+                     '{"k": "5", "colors": {"0": 1}}', '{"k": 3, "colors": {"0": 1.5}}']
 
 
 class TestColor:

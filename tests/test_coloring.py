@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import types
 from functools import lru_cache
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     path,
     petersen,
     random_graph_max_deg,
+    seen_edges,
     star,
     strong_adjacency,
     verify_oracle,
@@ -64,6 +66,43 @@ class TestNeighborhood:
             for f in g.edges():
                 assert (f in edge_neighborhood(g, e)) == (e in edge_neighborhood(g, f))
 
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_oracle_through_a_peel(self, data):
+        # the peel's pattern: remove vertices one at a time, then restore
+        # them in reverse order, each with the edges it had when removed
+        g = max_degree_four_multigraph(data.draw)
+        assert_neighborhoods_match_oracle(g)
+        order = data.draw(st.permutations(g.vertices()))
+        peeled = []
+        for v in order[:data.draw(st.integers(0, len(order)))]:
+            peeled.append((v, [(e, *g.endpoints(e)) for e in g.incident(v)]))
+            g.remove_vertex(v)
+            assert_neighborhoods_match_oracle(g)
+        for v, pendant in reversed(peeled):
+            g.restore_vertex(v)
+            for e, a, b in pendant:
+                g.restore_edge(e, a, b)
+                assert_neighborhoods_match_oracle(g)
+
+
+def max_degree_four_multigraph(draw) -> Graph:
+    """Multigraph on 2-10 vertices with maximum degree four: each drawn
+    vertex pair becomes one more edge, parallel or not, while both of its
+    ends have room."""
+    n = draw(st.integers(2, 10))
+    g = Graph(n)
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=30)):
+        if u != v and g.degree(u) < 4 and g.degree(v) < 4:
+            g.add_edge(u, v)
+    return g
+
+
+def assert_neighborhoods_match_oracle(g: Graph) -> None:
+    for e in g.edges():
+        assert edge_neighborhood(g, e) == seen_edges(g, e), e
+
 
 @lru_cache(maxsize=None)
 def solved_regular(n, seed):
@@ -72,7 +111,24 @@ def solved_regular(n, seed):
     return g, coloring
 
 
+def code_names(code: types.CodeType) -> set[str]:
+    """Global and attribute names read by code and the code nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
 class TestVerify:
+    def test_shares_no_code_with_the_neighborhood_path(self):
+        # the verifier checks the solver's output, so it must not reuse the
+        # neighbourhood code the solver colors with
+        path_names = {"edge_neighborhood", "_neighborhoods", "_first_free",
+                      "available_colors"}
+        assert not code_names(verify_strong_coloring.__code__) & path_names
+        assert "edge_neighborhood" in code_names(greedy_color.__code__)
+
     def test_all_distinct_on_c5(self):
         g = cycle(5)
         c = PartialColoring(5, {e: e + 1 for e in g.edges()})

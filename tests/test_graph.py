@@ -36,6 +36,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    cycle_space_floor,
     doubled,
     first_configuration_oracle,
     girth_oracle,
@@ -196,7 +197,7 @@ class TestEdgeCut:
         (5, [(0, 1)], [(0, 5), (1, 6)], [5, 6]),
         (6, [(0, 4), (0, 5)], [(0, 6), (5, 7)], [6, 7]),
     ])
-    def test_gate_skips_multigraphs(self, core, missing, ties, far):
+    def test_gate_finds_cut_pairs_in_multigraphs(self, core, missing, ties, far):
         g = Graph(core + 2)
         for i, j in combinations(range(core), 2):
             if (i, j) not in missing:
@@ -264,20 +265,19 @@ class TestEdgeCut:
         graphs += [k5e_ring(blobs, rng) for blobs in (3, 4, 5)]
         graphs += [shuffled(gen_random_regular(4, 12 + 2 * i, i), rng) for i in range(6)]
         graphs += [pendant_k5e(rng, joins) for joins in (1, 2, 3)]
+        # each case is labelled by the floor the gate takes and by whether
+        # the gate answers None at once (floor above k) or the scan runs
         branches = Counter()
         for g in graphs:
             expected = canonical_cut_oracle(g)
-            simple = not brute_has_configuration(g, MULTI_EDGE)
-            min_degree = min(g.degree(v) for v in g.vertices())
+            floor = cycle_space_floor(g, len(expected[2]))
             for k in (1, 2, 3, g.num_edges()):
                 cut = find_edge_cut_at_most(g, k)
                 got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
                 assert got == (expected if len(expected[2]) <= k else None), (g, k)
-                if not simple or min_degree <= k:
-                    branches["no gate"] += 1
-                else:
-                    branches["gate: none" if got is None else "gate: scan"] += 1
-        assert set(branches) == {"no gate", "gate: none", "gate: scan"}, branches
+                branches[floor, "gate: none" if floor > k else "gate: scan"] += 1
+        assert {floor for floor, _ in branches} == {1, 2, 3, 4}, branches
+        assert {branch for _, branch in branches} == {"gate: none", "gate: scan"}, branches
 
 
 def planted_cut_multigraph(draw) -> Graph:

@@ -19,6 +19,7 @@ from strongedge.coloring import (
     available_colors,
     match_targets,
     coloring_to_json,
+    edge_neighborhood,
     greedy_color,
     verify_strong_coloring,
 )
@@ -390,6 +391,14 @@ class TestSequencePlan:
         with pytest.raises(ValueError):
             build_precolor_and_sequence(girth5_graph(), 0)
 
+    @pytest.mark.parametrize("name", ["pg3", "hub-deg2"])
+    def test_plan_carries_every_neighborhood(self, name):
+        g = gen_incidence_pg(3) if name == "pg3" else build_pocket(SHAPES[name])[0]
+        plan = build_precolor_and_sequence(g, 0)
+        assert plan.neighborhoods == {e: edge_neighborhood(g, e) for e in g.edges()}
+        for e in g.edges():
+            assert plan.neighborhoods[e] == seen_edges(g, e)
+
     def test_extend_sequence_completes(self):
         g = gen_incidence_pg(3)
         plan = build_precolor_and_sequence(g, 0)
@@ -405,7 +414,6 @@ class TestBlockedTailManeuver:
         colors, forcing the sanctioned recolor move.  Needs a host whose
         anchor two-ball is far from the blocked edge's neighborhood, which
         the pocket fixtures provide."""
-        from strongedge.coloring import edge_neighborhood
         g, _ = build_pocket(SHAPES["mixed-branch"])
         plan = build_precolor_and_sequence(g, 0)
         blocked = plan.tail[0]
@@ -430,7 +438,8 @@ class TestBlockedTailManeuver:
         w = labels.w
         e_ww1 = g.edges_between(w, labels.children[w][0])[0]
         assert not available_colors(g, seeded.as_dict(), blocked, 21)
-        tail_plan = SequencePlan(labels, seeded, plan.tail, list(plan.tail))
+        tail_plan = SequencePlan(labels, seeded, plan.tail, list(plan.tail),
+                                 plan.neighborhoods)
         out = extend_sequence(g, tail_plan)
         ok, _ = verify_strong_coloring(g, out)
         assert ok
@@ -443,7 +452,7 @@ class TestBlockedTailManeuver:
         g, plan, seeded, blocked = self.blocked_state()
         # ask the walk to color the blocked edge last, where it is not allowed
         bogus = SequencePlan(plan.labels, seeded, plan.tail[2:],
-                             plan.tail[2:] + [blocked])
+                             plan.tail[2:] + [blocked], plan.neighborhoods)
         with pytest.raises(FallbackTriggered):
             extend_sequence(g, bogus)
 
