@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 coloring failure or invalid coloring, 2 usage or
 malformed input, 3 internal error (an artifact failed re-verification or
-the solver raised), 4 exact-solver budget exhausted (by `exact`, or by the
-exact finish of a reduce21 solve).
+the solver raised), 4 exact-solver budget exhausted (by `exact`, by `hunt
+--alg exact|both`, or by the exact finish of a reduce21 solve).
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
+
+#: Search nodes `exact` (unless given --budget) and `hunt --alg exact|both`
+#: allow each exact search.
+EXACT_NODES = 2_000_000
 
 
 def _read_graph(path: str) -> Graph:
@@ -120,7 +124,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    if args.budget is not None and args.budget < 0:
+    if args.budget < 0:
         print("error: --budget must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -186,7 +190,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _hunt_one(mode: str, g: Graph, seed: int) -> dict:
+def _hunt_one(mode: str, g: Graph, seed: int):
+    """The seed's report record, or None when its exact search ran out of
+    EXACT_NODES."""
     record = {"seed": seed, "n": g.num_vertices(), "m": g.num_edges()}
     if mode in ("reduce21", "both"):
         coloring, trace = solve21(g)
@@ -195,7 +201,9 @@ def _hunt_one(mode: str, g: Graph, seed: int) -> dict:
         record["fallbacks"] = trace.fallback_count
         record["verified"] = ok and set(coloring.colored()) == set(g.edges())
     if mode in ("exact", "both"):
-        res = exact_strong_index(g)
+        res = exact_strong_index(g, budget=EXACT_NODES)
+        if not res.exact:
+            return None
         record["exact"] = res.value
         okx, _ = verify_strong_coloring(g, res.coloring)
         record["verified"] = record.get("verified", True) and okx
@@ -217,9 +225,14 @@ def cmd_hunt(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         try:
-            records.append(_hunt_one(args.alg, g, seed))
+            record = _hunt_one(args.alg, g, seed)
         except RuntimeError as exc:
             return _solve_error(exc)
+        if record is None:
+            print(f"error: exact search at seed {seed} ran out of its "
+                  f"{EXACT_NODES}-node budget", file=sys.stderr)
+            return EXIT_BUDGET
+        records.append(record)
 
     bad = [r for r in records if not r.get("verified", False)]
     if bad:
@@ -261,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="compute the exact strong chromatic index")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=None, help="search node limit")
+    p.add_argument("--budget", type=int, default=EXACT_NODES,
+                   help="search node limit (default %(default)s)")
     p.add_argument("--out", default=None, help="witness coloring output path")
     p.set_defaults(func=cmd_exact)
 

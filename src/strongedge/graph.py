@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +35,9 @@ class Graph:
     Vertex and edge ids are non-negative integers that stay stable under
     deletion: removing a vertex or edge never renumbers the survivors.
     Parallel edges are allowed and get distinct ids; self-loops are rejected.
-    All iteration helpers return ascending ids so callers are deterministic;
-    each vertex's incidence list is kept in ascending edge-id order.
+    All iteration helpers return ascending ids so callers are deterministic.
+    A new edge takes the next unused id and removals keep the order of what
+    is left, so each vertex's incidence list stays in ascending edge-id order.
     """
 
     __slots__ = ("_adj", "_edges", "_next_vertex", "_next_edge")
@@ -88,22 +88,6 @@ class Graph:
         g._next_vertex = self._next_vertex
         g._next_edge = self._next_edge
         return g
-
-    def restore_vertex(self, v: int) -> None:
-        """Re-insert a previously removed vertex id with no edges."""
-        if v in self._adj or v >= self._next_vertex:
-            raise ValueError(f"vertex {v} cannot be restored")
-        self._adj[v] = []
-
-    def restore_edge(self, e: int, u: int, v: int) -> None:
-        """Re-insert a previously removed edge under its old id."""
-        if e in self._edges or e >= self._next_edge:
-            raise ValueError(f"edge {e} cannot be restored")
-        if u == v or u not in self._adj or v not in self._adj:
-            raise ValueError(f"bad endpoints ({u}, {v}) for restore")
-        self._edges[e] = (u, v)
-        insort(self._adj[u], e)
-        insort(self._adj[v], e)
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph on `vertices` keeping vertex and edge ids.

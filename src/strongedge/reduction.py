@@ -496,7 +496,7 @@ class _Solver:
 
         low = next((v for v in g.vertices() if g.degree(v) <= 3), None)
         if low is not None:
-            return self._low_degree_batch(g, depth)
+            return self._low_degree_batch(g, low, depth)
 
         conf = find_configuration(g, *CONFIGURATION_KINDS[:1])
         if conf is not None:
@@ -525,34 +525,28 @@ class _Solver:
 
     # .. simple reductions ..
 
-    def _low_degree_batch(self, g: Graph, depth: int) -> dict:
-        """Peel low-degree vertices iteratively, recurse once, extend back.
+    def _low_degree_batch(self, g: Graph, v: int, depth: int) -> dict:
+        """Peel low-degree vertices, starting at v, recurse once, extend back.
 
-        Each peeled vertex had degree at most three at its peel step, so its
-        edges regain at least one available color when restored in reverse
-        order; availability is checked against the intermediate graph of each
-        step, matching the one-vertex argument exactly.
+        Each peeled vertex has degree at most three when it is peeled, so each
+        of its edges sees at most 20 other edges in the graph it is peeled
+        from, and one of the 21 colors is free.  The peel records each such
+        neighbourhood just before the removal; after the recursion the edges
+        are colored in reverse peel order against the recorded sets.
         """
-        g2 = g.copy()
-        peeled = []
-        while g2.num_edges() > BASE_CASE_EDGES:
-            v = next((u for u in g2.vertices() if g2.degree(u) <= 3), None)
-            if v is None:
-                break
-            pendant = [(e, *g2.endpoints(e)) for e in g2.incident(v)]
-            peeled.append((v, pendant))
+        g2, first, peeled = g.copy(), v, []
+        while v is not None:
+            peeled.append([(e, edge_neighborhood(g2, e)) for e in g2.incident(v)])
             g2.remove_vertex(v)
-        if not peeled:
-            raise RuntimeError("low-degree batch called with nothing to peel")
+            if g2.num_edges() <= BASE_CASE_EDGES:
+                break
+            v = next((u for u in g2.vertices() if g2.degree(u) <= 3), None)
         self.trace.record(depth, "low-degree",
-                          f"v={peeled[0][0]} count={len(peeled)}", g)
+                          f"v={first} count={len(peeled)}", g)
         col = self.solve(g2, depth + 1, g.measure())
-        for v, pendant in reversed(peeled):
-            g2.restore_vertex(v)
-            for e, a, b in pendant:
-                g2.restore_edge(e, a, b)
-            for e, _, _ in pendant:
-                _greedy_assign(col, e, edge_neighborhood(g2, e), "low-degree extension")
+        for pendant in reversed(peeled):
+            for e, seen in pendant:
+                _greedy_assign(col, e, seen, "low-degree extension")
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:
@@ -609,19 +603,19 @@ class _Solver:
 
         if conf.kind == K23:
             return self._k23(g, conf, depth)
-
+        if conf.kind == K24:
+            return self._delete_and_complete(g, conf.vertices[4:], depth)
         if conf.kind in (TRIANGLE, K33, C4, C5):
-            delete = conf.vertices
-        elif conf.kind == K24:
-            delete = conf.vertices[4:]
-        else:
-            raise ValueError(f"unhandled configuration {conf.kind}")
-        targets = sorted({e for d in delete for e in g.incident(d)})
+            return self._delete_and_complete(g, conf.vertices, depth)
+        raise ValueError(f"unhandled configuration {conf.kind}")
+
+    def _delete_and_complete(self, g: Graph, delete, depth: int) -> dict:
+        """Solve g without the vertices `delete`, then color their edges."""
         g2 = g.copy()
         for d in delete:
             g2.remove_vertex(d)
         col = self.solve(g2, depth + 1, g.measure())
-        self._complete_targets(g, col, targets, depth)
+        self._complete_targets(g, col, {e for d in delete for e in g.incident(d)}, depth)
         return col
 
     def _k23(self, g: Graph, conf: Configuration, depth: int) -> dict:
@@ -632,14 +626,9 @@ class _Solver:
         if len(z1) != 1 or len(z2) != 1 or z1[0] == z2[0]:
             raise FallbackTriggered("unexpected fourth neighbors at the two-side")
         z1, z2 = z1[0], z2[0]
-        targets = sorted(set(g.incident(v1)) | set(g.incident(v2)))
         if g.adjacent(z1, z2):
-            g2 = g.copy()
-            g2.remove_vertex(v1)
-            g2.remove_vertex(v2)
-            col = self.solve(g2, depth + 1, g.measure())
-            self._complete_targets(g, col, targets, depth)
-            return col
+            return self._delete_and_complete(g, [v1, v2], depth)
+        targets = sorted(set(g.incident(v1)) | set(g.incident(v2)))
         e_v1z1 = _eid(g, v1, z1)
         e_v2z2 = _eid(g, v2, z2)
         g2, ids = self._block(g, set(g.vertices()) - {v1, v2}, [(z1, z2, None)])

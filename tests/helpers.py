@@ -436,6 +436,31 @@ def collaborative_cases(trace) -> list[str]:
             for s in trace.steps if s.tag == "collaborative"]
 
 
+def peel_order_oracle(g: Graph, base_edges: int) -> list[int]:
+    """Vertices in the order one low-degree peel removes them: the lowest id
+    of degree at most three, again and again, while more than `base_edges`
+    edges remain.  Degrees are counted here from the edge list; a removal
+    lowers a neighbour's count once per shared edge, so a double edge drops
+    it by two."""
+    ends = [g.endpoints(e) for e in g.edges()]
+    deg = dict.fromkeys(g.vertices(), 0)
+    for a, b in ends:
+        deg[a] += 1
+        deg[b] += 1
+    order = []
+    while len(ends) > base_edges:
+        v = min((u for u, d in deg.items() if d <= 3), default=None)
+        if v is None:
+            break
+        order.append(v)
+        for a, b in ends:
+            if v in (a, b):
+                deg[a + b - v] -= 1
+        ends = [p for p in ends if v not in p]
+        del deg[v]
+    return order
+
+
 # -- replaced implementations, kept as differential oracles ---------------------
 
 

@@ -19,6 +19,12 @@ def c5_file(tmp_path):
     return write_graph(tmp_path, gen_blowup_c5(1), "c5.txt")
 
 
+def c7_file(tmp_path):
+    p = tmp_path / "c7.txt"
+    p.write_text("p 7 7\n" + "".join(f"e {i} {(i + 1) % 7}\n" for i in range(7)))
+    return str(p)
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -160,10 +166,16 @@ class TestExact:
         assert capsys.readouterr().out.strip() == "6"
 
     def test_budget_exhaustion_exits_four(self, tmp_path, capsys):
-        p = tmp_path / "c7.txt"
-        p.write_text("p 7 7\n" + "".join(f"e {i} {(i + 1) % 7}\n" for i in range(7)))
-        assert main(["exact", str(p), "--budget", "1"]) == 4
+        assert main(["exact", c7_file(tmp_path), "--budget", "1"]) == 4
         assert "bounds" in capsys.readouterr().out
+
+    def test_default_budget_exhaustion_exits_four(self, tmp_path, capsys, monkeypatch):
+        # without --budget the search stops after cli.EXACT_NODES nodes
+        import strongedge.cli as cli
+        monkeypatch.setattr(cli, "EXACT_NODES", 1)
+        assert main(["exact", c7_file(tmp_path)]) == 4
+        assert capsys.readouterr().out == ("bounds: 3 <= strong chromatic index <= 4 "
+                                           "(budget exhausted after 1 nodes)\n")
 
     def test_deep_search_prints_bounds(self, tmp_path, capsys):
         # 1,178 edges: the search runs deeper than Python's recursion limit
@@ -299,6 +311,15 @@ class TestHunt:
         assert main(["hunt", "--alg", "exact", "--d", "3", "--n", "8",
                      "--seed", "0", "--count", "2", "--out", str(out)]) == 0
         assert "max exact" in out.read_text()
+
+    @pytest.mark.parametrize("alg", ["exact", "both"])
+    def test_exact_budget_exits_four(self, tmp_path, capsys, monkeypatch, alg):
+        import strongedge.cli as cli
+        monkeypatch.setattr(cli, "EXACT_NODES", 1)
+        assert main(["hunt", "--alg", alg, "--d", "3", "--n", "10", "--seed", "0",
+                     "--count", "2", "--out", str(tmp_path / "r.txt")]) == 4
+        assert capsys.readouterr().err == (
+            "error: exact search at seed 0 ran out of its 1-node budget\n")
 
     def test_exact_finish_budget_exits_four(self, tmp_path, capsys, monkeypatch):
         import strongedge.reduction as red

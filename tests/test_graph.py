@@ -81,30 +81,18 @@ class TestGraphBasics:
         fresh = sub.add_edge(0, 2)
         assert fresh not in g.edges()
 
-    def test_restore_roundtrip(self):
-        g = Graph(4)
-        eids = [g.add_edge(i, (i + 1) % 4) for i in range(4)]
-        removed = [(e, *g.endpoints(e)) for e in g.incident(0)]
-        g.remove_vertex(0)
-        g.restore_vertex(0)
-        for e, a, b in removed:
-            g.restore_edge(e, a, b)
-        assert g.edges() == sorted(eids)
-        assert g.degree(0) == 2
-
-    def test_incident_stays_sorted_through_restore(self):
+    def test_incident_stays_sorted_through_removals(self):
         g = random_graph(9, 20, 3)
         for v in (4, 0, 7):
-            removed = [(e, *g.endpoints(e)) for e in g.incident(v)]
             g.remove_vertex(v)
-            g.restore_vertex(v)
-            for e, a, b in reversed(removed):
-                g.restore_edge(e, a, b)
+        for e in g.edges()[::3]:
+            g.remove_edge(e)
+        g.add_edge(1, 2)
         for v in g.vertices():
             assert g.incident(v) == sorted(g.incident(v)), f"vertex {v}"
         # a new list each call: changing it leaves the graph alone
-        g.incident(4).clear()
-        assert g.degree(4) == len(g.incident(4)) > 0
+        g.incident(1).clear()
+        assert g.degree(1) == len(g.incident(1)) > 0
 
 
 class TestGirth:

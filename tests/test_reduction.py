@@ -1,4 +1,5 @@
 import hashlib
+import random
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from strongedge.coloring import (
     verify_strong_coloring,
 )
 from strongedge.reduction import (
+    BASE_CASE_EDGES,
     FallbackTriggered,
     SequencePlan,
     _Solver,
@@ -44,6 +46,7 @@ from helpers import (
     complete,
     cycle,
     path,
+    peel_order_oracle,
     seen_edges,
     verify_oracle,
 )
@@ -313,6 +316,34 @@ class TestDispatchPaths:
         assert conf is not None
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
+
+    def test_peel_order_matches_oracle_on_a_chain_multigraph(self):
+        # a path of 60 vertices in shuffled id order whose links are single
+        # or double edges: a vertex with two double links has degree four and
+        # drops to two when a neighbour goes, so it joins the peel late
+        rng = random.Random(5)
+        ids = list(range(60))
+        rng.shuffle(ids)
+        g = Graph(60)
+        for a, b in zip(ids, ids[1:]):
+            for _ in range(rng.choice((1, 2))):
+                g.add_edge(a, b)
+        removed = []
+        remove_vertex = Graph.remove_vertex
+
+        def logged(graph, v):
+            removed.append(v)
+            remove_vertex(graph, v)
+
+        with mock.patch.object(Graph, "remove_vertex", logged):
+            coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        order = peel_order_oracle(g, BASE_CASE_EDGES)
+        assert removed == order
+        assert trace.tags() == ["low-degree", "base-case"]
+        assert trace.steps[0].params == f"v={order[0]} count={len(order)}"
+        assert order != sorted(order)
+        assert any(g.degree(v) == 4 and len(g.neighbors(v)) == 2 for v in order)
 
     def test_random_regular_sweep(self):
         for seed in range(20):

@@ -1,12 +1,14 @@
-"""The package's public names, the README's library sketch, the layer
-names that perfbench's tracer patches, and unused imports."""
+"""The package's public names, the README's library sketch and command
+lines, the layer names that perfbench's tracer patches, and unused imports."""
 import ast
 import importlib.util
+import shlex
 import types
 from pathlib import Path
 
 import strongedge
 from strongedge import reduction
+from strongedge.cli import main
 
 from pocket import SHAPES, build_pocket
 from test_reduction import POCKET_DIGESTS, assert_solved, pocket_digest
@@ -37,6 +39,20 @@ def test_readme_library_sketch_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
     exec(compile(sketch.split("\n```", 1)[0], "README.md", "exec"), {})
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("strongedge ")]
+    monkeypatch.chdir(tmp_path)
+    out = {}
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out[" ".join(argv)] = capsys.readouterr().out
+    assert out["exact blowup.txt"] == "20\n"
 
 
 def load_tracer():
