@@ -1,9 +1,11 @@
 """Command line surface: coloring, exact values, verification, generation, sweeps.
 
-Exit codes: 0 success, 1 coloring failure or invalid coloring, 2 usage or
-malformed input, 3 internal error (an artifact failed re-verification or
-the solver raised), 4 exact-solver budget exhausted (by `exact`, by `hunt
---alg exact|both`, or by the exact finish of a reduce21 solve).
+Exit codes: 0 success, 1 coloring failure or invalid coloring, 2 usage,
+malformed or unreadable input, or an unwritable --out/--trace path, 3
+internal error (an artifact failed re-verification or the solver raised), 4
+exact-solver budget exhausted (by `exact`, by `hunt --alg exact|both`, or by
+the exact finish of a reduce21 solve). A command reports a failure by raising
+`_Exit`; `main` alone prints its one stderr line and returns its code.
 """
 from __future__ import annotations
 
@@ -41,20 +43,48 @@ EXIT_BUDGET = 4
 EXACT_NODES = 2_000_000
 
 
+class _Exit(Exception):
+    """A failed command: `main` prints its one line to stderr and returns `code`."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
+
+def _read(path: str, parse):
+    """`parse` of the text of the file at `path`; exits 2 if that fails."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
+
+
 def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return graph_from_json(text)
-    return parse_edge_list(text)
+    def parse(text: str) -> Graph:
+        if path.endswith(".json") or text.lstrip().startswith("{"):
+            return graph_from_json(text)
+        return parse_edge_list(text)
+    return _read(path, parse)
 
 
 def _write_text(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
+
+
+def _generate(build, *params) -> Graph:
+    """build(*params); bad generator parameters exit 2."""
+    try:
+        return build(*params)
+    except (ValueError, RuntimeError) as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
 
 
 def _girth_str(g: Graph) -> str:
@@ -67,31 +97,12 @@ def _regularity_str(g: Graph) -> str:
     return f"{next(iter(degs))}-regular" if len(degs) == 1 else "irregular"
 
 
-def _solve_error(exc: RuntimeError) -> int:
-    """Report a solve21 failure in one line: exit 4 when the exact finish ran
-    out of its node budget, 3 otherwise."""
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_BUDGET if isinstance(exc, ExactFinishBudgetError) else EXIT_INTERNAL
-
-
 def cmd_color(args) -> int:
-    try:
-        g = _read_graph(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    g = _read_graph(args.input)
     if args.alg == "reduce21":
         if g.max_degree() > 4:
-            print("error: reduce21 requires maximum degree at most 4", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            coloring, trace = solve21(g)
-        except RuntimeError as exc:
-            return _solve_error(exc)
-        if trace.fallback_count:
-            print(f"warning: {trace.fallback_count} fallback event(s); "
-                  "coloring is still valid", file=sys.stderr)
+            raise _Exit(EXIT_USAGE, "error: reduce21 requires maximum degree at most 4")
+        coloring, trace = solve21(g)
         if args.trace:
             if args.trace.endswith(".json"):
                 _write_text(args.trace,
@@ -100,8 +111,7 @@ def cmd_color(args) -> int:
                 _write_text(args.trace, trace.format_text())
     else:
         if args.k < 0:
-            print("error: --k must be non-negative", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, "error: --k must be non-negative")
         order = None
         if args.seed is not None:
             import random
@@ -109,15 +119,17 @@ def cmd_color(args) -> int:
             random.Random(args.seed).shuffle(order)
         coloring, failed = greedy_color(g, args.k, order)
         if failed is not None:
-            print(f"greedy failed at edge {failed}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise _Exit(EXIT_FAILURE, f"greedy failed at edge {failed}")
 
     ok, witness = verify_strong_coloring(g, coloring)
     if not ok or set(coloring.colored()) != set(g.edges()):
-        print(f"internal error: produced coloring is invalid ({witness})",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        raise _Exit(EXIT_INTERNAL,
+                    f"internal error: produced coloring is invalid ({witness})")
     _write_text(args.out, coloring_to_json(coloring) + "\n")
+    if args.alg == "reduce21" and trace.fallback_count:
+        # only on success, so that a failure prints no line but its own
+        print(f"warning: {trace.fallback_count} fallback event(s); "
+              "coloring is still valid", file=sys.stderr)
     print(f"colored {g.num_edges()} edges with "
           f"{len(coloring.colors_used())} colors (k={coloring.k})")
     return EXIT_OK
@@ -125,13 +137,8 @@ def cmd_color(args) -> int:
 
 def cmd_exact(args) -> int:
     if args.budget < 0:
-        print("error: --budget must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        g = _read_graph(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "error: --budget must be non-negative")
+    g = _read_graph(args.input)
     res = exact_strong_index(g, budget=args.budget)
     if args.out:
         _write_text(args.out, coloring_to_json(res.coloring) + "\n")
@@ -144,66 +151,53 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        with open(args.coloring, "r", encoding="utf-8") as fh:
-            coloring = coloring_from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _read_graph(args.graph)
+    coloring = _read(args.coloring, coloring_from_json)
     unknown = [e for e in coloring.colored() if not g.has_edge_id(e)]
     if unknown:
-        print(f"error: coloring references unknown edge ids {unknown[:5]}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE,
+                    f"error: coloring references unknown edge ids {unknown[:5]}")
     ok, witness = verify_strong_coloring(g, coloring)
     if not ok:
-        print(f"invalid: edges {witness[0]} and {witness[1]} share a color "
-              "and see each other", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"invalid: edges {witness[0]} and {witness[1]} "
+                    "share a color and see each other")
     uncolored = [e for e in g.edges() if coloring.color(e) is None]
     if uncolored:
-        print(f"incomplete: {len(uncolored)} edge(s) uncolored, lowest {uncolored[0]}",
-              file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"incomplete: {len(uncolored)} edge(s) uncolored, "
+                    f"lowest {uncolored[0]}")
     print("valid")
     return EXIT_OK
 
 
-def _build_generated(args) -> Graph:
-    if args.family == "blowup":
-        return gen_blowup_c5(args.t)
-    if args.family == "pg":
-        return gen_incidence_pg(args.q)
-    return gen_random_regular(args.d, args.n, args.seed)
-
-
 def cmd_gen(args) -> int:
-    try:
-        g = _build_generated(args)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.family == "blowup":
+        g = _generate(gen_blowup_c5, args.t)
+    elif args.family == "pg":
+        g = _generate(gen_incidence_pg, args.q)
+    else:
+        g = _generate(gen_random_regular, args.d, args.n, args.seed)
     _write_text(args.out, format_edge_list(g))
     print(f"n={g.num_vertices()} m={g.num_edges()} "
           f"{_regularity_str(g)} girth={_girth_str(g)}", file=sys.stderr)
     return EXIT_OK
 
 
-def _hunt_one(mode: str, g: Graph, seed: int):
-    """The seed's report record, or None when its exact search ran out of
-    EXACT_NODES."""
+def _hunt_one(args, seed: int):
+    """The report record of the seed's graph; exits 4 when its exact search
+    runs out of EXACT_NODES."""
+    g = _generate(gen_random_regular, args.d, args.n, seed)
     record = {"seed": seed, "n": g.num_vertices(), "m": g.num_edges()}
-    if mode in ("reduce21", "both"):
+    if args.alg in ("reduce21", "both"):
         coloring, trace = solve21(g)
         ok, _ = verify_strong_coloring(g, coloring)
         record["colors"] = len(coloring.colors_used())
         record["fallbacks"] = trace.fallback_count
         record["verified"] = ok and set(coloring.colored()) == set(g.edges())
-    if mode in ("exact", "both"):
+    if args.alg in ("exact", "both"):
         res = exact_strong_index(g, budget=EXACT_NODES)
         if not res.exact:
-            return None
+            raise _Exit(EXIT_BUDGET, f"error: exact search at seed {seed} ran out "
+                        f"of its {EXACT_NODES}-node budget")
         record["exact"] = res.value
         okx, _ = verify_strong_coloring(g, res.coloring)
         record["verified"] = record.get("verified", True) and okx
@@ -212,32 +206,14 @@ def _hunt_one(mode: str, g: Graph, seed: int):
 
 def cmd_hunt(args) -> int:
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "error: --count must be at least 1")
     if args.alg != "exact" and args.d > 4:
-        print("error: reduce21 requires --d at most 4", file=sys.stderr)
-        return EXIT_USAGE
-    records = []
-    for seed in range(args.seed, args.seed + args.count):
-        try:
-            g = gen_random_regular(args.d, args.n, seed)
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            record = _hunt_one(args.alg, g, seed)
-        except RuntimeError as exc:
-            return _solve_error(exc)
-        if record is None:
-            print(f"error: exact search at seed {seed} ran out of its "
-                  f"{EXACT_NODES}-node budget", file=sys.stderr)
-            return EXIT_BUDGET
-        records.append(record)
-
+        raise _Exit(EXIT_USAGE, "error: reduce21 requires --d at most 4")
+    seeds = range(args.seed, args.seed + args.count)
+    records = [_hunt_one(args, seed) for seed in seeds]
     bad = [r for r in records if not r.get("verified", False)]
     if bad:
-        print(f"verification failed at seed {bad[0]['seed']}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise _Exit(EXIT_INTERNAL, f"verification failed at seed {bad[0]['seed']}")
     key = "colors" if args.alg in ("reduce21", "both") else "exact"
     values = [r[key] for r in records]
     hist: dict[int, int] = {}
@@ -319,7 +295,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        line, code = str(exc), exc.code
+    except RuntimeError as exc:
+        # a solve21 failure: its exact finish ran out of nodes (4) or it broke (3)
+        line = f"error: {exc}"
+        code = EXIT_BUDGET if isinstance(exc, ExactFinishBudgetError) else EXIT_INTERNAL
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

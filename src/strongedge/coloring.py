@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .graph import Graph, _json_int
+from .graph import Graph, _json_field, _json_int
 
 
 class PartialColoring:
@@ -394,10 +394,10 @@ def coloring_from_json(text: str) -> PartialColoring:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("coloring JSON must be an object")
-    colors = data["colors"]
+    colors = _json_field(data, "colors", "coloring JSON")
     if not isinstance(colors, dict):
         raise ValueError("coloring JSON 'colors' must be an object")
-    c = PartialColoring(_json_int(data["k"], "'k'"))
+    c = PartialColoring(_json_int(_json_field(data, "k", "coloring JSON"), "'k'"))
     for e, col in colors.items():
         c.assign(int(e), _json_int(col, f"the color of edge {e}"))
     return c

@@ -750,6 +750,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_field(data: dict, key: str, what: str):
+    """data[key], or ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"{what} is missing the field {key!r}")
+    return data[key]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: "p <n> <m>" then m lines "e <u> <v>".
 
@@ -807,10 +814,11 @@ def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
-    edges = data["edges"]
+    edges = _json_field(data, "edges", "graph JSON")
     if not isinstance(edges, list):
         raise ValueError("graph JSON 'edges' must be a list")
-    g = Graph(_declared_vertices(_json_int(data["n"], "'n'")))
+    n = _json_int(_json_field(data, "n", "graph JSON"), "'n'")
+    g = Graph(_declared_vertices(n))
     for pair in edges:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"graph JSON edge {pair!r} is not a pair")

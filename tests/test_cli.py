@@ -32,15 +32,36 @@ def assert_one_line_error(capsys):
 
 # Graph JSON of the wrong shape: not an object, edges not a list, an entry
 # that is not a pair, a null vertex count, a fractional vertex count, a
-# boolean vertex id.
+# boolean vertex id, no vertex count.
 BAD_GRAPH_JSON = ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0, 1, 2]]}',
                   '{"n": null, "edges": []}', '{"n": 3.5, "edges": []}',
-                  '{"n": 3, "edges": [[true, 2]]}']
+                  '{"n": 3, "edges": [[true, 2]]}', '{"edges": []}']
 
 # Coloring JSON of the wrong shape: not an object, colors not an object,
-# a color that is a list, a palette size that is a string, a fractional color.
+# a color that is a list, a palette size that is a string, a fractional color,
+# no palette size.
 BAD_COLORING_JSON = ["[1, 2]", '{"k": 5, "colors": 5}', '{"k": 5, "colors": {"0": [1]}}',
-                     '{"k": "5", "colors": {"0": 1}}', '{"k": 3, "colors": {"0": 1.5}}']
+                     '{"k": "5", "colors": {"0": 1}}', '{"k": 3, "colors": {"0": 1.5}}',
+                     '{"colors": {}}']
+
+# Each command that writes a file, pointed at a path in a missing directory.
+UNWRITABLE = {
+    "color-out": ["color", "{graph}", "--out", "{bad}"],
+    "color-trace": ["color", "{graph}", "--out", "{tmp}/c.json", "--trace", "{bad}"],
+    "exact-out": ["exact", "{graph}", "--out", "{bad}"],
+    "gen-out": ["gen", "pg", "--q", "2", "--out", "{bad}"],
+    "hunt-out": ["hunt", "--n", "10", "--count", "1", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_path_exits_two(tmp_path, capsys, name):
+    fill = {"graph": c5_file(tmp_path), "bad": str(tmp_path / "missing" / "out"),
+            "tmp": str(tmp_path)}
+    assert main([a.format(**fill) for a in UNWRITABLE[name]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestColor:
@@ -140,6 +161,31 @@ class TestColor:
         assert main(["color", gpath, "--out", str(tmp_path / "x.json")]) == code
         assert_one_line_error(capsys)
 
+    def test_fallback_warns_and_exits_zero(self, tmp_path, capsys, monkeypatch):
+        import strongedge.reduction as red
+
+        def boom(self, g, col, targets, depth):
+            raise red.FallbackTriggered("forced by test")
+
+        monkeypatch.setattr(red._Solver, "_complete_targets", boom)
+        gpath = write_graph(tmp_path, circulant(11, (1, 2)))
+        out = tmp_path / "col.json"
+        assert main(["color", gpath, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 fallback event(s); coloring is still valid\n")
+        assert main(["verify", gpath, str(out)]) == 0
+        # the warning comes only with success: a failure prints its one line
+        assert main(["color", gpath, "--out", str(out),
+                     "--trace", str(tmp_path / "missing" / "t.txt")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_invalid_result_exits_three(self, tmp_path, capsys, monkeypatch):
+        import strongedge.cli as cli
+        monkeypatch.setattr(cli, "verify_strong_coloring", lambda g, c: (False, (0, 1)))
+        assert main(["color", c5_file(tmp_path), "--out", str(tmp_path / "x.json")]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: produced coloring is invalid ((0, 1))\n")
+
     def test_deterministic_output(self, tmp_path):
         gpath = write_graph(tmp_path, gen_incidence_pg(3))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -186,6 +232,10 @@ class TestExact:
 
     def test_negative_budget_exits_two(self, tmp_path, capsys):
         assert main(["exact", c5_file(tmp_path), "--budget", "-1"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_unreadable_file_exits_two(self, tmp_path, capsys):
+        assert main(["exact", str(tmp_path / "missing.txt")]) == 2
         assert_one_line_error(capsys)
 
     def test_witness_verifies(self, tmp_path):
@@ -247,6 +297,16 @@ class TestVerify:
         out.write_text(text)
         assert main(["verify", c5_file(tmp_path), str(out)]) == 2
         assert_one_line_error(capsys)
+
+
+    def test_missing_field_is_named(self, tmp_path, capsys):
+        gpath, out = tmp_path / "g.json", tmp_path / "col.json"
+        gpath.write_text('{"edges": []}')
+        out.write_text('{"colors": {}}')
+        assert main(["verify", c5_file(tmp_path), str(out)]) == 2
+        assert capsys.readouterr().err == "error: coloring JSON is missing the field 'k'\n"
+        assert main(["verify", str(gpath), str(out)]) == 2
+        assert capsys.readouterr().err == "error: graph JSON is missing the field 'n'\n"
 
 
 class TestGen:
@@ -328,6 +388,13 @@ class TestHunt:
         assert main(["hunt", "--n", "11", "--seed", "0", "--count", "1",
                      "--out", str(tmp_path / "r.txt")]) == 4
         assert_one_line_error(capsys)
+
+    def test_failed_verification_exits_three(self, tmp_path, capsys, monkeypatch):
+        import strongedge.cli as cli
+        monkeypatch.setattr(cli, "verify_strong_coloring", lambda g, c: (False, None))
+        assert main(["hunt", "--n", "10", "--count", "2",
+                     "--out", str(tmp_path / "r.txt")]) == 3
+        assert capsys.readouterr().err == "verification failed at seed 0\n"
 
     def test_zero_count_exits_two(self, tmp_path, capsys):
         assert main(["hunt", "--count", "0", "--out", str(tmp_path / "r.txt")]) == 2

@@ -310,12 +310,17 @@ class TestDispatchPaths:
         # On this instance the bridged completion's forced same-color
         # transfer collides with an edge at a three-side vertex (such an
         # edge sees both spokes but not the bridge in the reduced graph).
-        # The solver must degrade to the completion search, not fall back.
+        # The solver must hand all eight targets to the completion, which
+        # closes them by direct matching, not fall back.
         g = gen_random_regular(4, 59, 194)
         conf = find_configuration(g, K23)
         assert conf is not None
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
+        # the steps at the top level: the K2,3 reduction, then its completion
+        (tag, params), sdr = [(s.tag, s.params) for s in trace.steps if s.depth == 0]
+        assert tag == "short-cycle" and params.startswith("kind=k23 ")
+        assert sdr == ("sdr", "targets=8 outcome=direct")
 
     def test_peel_order_matches_oracle_on_a_chain_multigraph(self):
         # a path of 60 vertices in shuffled id order whose links are single
@@ -504,6 +509,7 @@ POCKET_DIGESTS = {
     "r-sibling": "ef75719af0b21291",
     "r-sibling-thin": "7c1c7006598b18d9",
     "twin-anchors": "1582db3fc14974b1",
+    "twin-anchors-swapped": "38c7e1e5c3b2fa26",
 }
 
 VARIANT_SHAPES = {**THIN_SHAPES, **SWAP_SHAPES}
@@ -548,6 +554,28 @@ class TestPartitionFixtures:
         assert_solved(g, coloring, trace)
         assert collaborative_cases(trace) == [expected]
         assert pocket_digest(coloring, trace) == POCKET_DIGESTS[name]
+
+    def test_twin_anchors_swapped_branches(self):
+        # the twin-anchors pocket with the ids of the first and second
+        # branches' children swapped pairwise: the chosen anchor child now
+        # sits under the second branch, so the recipe swaps the two branches
+        import strongedge.reduction as red
+        g0, info = build_pocket(SHAPES["twin-anchors"])
+        u, v = info["branch"][:2]
+        perm = {z: z for z in g0.vertices()}
+        for a, b in zip(info["children"][u], info["children"][v]):
+            perm[a], perm[b] = b, a
+        g = Graph(g0.num_vertices())
+        for e in g0.edges():
+            g.add_edge(*(perm[z] for z in g0.endpoints(e)))
+        swap = red.BranchLabels.swap_uv
+        with mock.patch.object(red.BranchLabels, "swap_uv", autospec=True,
+                               side_effect=swap) as spy:
+            coloring, trace = solve21(g)
+        assert spy.call_count == 1
+        assert_solved(g, coloring, trace)
+        assert collaborative_cases(trace) == ["twin-anchors"]
+        assert pocket_digest(coloring, trace) == POCKET_DIGESTS["twin-anchors-swapped"]
 
     def test_dispatch_skips_girth(self, monkeypatch):
         # the finders rule out cycles shorter than six before the anchored
