@@ -234,12 +234,18 @@ class ExactResult:
         return self.upper if self.exact else None
 
 
+def _greedy_seed(adj: list[set[int]]) -> list[int]:
+    """Smallest free color for each vertex of adj, largest degree first, ties
+    to the lower index: the exact solver's incumbent and solve21's base case."""
+    colors = [0] * len(adj)
+    for v in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
+        colors[v] = _first_free({colors[w] for w in adj[v]}, len(adj))
+    return colors
+
+
 def _greedy_clique(adj: list[set[int]]) -> list[int]:
-    n = len(adj)
-    if n == 0:
-        return []
     best: list[int] = []
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
     for start in order[:8]:
         clique = [start]
         candidates = set(adj[start])
@@ -272,22 +278,14 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     if m == 0:
         return ExactResult(0, 0, PartialColoring(0), True, 0)
     adj = line_graph_square(g)
-
     clique = _greedy_clique(adj)
     lower = max(len(clique), 1)
-
-    # greedy seed for the incumbent
-    colors = [0] * m
-    order = sorted(range(m), key=lambda v: (-len(adj[v]), v))
-    for v in order:
-        colors[v] = _first_free({colors[w] for w in adj[v]}, m)
-    upper = max(colors)
-    best = list(colors)
+    best = _greedy_seed(adj)
+    upper = max(best)
 
     if lower == upper or (stop_at is not None and upper <= stop_at):
-        exact = lower == upper
-        witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})
-        return ExactResult(lower if not exact else upper, upper, witness, exact, 0)
+        return ExactResult(lower, upper, PartialColoring(upper, dict(zip(eids, best))),
+                           lower == upper, 0)
 
     # seen[v]: bit c set when a colored neighbour of v has color c.  score[v]:
     # saturation * (m + 1) + degree while v is uncolored, -1 once colored, so

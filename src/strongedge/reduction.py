@@ -1,7 +1,7 @@
 """Recursive 21-color strong edge-coloring for multigraphs of max degree four.
 
 The solver peels a graph down by a fixed ladder of reductions: tiny instances
-go to the exact solver, then low-degree vertices, parallel edges, small edge
+are colored greedily, then low-degree vertices, parallel edges, small edge
 cuts, and short-cycle patterns are removed and recolored from availability
 counts.  What survives is 4-regular with girth at least six and no cut of
 three or fewer edges; those graphs are handled by an anchored decomposition:
@@ -39,18 +39,20 @@ from .graph import (
 from .coloring import (
     PartialColoring,
     _first_free,
+    _greedy_seed,
     _match_distinct,
     _neighborhoods,
     available_colors,
     edge_neighborhood,
     exact_strong_index,
+    line_graph_square,
     match_targets,
     verify_strong_coloring,
 )
 
 PALETTE = 21
 
-#: Maximum instance size handed straight to the exact solver.
+#: Maximum instance size colored by one greedy pass, at most one color per edge.
 BASE_CASE_EDGES = 20
 
 #: Search nodes the exact solver may spend finishing a subinstance after a
@@ -484,7 +486,7 @@ class _Solver:
     def _dispatch(self, g: Graph, depth: int) -> dict:
         if g.num_edges() <= BASE_CASE_EDGES:
             self.trace.record(depth, "base-case", "", g)
-            return exact_strong_index(g).coloring.as_dict()
+            return dict(zip(g.edges(), _greedy_seed(line_graph_square(g))))
 
         comps = g.components()
         if len(comps) > 1:

@@ -1,8 +1,8 @@
 """One sha256 over the colorings and traces of a fixed 2,133-run `solve21`
 corpus, so that a refactor can show it changed no output.
 
-    python3 tests/corpus_digest.py           # print the digest
-    python3 tests/corpus_digest.py --check   # exit 1 unless it equals DIGEST
+    python3 tests/corpus_digest.py           # print the step counts and digest
+    python3 tests/corpus_digest.py --check   # exit 1 unless they equal STEPS, DIGEST
 
 Run it from anywhere: it imports the library from this checkout's `src/`, the
 generators from `perfbench/` and the fixtures from `tests/`.  The corpus, in
@@ -18,7 +18,10 @@ run order:
 
 Each run adds its name, its coloring JSON and its trace text to the hash.
 A change meant to keep every coloring and trace leaves DIGEST as it is; one
-that changes them on purpose updates DIGEST and says why.
+that changes them on purpose updates DIGEST and says why.  STEPS, the count
+of each trace step over the corpus, pins the dispatch paths alone: a change
+that recolors without rerouting updates DIGEST and leaves STEPS as it is.
+STEPS has no `fallback` entry: the corpus runs fallback-free.
 """
 import argparse
 import hashlib
@@ -37,7 +40,9 @@ from helpers import random_graph_max_deg  # noqa: E402
 from pocket import SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket  # noqa: E402
 from workloads import k5e_ring, large, pairing_multigraph, sweep  # noqa: E402
 
-DIGEST = "8518a47dd3865747d4ea3672e1b3029a4a6a696097edeb5dfd4f9b40eec30490"
+DIGEST = "f579207f166f921fa14d424a68d33cb88ba2761d6c1a4a95a6b2911c82f85a14"
+STEPS = ("base-case=2369 collaborative=13 components=7 low-degree=1978 partition=13 "
+         "sdr=784 sequence-complete=2 short-cycle=951 small-cut=218")
 
 
 def corpus():
@@ -64,7 +69,8 @@ def corpus():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless the digest equals DIGEST")
+                    help="exit 1 unless the step counts equal STEPS and the "
+                         "digest equals DIGEST")
     args = ap.parse_args(argv)
     start = time.perf_counter()
     digest = hashlib.sha256()
@@ -76,13 +82,17 @@ def main(argv=None) -> int:
         runs += 1
         steps.update(trace.tags())
     value = digest.hexdigest()
+    counts = " ".join(f"{tag}={count}" for tag, count in sorted(steps.items()))
     print(f"runs={runs} seconds={time.perf_counter() - start:.1f}")
-    print(" ".join(f"{tag}={count}" for tag, count in sorted(steps.items())))
+    print(counts)
     print(value)
-    if args.check and value != DIGEST:
-        print(f"corpus digest changed: expected {DIGEST}", file=sys.stderr)
-        return 1
-    return 0
+    if not args.check:
+        return 0
+    pinned = (("step counts", counts, STEPS), ("digest", value, DIGEST))
+    moved = [(what, want) for what, got, want in pinned if got != want]
+    for what, want in moved:
+        print(f"corpus {what} changed: expected {want}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -21,11 +21,13 @@ from strongedge.coloring import (
     match_targets,
     coloring_to_json,
     edge_neighborhood,
+    exact_strong_index,
     greedy_color,
     verify_strong_coloring,
 )
 from strongedge.reduction import (
     BASE_CASE_EDGES,
+    PALETTE,
     FallbackTriggered,
     SequencePlan,
     _Solver,
@@ -219,23 +221,58 @@ class TestSolveSmall:
             solve21(g)
 
 
+class TestBaseCase:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_keeps_the_exact_incumbent(self, data):
+        # a multigraph of maximum degree four with 1..BASE_CASE_EDGES edges is
+        # colored by the exact solver's greedy seed, one color per edge at most
+        n = data.draw(st.integers(2, 14))
+        ends = st.integers(0, n - 1)
+        pairs = st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
+        g = Graph(n)
+        for u, v in data.draw(st.lists(pairs, min_size=1, max_size=30)):
+            if (g.num_edges() < BASE_CASE_EDGES
+                    and g.degree(u) < 4 and g.degree(v) < 4):
+                g.add_edge(u, v)
+        coloring, trace = solve21(g)
+        assert trace.tags() == ["base-case"]
+        assert_solved(g, coloring, trace, max_colors=g.num_edges())
+        expected = exact_strong_index(g, stop_at=PALETTE).coloring.as_dict()
+        assert coloring.as_dict() == expected
+
+    def test_builds_no_clique_and_runs_no_search(self, monkeypatch):
+        import strongedge.coloring as col
+        import strongedge.reduction as red
+
+        def no_exact(*args, **kwargs):
+            raise AssertionError("exact solver called in the base case")
+
+        monkeypatch.setattr(red, "exact_strong_index", no_exact)
+        monkeypatch.setattr(col, "_greedy_clique", no_exact)
+        for g in (cycle(5), complete(5), circulant(10, (1, 2))):
+            coloring, trace = solve21(g)
+            assert trace.tags() == ["base-case"]
+            assert_solved(g, coloring, trace, max_colors=g.num_edges())
+
+
 # `pocket_digest` of each dispatch-path fixture below: the first step names
 # the path, the digest pins its coloring and trace.  Short-cycle fixtures are
 # keyed by (kind, vertex count).
 DISPATCH_DIGESTS = {
     "sequence-complete": "4546972d4c87ce5e",
-    "low-degree": "7e8c79822d8d7aae",
-    "multi-edge": "d8c0c1d979fc62dc",
+    "low-degree": "13b64db6ed6e089c",
+    "multi-edge": "9f7d75afa9e9adc8",
     "small-cut": "974d87da51e7ac1d",
     "shared-endpoint-cut": "dbf2968c1820506f",
     "components": "9f1db9bf734189d5",
     ("triangle", 11): "766b45f8af3bd7dc",
     ("k33", 12): "fa6a32b957af0e0a",
-    ("k24", 12): "3698ccada3a57ff1",
+    ("k24", 12): "a3870db841cc1268",
     ("k23", 11): "a234cc060236a1e9",
     ("k23", 13): "a1a4e4f76b178f4f",
-    ("c4", 22): "e3d1b7efe4edfedb",
-    ("c5", 19): "15f291086059aca0",
+    ("c4", 22): "fbc9fb11a69d3130",
+    ("c5", 19): "1879fa2f44de4cac",
 }
 
 
@@ -496,20 +533,20 @@ class TestBlockedTailManeuver:
 # First 16 hex digits of sha256(coloring JSON + trace text) for each pocket
 # fixture: any change to a collaborative recipe's coloring or trace shows here.
 POCKET_DIGESTS = {
-    "hub-deg1": "a5cf046ce3845439",
-    "hub-deg2": "f108a9d38cba44e4",
-    "hub-deg2-swapped": "c99116663398e118",
-    "l-sibling": "873d0610c9da3776",
-    "l-sibling-swapped": "7c4fddc93d509d25",
-    "l-sibling-thin": "be7071763fae8a79",
-    "middles-left": "9b0e6828d326be7f",
-    "middles-right": "d5cce8126e21cecf",
-    "mixed-branch": "bb1f4881e889244c",
-    "mixed-middles": "f97f8dc7cc4cdce2",
-    "r-sibling": "ef75719af0b21291",
-    "r-sibling-thin": "7c1c7006598b18d9",
-    "twin-anchors": "1582db3fc14974b1",
-    "twin-anchors-swapped": "38c7e1e5c3b2fa26",
+    "hub-deg1": "942459163a7fec8e",
+    "hub-deg2": "2a8140c4a207c27a",
+    "hub-deg2-swapped": "e530c5a0a1f4a901",
+    "l-sibling": "9e7bf097ff2e99a6",
+    "l-sibling-swapped": "c0f565c2d31bf63e",
+    "l-sibling-thin": "d60665595bae8cc6",
+    "middles-left": "19bc0ea853b35768",
+    "middles-right": "2003ad61011c146c",
+    "mixed-branch": "d9e869ff70d080d5",
+    "mixed-middles": "21b9e363c3969e92",
+    "r-sibling": "c77cc79b12ce45ff",
+    "r-sibling-thin": "c7850bc3727190bc",
+    "twin-anchors": "fac93e0f5e5e0b9e",
+    "twin-anchors-swapped": "b30a9331f88f1f58",
 }
 
 VARIANT_SHAPES = {**THIN_SHAPES, **SWAP_SHAPES}
@@ -520,12 +557,12 @@ VARIANT_SHAPES = {**THIN_SHAPES, **SWAP_SHAPES}
 # mixed-branch, r-sibling and l-sibling, hub-deg1's order with d at w12,
 # and twin-anchors' claim arm and its color-3 swap.
 FORCED_DIGESTS = {
-    ("hub-deg1", "all"): "3a1e3fd9bcd397ad",
-    ("l-sibling-thin", "all"): "d8a74c629e735fdb",
-    ("mixed-branch", "all"): "918d0ea121928875",
-    ("r-sibling", "all"): "cad4749c2a14ed6c",
-    ("twin-anchors", "all"): "32634ddb6a7f31fb",
-    ("twin-anchors", "three"): "9bee05b829609bef",
+    ("hub-deg1", "all"): "cd9c78158474cf0c",
+    ("l-sibling-thin", "all"): "93e0f44b2c373729",
+    ("mixed-branch", "all"): "80f5e0f69229c0f9",
+    ("r-sibling", "all"): "3b87d38ee0e4f97b",
+    ("twin-anchors", "all"): "ebe645946b868c05",
+    ("twin-anchors", "three"): "dadfea6d15e5734b",
 }
 
 

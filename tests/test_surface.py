@@ -5,11 +5,13 @@ import importlib.util
 import shlex
 import types
 from pathlib import Path
+from unittest import mock
 
 import strongedge
-from strongedge import reduction
+from strongedge import coloring, reduction
 from strongedge.cli import main
 
+from helpers import cycle
 from pocket import SHAPES, build_pocket
 from test_reduction import POCKET_DIGESTS, assert_solved, pocket_digest
 
@@ -71,13 +73,23 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
     originals = [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS]
     g, _ = build_pocket(SHAPES["mixed-branch"])
+    forced = reduction.FallbackTriggered("forced by test")
     with tracer.Tracer().installed() as t:
-        coloring, trace = reduction.solve21(g)
-    assert_solved(g, coloring, trace)
-    assert pocket_digest(coloring, trace) == POCKET_DIGESTS["mixed-branch"]
+        col, trace = reduction.solve21(g)
+        assert t.calls["coloring.exact_strong_index"] == 0
+        # the exact solver through each of its two bindings: a direct call,
+        # then the exact finish of a solve whose low-degree extension fails
+        coloring.exact_strong_index(cycle(5))
+        assert t.calls["coloring.exact_strong_index"] == 1
+        with mock.patch.object(reduction, "_greedy_assign", side_effect=forced):
+            _, forced_trace = reduction.solve21(cycle(25))
+        assert forced_trace.fallback_count == 1
+        assert t.calls["coloring.exact_strong_index"] == 2
+    assert_solved(g, col, trace)
+    assert pocket_digest(col, trace) == POCKET_DIGESTS["mixed-branch"]
     for layer in ("reduction.dispatch", "reduction.collaborative",
                   "graph.find_edge_cut_at_most", "graph.find_configuration",
-                  "reduction.build_partition", "coloring.exact_strong_index"):
+                  "reduction.build_partition"):
         assert t.calls[layer] > 0, layer
     assert set(t.calls) <= set(tracer.LAYERS)
     assert [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS] == originals
