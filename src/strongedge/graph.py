@@ -183,9 +183,6 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def __repr__(self):
         return f"Graph(n={self.num_vertices()}, m={self.num_edges()})"
 
@@ -209,9 +206,6 @@ class EdgeCut:
     side1: list[int]
     side2: list[int]
     cut_edges: list[int]
-
-    def size(self) -> int:
-        return len(self.cut_edges)
 
 
 # -- girth ------------------------------------------------------------------
@@ -263,63 +257,45 @@ def girth(g: Graph):
 
 
 def find_edge_cut_at_most(g: Graph, k: int):
-    """Canonical minimum edge cut of a connected graph if it has at most k edges.
+    """Lexicographically first minimum edge cut of a connected graph, if it
+    has at most k edges, for k in 1..3.
 
-    Returns an EdgeCut whose cut is globally minimum, or None when every edge
-    cut has more than k edges.  Raises on disconnected input; callers must
-    split components first.  The cut returned is the canonical one:
+    Returns None when every edge cut has more than k edges, and otherwise an
+    EdgeCut whose cut_edges, ascending, are the first edge set in
+    lexicographic order of ascending edge ids among the minimum cuts; side1
+    holds the lowest vertex id and side2 the rest, each ascending.  The
+    answer depends on g alone.  Raises ValueError on disconnected input
+    (callers must split components first) and when k is not 1, 2 or 3.
 
-    - the source s is the lowest vertex id;
-    - the sink is the first t, in ascending id order, with minimum local edge
-      connectivity lambda(s, t);
-    - side1 is the residual reach from s of a maximum s-t flow (the minimal
-      minimum s-t cut, the same for every maximum flow);
-    - cut_edges are sorted by edge id.
-
-    The flows are unit-capacity augmenting-path flows over flat arrays:
-    vertices are indexed 0..n-1 in ascending id order, and arcs 2j and 2j+1
-    are the two directions of the j-th edge in ascending edge-id order.  Each
-    flow stops once its value reaches the best found so far (k+1 at first),
-    past which it cannot change the answer, and the scan stops at the first
-    sink whose value is known to be the minimum.
-
-    Each augmenting path is found by bidirectional breadth-first search
-    (Pohl, "Bi-directional search", Machine Intelligence 6, 1971): one
-    search grows from s over residual arcs, one from t over arcs whose
-    reverse is residual, and each round grows the smaller frontier by one
-    level, until a vertex is reached from both.  On expanders both frontiers
-    meet after about half the distance, so a search visits far fewer
-    vertices than one grown from s alone.  Which paths are taken does not
-    change a flow's value, nor the residual reach from s once the flow is
-    maximum, so the cut is the same as with one-sided search.  A failed
-    search may stop when the search from t runs out first, leaving s's
-    reach only partly marked; so when a sink of the scan sets a new best,
-    the reach from s is searched once more, forward only, to give side1.
-
-    Gate (cycle-space labelling; Pritchard and Thurimella, "Fast computation
+    Labels (cycle-space sampling; Pritchard and Thurimella, "Fast computation
     of small cuts via cycle space sampling", ACM TALG 2011), O(n + m): a
-    breadth-first spanning tree is grown from s, which also checks that g is
-    connected.  Each non-tree edge gets a random 64-bit label, and each tree
-    edge the XOR of the labels of the non-tree edges whose fundamental cycle
-    runs through it.  Taken exactly, as sets of non-tree edges, the labels
-    obey the cut-space lemma: an edge set is a cut (the edges across some
-    bipartition of the vertices) iff its labels XOR to the empty set.  So a
-    bridge has the empty label, and in a bridgeless graph {e, f} is a 2-edge
-    cut iff e and f have equal labels.  The random labels are the exact ones
-    under a linear map, so every bridge still gets label 0 and every cut
-    pair equal labels: with no zero label g has no bridge, and with no
-    repeated label no 2-edge cut either.  A collision can only add a zero or
-    repeated label with no cut behind it; that lowers the floor below, which
-    costs a longer scan but never changes the answer.  (Exact labels would
-    take O(n(m - n)) bits.)  When every degree is even, every cut is even
-    too (the degrees on one side sum to twice the edges inside it plus the
-    cut), so g then has no 3-edge cut.  The floor, 1 to 4, is the edge
-    connectivity these facts guarantee: None is returned at once when it
-    exceeds k, and otherwise the scan stops at the first sink that reaches
-    it.
+    breadth-first spanning tree is grown from the lowest vertex, which also
+    checks that g is connected.  Each non-tree edge gets a random 64-bit
+    label, and each tree edge the XOR of the labels of the non-tree edges
+    whose fundamental cycle runs through it.  Taken exactly, as sets of
+    non-tree edges, the labels obey the cut-space lemma: an edge set is a cut
+    (the edges across some bipartition of the vertices) iff its labels XOR to
+    the empty set.  The random labels are the exact ones under a linear map,
+    so every cut still XORs to 0: a bridge has label 0, the two edges of a
+    2-edge cut have equal labels, and the three of a 3-edge cut XOR to 0.
+
+    Search: for each size from 1 to k, the candidates of that size, a label-0
+    edge, a pair with equal labels or a triple whose labels XOR to 0, are
+    tried in lexicographic order, and the first one whose removal disconnects
+    g is returned.  Every cut is a candidate of its size and the sizes go up,
+    so that one is the first minimum cut.  A collision can only add candidates with no cut
+    behind them, which the check rejects: one breadth-first search from the
+    lowest vertex that avoids the candidate's edges, whose reach is side1.
+    When every degree is even, every cut is even too (the degrees on one side
+    sum to twice the edges inside it plus the cut), so sizes 1 and 3 are
+    skipped.  Bridges and pairs cost O(n + m) unless labels collide.  Triples
+    try every pair of edges, O(m^2): about 0.4 s under CPython 3.11 on two
+    random 5-regular graphs of 400 vertices joined by three edges numbered
+    last (m = 2,003).  The solver never needs them: it asks only on 4-regular
+    graphs, whose cuts are even.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= 3:
+        raise ValueError("k must be 1, 2 or 3")
     verts = g.vertices()
     n = len(verts)
     if n <= 1:
@@ -335,11 +311,10 @@ def find_edge_cut_at_most(g: Graph, k: int):
         head[2 * j], head[2 * j + 1] = ib, ia
         out[ia].append((2 * j, ib))
         out[ib].append((2 * j + 1, ia))
-    s = 0
 
-    up = [-1] * n       # up[i]: the arc the spanning tree enters i by; up[s]
-    up[s] = 2 * m       # is no arc, only a mark that s is in the tree
-    order = [s]
+    up = [-1] * n       # up[i]: the arc the spanning tree enters i by; up[0]
+    up[0] = 2 * m       # is no arc, only a mark that vertex 0 is in the tree
+    order = [0]
     for u in order:
         for a, w in out[u]:
             if up[w] < 0:
@@ -362,109 +337,36 @@ def find_edge_cut_at_most(g: Graph, k: int):
         a = up[i]
         label[a >> 1] = fold[i]
         fold[head[a ^ 1]] ^= fold[i]
-    if 0 in label:
-        floor = 1
-    elif len(set(label)) < m:
-        floor = 2
-    else:
-        floor = 3 if any(len(arcs) % 2 for arcs in out) else 4
-    if floor > k:
-        return None
+    holding: dict[int, list[int]] = {}  # label -> its edges' indices, ascending
+    for j in range(m):
+        holding.setdefault(label[j], []).append(j)
 
-    mark = [0] * n      # mark[i] == stamp: reached from s by the latest search
-    back = [0] * n      # back[i] == stamp: reached from t by the latest search
-    parent = [0] * n    # parent[i]: the arc the search from s entered i by
-    later = [0] * n     # later[i]: the arc the search from t entered i by; the
-    stamp = 0           # residual path from i to t runs over its reverse
+    def candidates(size):
+        if size == 1:
+            return ((j,) for j in holding.get(0, ()))
+        if size == 2:
+            return ((i, j) for i in range(m) for j in holding[label[i]] if j > i)
+        return ((i, j, h) for i in range(m) for j in range(i + 1, m)
+                for h in holding.get(label[i] ^ label[j], ()) if h > j)
 
-    def augment(t, res):
-        """Push one unit along a residual s-t path, if there is one.
-
-        Bidirectional BFS: each round grows the smaller of the two frontiers
-        by one whole level, until a vertex is reached from both sides.
-        """
-        nonlocal stamp
-        stamp += 1
-        st = stamp
-        mark[s] = back[t] = st
-        ahead, behind = [s], [t]
-        while ahead and behind:
-            level = []
-            if len(ahead) <= len(behind):
-                for u in ahead:
-                    for a, w in out[u]:
-                        if res[a] and mark[w] != st:
-                            mark[w] = st
-                            parent[w] = a
-                            if back[w] == st:
-                                return push(w, t, res)
-                            level.append(w)
-                ahead = level
-            else:
-                for u in behind:
-                    for a, w in out[u]:
-                        if res[a ^ 1] and back[w] != st:
-                            back[w] = st
-                            later[w] = a
-                            if mark[w] == st:
-                                return push(w, t, res)
-                            level.append(w)
-                behind = level
-        return False
-
-    def push(meet, t, res):
-        """Push one unit along the s-meet half and the meet-t half."""
-        w = meet
-        while w != s:
-            a = parent[w]
-            res[a] -= 1
-            res[a ^ 1] += 1
-            w = head[a ^ 1]
-        w = meet
-        while w != t:
-            a = later[w]
-            res[a ^ 1] -= 1
-            res[a] += 1
-            w = head[a ^ 1]
-        return True
-
-    def reach(res):
-        """Mark s's residual reach with a new stamp; return it as a list."""
-        nonlocal stamp
-        stamp += 1
-        st = stamp
-        mark[s] = st
-        queue = [s]
-        for u in queue:
-            for a, w in out[u]:
-                if res[a] and mark[w] != st:
-                    mark[w] = st
-                    queue.append(w)
-        return queue
-
-    def flow(t, stop):
-        """(min(lambda(s, t), stop), the residual capacities it leaves)."""
-        res = [1] * (2 * m)
-        value = 0
-        while value < stop and augment(t, res):
-            value += 1
-        return value, res
-
-    best, inside = k + 1, None
-    for t in range(1, n):
-        value, res = flow(t, best)
-        if value < best:
-            best = value
-            reach(res)
-            inside = [x == stamp for x in mark]
-            if value == floor:
-                break
-    if inside is None:
-        return None
-    return EdgeCut([verts[i] for i in range(n) if inside[i]],
-                   [verts[i] for i in range(n) if not inside[i]],
-                   [eids[j] for j in range(m)
-                    if inside[head[2 * j]] != inside[head[2 * j + 1]]])
+    even = not any(len(arcs) % 2 for arcs in out)
+    for size in range(1, k + 1):
+        if even and size % 2:
+            continue
+        for cut in candidates(size):
+            inside = [False] * n
+            inside[0] = True
+            reach = [0]
+            for u in reach:
+                for a, w in out[u]:
+                    if not inside[w] and a >> 1 not in cut:
+                        inside[w] = True
+                        reach.append(w)
+            if len(reach) < n:
+                return EdgeCut([verts[i] for i in range(n) if inside[i]],
+                               [verts[i] for i in range(n) if not inside[i]],
+                               [eids[j] for j in cut])
+    return None
 
 
 # -- forbidden configurations -------------------------------------------------

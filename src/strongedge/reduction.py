@@ -504,6 +504,8 @@ class _Solver:
         if conf is not None:
             return self._short_cycle(g, conf, depth)
 
+        # no vertex has degree <= 3 and no edge is doubled, so g is simple and
+        # 4-regular here: its cuts are all even, and a small one has two edges
         cut = find_edge_cut_at_most(g, 3)
         if cut is not None:
             return self._small_cut(g, cut, depth)
@@ -560,6 +562,9 @@ class _Solver:
            cut avoid side one's colors there (none is in 1..t: each sees
            every stub through the apex);
         4. splice, giving each cut edge its stubs' color, and verify.
+
+        _dispatch asks for a cut only on a simple 4-regular g, where every cut
+        is even, so t is 2 there; the steps hold for any t <= 3.
         """
         self.trace.record(depth, "small-cut", f"edges={cut.cut_edges}", g)
         cut_edges = sorted(cut.cut_edges)

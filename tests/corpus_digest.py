@@ -1,8 +1,8 @@
 """One sha256 over the colorings and traces of a fixed 2,133-run `solve21`
 corpus, so that a refactor can show it changed no output.
 
-    python3 tests/corpus_digest.py           # print the step counts and digest
-    python3 tests/corpus_digest.py --check   # exit 1 unless they equal STEPS, DIGEST
+    python3 tests/corpus_digest.py           # print the step counts, colors and digest
+    python3 tests/corpus_digest.py --check   # exit 1 unless they equal STEPS, COLORS, DIGEST
 
 Run it from anywhere: it imports the library from this checkout's `src/`, the
 generators from `perfbench/` and the fixtures from `tests/`.  The corpus, in
@@ -21,7 +21,9 @@ A change meant to keep every coloring and trace leaves DIGEST as it is; one
 that changes them on purpose updates DIGEST and says why.  STEPS, the count
 of each trace step over the corpus, pins the dispatch paths alone: a change
 that recolors without rerouting updates DIGEST and leaves STEPS as it is.
-STEPS has no `fallback` entry: the corpus runs fallback-free.
+STEPS has no `fallback` entry: the corpus runs fallback-free.  COLORS, the
+number of colors each run uses summed over the corpus, shows whether a change
+that recolors spends more colors.
 """
 import argparse
 import hashlib
@@ -40,9 +42,10 @@ from helpers import random_graph_max_deg  # noqa: E402
 from pocket import SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket  # noqa: E402
 from workloads import k5e_ring, large, pairing_multigraph, sweep  # noqa: E402
 
-DIGEST = "f579207f166f921fa14d424a68d33cb88ba2761d6c1a4a95a6b2911c82f85a14"
-STEPS = ("base-case=2369 collaborative=13 components=7 low-degree=1978 partition=13 "
+DIGEST = "8b501847cf586e582306ca3ff73a4fb09cd27914271c54d6ba28d3207a92a4f8"
+STEPS = ("base-case=2369 collaborative=13 components=7 low-degree=2084 partition=13 "
          "sdr=784 sequence-complete=2 short-cycle=951 small-cut=218")
+COLORS = 29608
 
 
 def corpus():
@@ -69,26 +72,29 @@ def corpus():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless the step counts equal STEPS and the "
-                         "digest equals DIGEST")
+                    help="exit 1 unless the step counts equal STEPS, the "
+                         "color total COLORS and the digest DIGEST")
     args = ap.parse_args(argv)
     start = time.perf_counter()
     digest = hashlib.sha256()
-    runs, steps = 0, Counter()
+    runs, colors, steps = 0, 0, Counter()
     for name, g in corpus():
         coloring, trace = solve21(g)
         digest.update(f"{name}\n{coloring_to_json(coloring)}\n{trace.format_text()}"
                       .encode())
         runs += 1
+        colors += len(coloring.colors_used())
         steps.update(trace.tags())
     value = digest.hexdigest()
     counts = " ".join(f"{tag}={count}" for tag, count in sorted(steps.items()))
     print(f"runs={runs} seconds={time.perf_counter() - start:.1f}")
     print(counts)
+    print(f"colors={colors}")
     print(value)
     if not args.check:
         return 0
-    pinned = (("step counts", counts, STEPS), ("digest", value, DIGEST))
+    pinned = (("step counts", counts, STEPS), ("color total", colors, COLORS),
+              ("digest", value, DIGEST))
     moved = [(what, want) for what, got, want in pinned if got != want]
     for what, want in moved:
         print(f"corpus {what} changed: expected {want}", file=sys.stderr)

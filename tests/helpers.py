@@ -1,14 +1,14 @@
 """Independent brute-force oracles and instance builders for the test suite.
 
 Everything here deliberately avoids the library's own algorithms: girth via
-per-root BFS, cuts via bipartition enumeration or networkx flows, patterns
-via itertools over vertex tuples, chromatic numbers via plain backtracking in
-id order, and distinct-representative checks via exhaustive assignment
-search.  The sequence-plan audit, the 2K2 test and the trace's case list
-were library exports used only by tests; they live here now.  The
-exceptions, at the end, are the library's replaced implementations of the
-configuration finders and of the verifier, kept verbatim as differential
-oracles for their successors.
+per-root BFS, cuts via bipartition enumeration or networkx's Stoer-Wagner
+minimum cut, patterns via itertools over vertex tuples, chromatic numbers via
+plain backtracking in id order, and distinct-representative checks via
+exhaustive assignment search.  The sequence-plan audit, the 2K2 test and the
+trace's case list were library exports used only by tests; they live here
+now.  The exceptions, at the end, are the library's replaced implementations
+of the configuration finders and of the verifier, kept verbatim as
+differential oracles for their successors.
 """
 import random
 from itertools import combinations, permutations, product
@@ -130,6 +130,30 @@ def random_graph(n, m, seed):
     return g
 
 
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """Copy of g under a random vertex relabelling and edge order."""
+    label = g.vertices()
+    rng.shuffle(label)
+    pairs = [g.endpoints(e) for e in g.edges()]
+    rng.shuffle(pairs)
+    h = Graph(len(label))
+    for u, v in pairs:
+        h.add_edge(label[u], label[v])
+    return h
+
+
+def k5e_ring(blobs: int, rng: random.Random) -> Graph:
+    """Ring of K5-minus-an-edge blobs, each blob's two degree-3 vertices tied
+    to the neighbouring blobs: 4-regular with edge connectivity 2."""
+    g = Graph(5 * blobs)
+    for b in range(blobs):
+        for i, j in combinations(range(5), 2):
+            if (i, j) != (0, 4):
+                g.add_edge(5 * b + i, 5 * b + j)
+        g.add_edge(5 * b + 4, 5 * ((b + 1) % blobs))
+    return shuffled(g, rng)
+
+
 # -- oracles ------------------------------------------------------------------
 
 
@@ -162,74 +186,56 @@ def girth_oracle(g: Graph):
     return best
 
 
-def brute_min_cut(g: Graph):
-    """Minimum edge cut by enumerating all bipartitions; None if disconnected."""
+def brute_min_cuts(g: Graph):
+    """Every minimum edge cut of a connected g, by enumerating bipartitions.
+
+    Returns (side of the lowest vertex, other side, cut edges) triples, each
+    list ascending, sorted by cut edges, so the first is the lexicographically
+    first minimum cut; [] when g has fewer than two vertices or is
+    disconnected.
+    """
     verts = g.vertices()
     n = len(verts)
-    if n < 2 or not g.is_connected():
-        return None
-    best = None
-    anchor = verts[0]
-    rest = verts[1:]
-    for mask in range(2 ** (n - 1)):
+    if n < 2 or len(g.components()) > 1:
+        return []
+    ends = {e: g.endpoints(e) for e in g.edges()}
+    best, cuts = None, []
+    anchor, rest = verts[0], verts[1:]
+    for mask in range(2 ** (n - 1) - 1):
         side = {anchor} | {rest[i] for i in range(n - 1) if mask >> i & 1}
-        if len(side) == n:
-            continue
-        cut = [e for e in g.edges()
-               if (g.endpoints(e)[0] in side) != (g.endpoints(e)[1] in side)]
+        cut = [e for e, (u, v) in ends.items() if (u in side) != (v in side)]
         if best is None or len(cut) < best:
-            best = len(cut)
-    return best
+            best, cuts = len(cut), []
+        if len(cut) == best:
+            cuts.append((sorted(side), [v for v in verts if v not in side], cut))
+    return sorted(cuts, key=lambda c: c[2])
 
 
-def canonical_cut_oracle(g: Graph):
-    """The canonical minimum edge cut of a connected graph, by networkx flows.
+def brute_min_cut(g: Graph):
+    """Minimum edge cut size by enumerating all bipartitions; None if disconnected."""
+    cuts = brute_min_cuts(g)
+    return len(cuts[0][2]) if cuts else None
 
-    Source: the lowest vertex id.  Sink: the first vertex, in ascending id
-    order, whose local edge connectivity to the source is minimum, computed as
-    a networkx maximum flow with capacity equal to edge multiplicity in both
-    directions.  Source side: the vertices reachable from the source over arcs
-    with residual capacity left by that flow.  Returns (side1, side2,
-    cut_edges), each ascending.  Both flows use Edmonds-Karp, faster than the
-    default preflow-push here; flow values and the minimal minimum cut do not
-    depend on the algorithm.
-    """
+
+def min_cut_size_oracle(g: Graph) -> int:
+    """Edge connectivity of a connected multigraph with at least two vertices,
+    by networkx's Stoer-Wagner minimum cut with edge multiplicities as weights."""
     import networkx as nx
-    from networkx.algorithms.flow import edmonds_karp
-    verts = g.vertices()
-    d = nx.DiGraph()
-    d.add_nodes_from(verts)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
     for e in g.edges():
         u, v = g.endpoints(e)
-        for a, b in ((u, v), (v, u)):
-            cap = d[a][b]["capacity"] + 1 if d.has_edge(a, b) else 1
-            d.add_edge(a, b, capacity=cap)
-    s = verts[0]
-    value = {t: nx.maximum_flow_value(d, s, t, flow_func=edmonds_karp)
-             for t in verts[1:]}
-    low = min(value.values())
-    t = next(t for t in verts[1:] if value[t] == low)
-    _, flow = nx.maximum_flow(d, s, t, flow_func=edmonds_karp)
-    reach = {s}
-    queue = [s]
-    for a in queue:
-        for b in d[a]:
-            left = d[a][b]["capacity"] - flow[a][b] + flow[b][a]
-            if left > 0 and b not in reach:
-                reach.add(b)
-                queue.append(b)
-    side2 = [v for v in verts if v not in reach]
-    cut = [e for e in g.edges()
-           if (g.endpoints(e)[0] in reach) != (g.endpoints(e)[1] in reach)]
-    return sorted(reach), side2, cut
+        weight = h[u][v]["weight"] + 1 if h.has_edge(u, v) else 1
+        h.add_edge(u, v, weight=weight)
+    return nx.stoer_wagner(h)[0]
 
 
 def cycle_space_floor(g: Graph, min_cut: int):
-    """The floor that find_edge_cut_at_most's cycle-space gate takes on a
-    connected g whose minimum cut has min_cut edges, when no labels collide:
-    1 with a bridge, 2 with a 2-edge cut, otherwise 3 when some degree is odd
-    and 4 when every degree is even (every cut is then even).  None below two
-    vertices, where the function returns before the gate."""
+    """The first size at which find_edge_cut_at_most's label search meets a
+    cut, on a connected g whose minimum cut has min_cut edges: min_cut when
+    it is 1 or 2, otherwise 3 when some degree is odd and 4 when every degree
+    is even (every cut is then even, and the search skips sizes 1 and 3).
+    None below two vertices, where the function returns before the search."""
     if g.num_vertices() < 2:
         return None
     if min_cut <= 2:

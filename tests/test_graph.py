@@ -2,10 +2,13 @@ import math
 import random
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strongedge.graph as graph_module
 from strongedge.graph import (
     C4,
     C5,
@@ -31,7 +34,7 @@ from strongedge.graph import (
 from helpers import (
     brute_has_configuration,
     brute_min_cut,
-    canonical_cut_oracle,
+    brute_min_cuts,
     circulant,
     complete,
     complete_bipartite,
@@ -41,10 +44,13 @@ from helpers import (
     first_configuration_oracle,
     girth_oracle,
     is_2k2_free,
+    k5e_ring,
+    min_cut_size_oracle,
     path,
     petersen,
     random_graph,
     random_graph_max_deg,
+    shuffled,
 )
 
 
@@ -137,7 +143,7 @@ class TestEdgeCut:
 
     def test_bridge(self):
         cut = find_edge_cut_at_most(self.bridge_fixture(), 3)
-        assert cut is not None and cut.size() == 1
+        assert cut is not None and len(cut.cut_edges) == 1
         u, v = self.bridge_fixture().endpoints(cut.cut_edges[0])
         assert {u, v} == {0, 5}
 
@@ -152,7 +158,12 @@ class TestEdgeCut:
 
     def test_c5_cut(self):
         cut = find_edge_cut_at_most(cycle(5), 3)
-        assert cut is not None and cut.size() == 2
+        assert cut is not None and len(cut.cut_edges) == 2
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_one_to_three_raises(self, k):
+        with pytest.raises(ValueError):
+            find_edge_cut_at_most(cycle(5), k)
 
     def test_disconnected_raises(self):
         g = Graph(4)
@@ -164,21 +175,24 @@ class TestEdgeCut:
     def test_minimum_against_bipartition_oracle(self):
         for seed in range(40):
             g = random_graph(7, 9 + seed % 4, seed)
-            if not g.is_connected():
+            if len(g.components()) > 1:
                 continue
             expected = brute_min_cut(g)
-            cut = find_edge_cut_at_most(g, g.num_edges())
-            assert cut is not None and cut.size() == expected, f"seed {seed}"
+            cut = find_edge_cut_at_most(g, 3)
+            if expected > 3:
+                assert cut is None, f"seed {seed}"
+                continue
+            assert cut is not None and len(cut.cut_edges) == expected, f"seed {seed}"
             # returned edge set really disconnects the sides
             h = g.copy()
             for e in cut.cut_edges:
                 h.remove_edge(e)
-            assert not h.is_connected()
+            assert len(h.components()) > 1
 
 
     # Two multigraphs of minimum degree 4 whose minimum cut is the two edges
     # into a triple edge, so a high minimum degree rules out no small cut;
-    # the gate finds the two edges as a cut pair with equal labels.  Both
+    # the label search finds the two edges as a pair with equal labels.  Both
     # graphs also defeat a gate that flows only to a greedy dominating set,
     # whose lemma needs a simple graph.
     @pytest.mark.parametrize("core, missing, ties, far", [
@@ -224,8 +238,6 @@ class TestEdgeCut:
     def test_four_regular_four_edge_connected(self, g):
         assert brute_min_cut(g) == 4
         assert find_edge_cut_at_most(g, 3) is None
-        cut = find_edge_cut_at_most(g, 4)
-        assert cut is not None and cut.size() == 4
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.data())
@@ -237,14 +249,33 @@ class TestEdgeCut:
             if expected > k:
                 assert cut is None, k
                 continue
-            assert cut is not None and cut.size() == expected, k
+            assert cut is not None and len(cut.cut_edges) == expected, k
             inside = set(cut.side1)
             assert sorted(cut.side1 + cut.side2) == g.vertices()
             assert cut.cut_edges == [e for e in g.edges()
                                      if (g.endpoints(e)[0] in inside)
                                      != (g.endpoints(e)[1] in inside)]
 
-    def test_canonical_cut_against_flow_oracle(self):
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_label_collisions_are_caught(self, data):
+        # two-bit labels collide on every graph with five or more non-tree
+        # edges, so zero, repeated and zero-XOR labels show up with no cut
+        # behind them; the disconnection check rejects those candidates and
+        # the answer is still the first minimum cut
+        class TwoBits(random.Random):
+            def getrandbits(self, k):
+                return super().getrandbits(2)
+
+        g = planted_cut_multigraph(data.draw)
+        first = brute_min_cuts(g)[0]
+        with mock.patch.object(graph_module, "random", SimpleNamespace(Random=TwoBits)):
+            for k in (1, 2, 3):
+                cut = find_edge_cut_at_most(g, k)
+                got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
+                assert got == (first if len(first[2]) <= k else None), k
+
+    def test_cut_against_independent_oracles(self):
         pytest.importorskip("networkx")
         rng = random.Random(11)
         graphs = [random_multigraph(rng) for _ in range(40)]
@@ -253,19 +284,67 @@ class TestEdgeCut:
         graphs += [k5e_ring(blobs, rng) for blobs in (3, 4, 5)]
         graphs += [shuffled(gen_random_regular(4, 12 + 2 * i, i), rng) for i in range(6)]
         graphs += [pendant_k5e(rng, joins) for joins in (1, 2, 3)]
-        # each case is labelled by the floor the gate takes and by whether
-        # the gate answers None at once (floor above k) or the scan runs
+        # graphs of at most ten vertices get every minimum cut by bipartition
+        # enumeration, and the answer must be the first; larger ones get the
+        # minimum cut size from networkx, and the sides must match the cut.
+        # Each case is labelled by the first size at which the label search
+        # meets a cut and by whether k reaches the minimum cut
         branches = Counter()
         for g in graphs:
-            expected = canonical_cut_oracle(g)
-            floor = cycle_space_floor(g, len(expected[2]))
-            for k in (1, 2, 3, g.num_edges()):
+            cuts = brute_min_cuts(g) if g.num_vertices() <= 10 else None
+            size = len(cuts[0][2]) if cuts else min_cut_size_oracle(g)
+            floor = cycle_space_floor(g, size)
+            for k in (1, 2, 3):
                 cut = find_edge_cut_at_most(g, k)
-                got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
-                assert got == (expected if len(expected[2]) <= k else None), (g, k)
-                branches[floor, "gate: none" if floor > k else "gate: scan"] += 1
+                branches[floor, "none" if size > k else "cut"] += 1
+                if size > k:
+                    assert cut is None, (g, k)
+                    continue
+                got = (cut.side1, cut.side2, cut.cut_edges)
+                if cuts:
+                    assert got == cuts[0], (g, k)
+                    continue
+                inside = set(cut.side1)
+                assert len(cut.cut_edges) == size, (g, k)
+                assert cut.side1[0] == g.vertices()[0]
+                assert sorted(cut.side1 + cut.side2) == g.vertices()
+                assert cut.cut_edges == [e for e in g.edges()
+                                         if (g.endpoints(e)[0] in inside)
+                                         != (g.endpoints(e)[1] in inside)]
         assert {floor for floor, _ in branches} == {1, 2, 3, 4}, branches
-        assert {branch for _, branch in branches} == {"gate: none", "gate: scan"}, branches
+        assert {branch for _, branch in branches} == {"none", "cut"}, branches
+
+    def test_k5e_ring_returns_the_first_pair(self):
+        # any two of the ring's joins, the only edges in no triangle, form a
+        # minimum cut; the answer is the two with the lowest ids, wherever
+        # vertex 0 sits
+        g = k5e_ring(6, random.Random(3))
+        joins = [e for e in g.edges()
+                 if not set(g.neighbors(g.endpoints(e)[0]))
+                 & set(g.neighbors(g.endpoints(e)[1]))]
+        assert len(joins) == 6
+        h = g.copy()
+        for e in joins[:2]:
+            h.remove_edge(e)
+        side1, side2 = sorted(h.components())
+        cut = find_edge_cut_at_most(g, 3)
+        assert cut is not None
+        assert (cut.side1, cut.side2, cut.cut_edges) == (side1, side2, joins[:2])
+
+    def test_two_joined_expanders(self):
+        # two random 4-regular graphs of 1,280 vertices joined by two edges:
+        # the cut comes off the labels in linear time
+        g = Graph(2560)
+        for base, seed in ((0, 1), (1280, 2)):
+            half = gen_random_regular(4, 1280, seed)
+            for e in half.edges():
+                u, v = half.endpoints(e)
+                g.add_edge(base + u, base + v)
+        joins = [g.add_edge(5, 1980), g.add_edge(900, 1283)]
+        cut = find_edge_cut_at_most(g, 3)
+        assert cut is not None
+        assert (cut.side1, cut.side2, cut.cut_edges) == (
+            list(range(1280)), list(range(1280, 2560)), joins)
 
 
 def planted_cut_multigraph(draw) -> Graph:
@@ -299,18 +378,6 @@ def planted_cut_multigraph(draw) -> Graph:
     for u, v in draw(st.permutations(pairs)):
         g.add_edge(label[u], label[v])
     return g
-
-
-def shuffled(g: Graph, rng: random.Random) -> Graph:
-    """Copy of g under a random vertex relabelling and edge order."""
-    label = g.vertices()
-    rng.shuffle(label)
-    pairs = [g.endpoints(e) for e in g.edges()]
-    rng.shuffle(pairs)
-    h = Graph(len(label))
-    for u, v in pairs:
-        h.add_edge(label[u], label[v])
-    return h
 
 
 def random_multigraph(rng: random.Random) -> Graph:
@@ -355,9 +422,8 @@ def pendant_k5e(rng: random.Random, joins: int) -> Graph:
     """A random 4-regular graph on 200 vertices with a K5-minus-an-edge hung
     off it by `joins` new edges, the first two at the blob's degree-3 ends.
 
-    The blob takes the highest ids, so the source lies outside it and the
-    sink side of the minimum cut is small: the search from the sink runs out
-    first, and the source's residual reach must be searched for afresh.
+    The blob takes the highest ids, so the lowest vertex lies outside it and
+    side2 of the minimum cut is the small side.
     """
     g = gen_random_regular(4, 200, rng.randrange(10 ** 6))
     blob = [g.add_vertex() for _ in range(5)]
@@ -369,18 +435,6 @@ def pendant_k5e(rng: random.Random, joins: int) -> Graph:
     for u, v in pairs:
         h.add_edge(u, v)
     return h
-
-
-def k5e_ring(blobs: int, rng: random.Random) -> Graph:
-    """Ring of K5-minus-an-edge blobs, each blob's two degree-3 vertices tied
-    to the neighbouring blobs: 4-regular with edge connectivity 2."""
-    g = Graph(5 * blobs)
-    for b in range(blobs):
-        for i, j in combinations(range(5), 2):
-            if (i, j) != (0, 4):
-                g.add_edge(5 * b + i, 5 * b + j)
-        g.add_edge(5 * b + 4, 5 * ((b + 1) % blobs))
-    return shuffled(g, rng)
 
 
 class TestConfigurations:

@@ -47,12 +47,14 @@ from helpers import (
     collaborative_cases,
     complete,
     cycle,
+    k5e_ring,
     path,
     peel_order_oracle,
+    random_graph_max_deg,
     seen_edges,
     verify_oracle,
 )
-from pocket import SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
+from pocket import M, SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
 
 # a 4-regular graph of girth exactly five on 19 vertices, found by local
 # search and frozen; it exercises the five-cycle reduction
@@ -395,6 +397,28 @@ class TestDispatchPaths:
             assert_solved(g, coloring, trace)
 
 
+    def test_cut_detector_sees_only_four_regular_graphs(self, monkeypatch):
+        # the peel and the multi-edge check run first, so every cut request
+        # is on a simple 4-regular graph, whose cuts are all even: the
+        # detector answers None or a 2-edge cut
+        import strongedge.reduction as red
+        calls = []
+
+        def spy(g, k):
+            cut = find_edge_cut_at_most(g, k)
+            calls.append((k, {g.degree(v) for v in g.vertices()},
+                          None if cut is None else len(cut.cut_edges)))
+            return cut
+
+        monkeypatch.setattr(red, "find_edge_cut_at_most", spy)
+        graphs = [k5e_ring(3 + i % 8, random.Random(i)) for i in range(16)]
+        graphs += [random_graph_max_deg(n, 2 * n, 4, n) for n in range(8, 48)]
+        for g in graphs:
+            solve21(g)
+        assert {(k, frozenset(degrees)) for k, degrees, _ in calls} == {(3, frozenset({4}))}
+        assert {size for _, _, size in calls} == {None, 2}
+
+
 class TestPublicReductions:
     """Each reduction step on a graph that reaches it: through solve21, or
     called on its own on a fresh _Solver."""
@@ -409,7 +433,7 @@ class TestPublicReductions:
     def test_reduce_small_cut(self):
         g = two_block_cut_fixture()
         cut = find_edge_cut_at_most(g, 3)
-        assert cut is not None and cut.size() == 2
+        assert cut is not None and len(cut.cut_edges) == 2
         solver = _Solver()
         coloring = PartialColoring(21, solver._small_cut(g, cut, 0))
         ok, _ = verify_strong_coloring(g, coloring)
@@ -541,6 +565,7 @@ POCKET_DIGESTS = {
     "l-sibling-thin": "d60665595bae8cc6",
     "middles-left": "19bc0ea853b35768",
     "middles-right": "2003ad61011c146c",
+    "middles-right-thin": "e4ee126691dd2e87",
     "mixed-branch": "d9e869ff70d080d5",
     "mixed-middles": "21b9e363c3969e92",
     "r-sibling": "c77cc79b12ce45ff",
@@ -550,6 +575,16 @@ POCKET_DIGESTS = {
 }
 
 VARIANT_SHAPES = {**THIN_SHAPES, **SWAP_SHAPES}
+
+# middles-right with a thin outward child: the anchor's first mid child has a
+# hub below it in each right slot, each hub shared with a mid child of another
+# branch, so its outward child has two right edges.  Kept out of pocket.py's
+# tables, which the benchmark's pocket workload imports.
+MIDDLES_RIGHT_THIN = {
+    "u": [M("L", "hub:p", "hub:q"), M("L", "R", "R"), M("L", "R", "R")],
+    "v": [M("L", "L", "hub:p"), "L", "R"],
+    "w": [M("L", "L", "hub:q"), "R", "R"],
+}
 
 # The same digests for `_collaborative` run straight on a fixture's partition
 # while `_colors_at` reports every color ("all") or only color 3 ("three").
@@ -591,6 +626,25 @@ class TestPartitionFixtures:
         assert_solved(g, coloring, trace)
         assert collaborative_cases(trace) == [expected]
         assert pocket_digest(coloring, trace) == POCKET_DIGESTS[name]
+
+    def test_middles_right_thin_outward_child(self, monkeypatch):
+        # the outward child's two right edges make the recipe pair the two
+        # outward children in the right block
+        import strongedge.reduction as red
+        build, whys = red._Solver._RECIPES["middles-right"], []
+
+        def spy(solver, g, part, labels):
+            recipe = build(solver, g, part, labels)
+            whys.extend(why for _, _, why in recipe.right)
+            return recipe
+
+        monkeypatch.setitem(red._Solver._RECIPES, "middles-right", spy)
+        g, info = build_pocket(MIDDLES_RIGHT_THIN)
+        coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert collaborative_cases(trace) == ["middles-right"]
+        assert "pairing the outward children" in whys
+        assert pocket_digest(coloring, trace) == POCKET_DIGESTS["middles-right-thin"]
 
     def test_twin_anchors_swapped_branches(self):
         # the twin-anchors pocket with the ids of the first and second
