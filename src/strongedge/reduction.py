@@ -798,8 +798,6 @@ class _Solver:
         w1 = labels.children[labels.w][0]
         if w1 in m_a:
             r = part.right_degree(g, labels.children[w1][2])
-            if r not in (1, 2):
-                raise FallbackTriggered(f"unexpected hub degree {r} on the third branch")
             return self._run_recipe(g, part, labels, depth, f"hub-deg{r}")
         return self._run_recipe(g, part, labels, depth, "twin-anchors", m_a)
 
@@ -817,15 +815,14 @@ class _Solver:
 
         When two children sit in the right block, the one with three right
         edges (if any) becomes the outward child so the recipes can route the
-        right-side helper through it.
+        right-side helper through it.  Callers pass a mid vertex of the
+        designated ring, which _check_partition_structure gives a left and a
+        right child; girth six keeps every child out of mid.
         """
         parent = self._branch_of(labels, zi)
         ks = _kids(g, zi, parent)
         lk = sorted(c for c in ks if c in part.left)
         rk = sorted(c for c in ks if c in part.right)
-        mk = [c for c in ks if c in part.mid]
-        if mk or not lk or not rk:
-            raise FallbackTriggered(f"mid vertex {zi} has unusable child structure")
         if len(lk) == 2:
             return [lk[0], lk[1], rk[0]]
         full = [c for c in rk if part.right_degree(g, c) == 3]
@@ -835,6 +832,8 @@ class _Solver:
 
     def _rich_anchor_cases(self, g: Graph, part: VertexPartition,
                        labels: BranchLabels, chosen: int, depth: int) -> dict:
+        """Dispatch an outward-rich mid vertex by its siblings.  _collaborative
+        has already run r-sibling for any candidate with a right sibling."""
         z = self._branch_of(labels, chosen)
         if z == labels.v:
             labels.swap_uv()
@@ -842,15 +841,11 @@ class _Solver:
             raise FallbackTriggered("chosen outward-rich vertex on the third branch")
         siblings = [c for c in labels.children[labels.u] if c != chosen]
         l_sib = sorted(c for c in siblings if c in part.left)
-        m_sib = sorted(c for c in siblings if c in part.mid)
-        if any(c in part.right for c in siblings):
-            raise FallbackTriggered("outward-rich vertex kept a right sibling")
         if l_sib:
             u3 = [c for c in siblings if c != l_sib[0]][0]
             labels.children[labels.u] = [chosen, l_sib[0], u3]
             return self._run_recipe(g, part, labels, depth, "l-sibling")
-        if len(m_sib) != 2:
-            raise FallbackTriggered("sibling placement escaped the case split")
+        m_sib = sorted(siblings)  # neither right nor left, so both are mid
         for sib in m_sib:
             labels.children[sib] = self._mark_children(g, part, labels, sib)
         trio = [chosen] + m_sib
@@ -869,19 +864,15 @@ class _Solver:
                          labels: BranchLabels, partner: int, hub: int,
                          branch_vertex: int) -> None:
         """Put `partner` first among its branch's children and mark its kids
-        with the hub forced into the outward slot."""
+        with the hub forced into the outward slot.  Callers have checked that
+        `partner` is a mid child of `branch_vertex` with `hub` among its kids;
+        _check_partition_structure gives it a crossing child in left."""
         ks = labels.children[branch_vertex]
-        if partner not in ks:
-            raise FallbackTriggered("hub partner not on the expected branch")
         labels.children[branch_vertex] = [partner] + [c for c in ks if c != partner]
         kids = _kids(g, partner, branch_vertex)
-        if hub not in kids:
-            raise FallbackTriggered("hub is not a child of its partner")
-        lk = sorted(c for c in kids if c in part.left)
-        if not lk:
-            raise FallbackTriggered("hub partner has no crossing child")
-        middle = sorted(set(kids) - {hub, lk[0]})
-        labels.children[partner] = [lk[0], middle[0], hub]
+        lk = min(c for c in kids if c in part.left)
+        middle = sorted(set(kids) - {hub, lk})
+        labels.children[partner] = [lk, middle[0], hub]
 
     def _hub_partners(self, g: Graph, part: VertexPartition, hub: int,
                       exclude: int, count: int, who: str = "hub") -> list[int]:
@@ -927,9 +918,6 @@ class _Solver:
 
         col = {e: col_l[e] for e in gl.edges() if g.has_edge_id(e)}
         col.update((e, col_r[e]) for e in gr.edges() if g.has_edge_id(e))
-        ok, witness = _verify_dict(g, col)
-        if not ok:
-            raise FallbackTriggered(f"block transfer produced conflict {witness}")
         steps, order = r.arm(col) if r.arm else (r.steps, r.order)
         order = list(order)
         for kind, ref, *rest in steps:
@@ -993,19 +981,12 @@ class _Solver:
             raise FallbackTriggered("fewer than three right edges for the helper triple")
         return edges
 
-    def _hub_right(self, g: Graph, part: VertexPartition, hub: int, count: int) -> list:
-        edges = _edges_in(g, part.right, hub)
-        if len(edges) != count:
-            raise FallbackTriggered("hub right degree changed under the recipe")
-        return edges
-
     def _crossing_partner(self, g: Graph, part: VertexPartition,
                           excluded_edge: int) -> int:
-        """Left endpoint of the first crossing edge other than the excluded one."""
-        for e in part.crossing:
-            if e != excluded_edge:
-                return next(p for p in g.endpoints(e) if p in part.left)
-        raise FallbackTriggered("no spare crossing edge")
+        """Left endpoint of the first crossing edge other than the excluded one;
+        build_partition's "fewer than four crossing edges" check leaves one."""
+        e = next(e for e in part.crossing if e != excluded_edge)
+        return next(p for p in g.endpoints(e) if p in part.left)
 
     # .. the recipes: one _Recipe per case ..
 
@@ -1078,20 +1059,15 @@ class _Solver:
         (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = (
             labels.children[c] for c in (u1, u2, u3))
 
-        def fix(raw):
-            u33_edges = _edges_in(g, part.right, u33)
-            if not u33_edges:
-                raise FallbackTriggered(
-                    "outward child of the third sibling has no right edge")
-            return [(_APEX, u23), (_APEX, u22), (_APEX, u13), min(u33_edges)]
-
         seeds = [((u1, u11), 1), ((u2, u23), 1), ((u1, u12), 2),
                  ((u2, u22), 2), ((u1, u13), 3), ((u2, u21), 3)]
         return _Recipe(
             left=[(_APEX, c, None) for c in (u11, u12, u21, u31)],
             right=[(_APEX, c, None) for c in (u13, u22, u23, u33)],
             norm=_APEX, d_from=min(_edges_in(g, part.left, u31)),
-            guard="shared seed color collided with the base colors", fix=fix,
+            guard="shared seed color collided with the base colors",
+            fix=lambda raw: [(_APEX, u23), (_APEX, u22), (_APEX, u13),
+                             min(_edges_in(g, part.right, u33))],
             steps=[("seed", e, c, "seeding the paired child edges") for e, c in seeds]
             + _shell(g, labels, [v, w]),
             order=[(x, v), (x, w), (x, y), (x, u), (u3, u31), (u3, u32),
@@ -1147,8 +1123,7 @@ class _Solver:
             right=[(hub, c, "spreading the hub") for c in (w2, w3, y)],
             norm=w11, d_from=u_prime_edges[0],
             guard="shared seed color collided with the base colors",
-            fix=lambda raw: self._hub_right(g, part, hub, 1)
-            + [(hub, w2), (hub, w3), (hub, y)],
+            fix=lambda raw: _edges_in(g, part.right, hub) + [(hub, c) for c in (w2, w3, y)],
             steps=[("seed", (x, y), _D, "seeding the free branch edge"),
                    ("seed", (w, w2), 2, "seeding the third branch edges"),
                    ("seed", (w, w3), 3, "seeding the third branch edges"),
@@ -1178,7 +1153,7 @@ class _Solver:
             right=[(hub, c, "spreading the hub") for c in (w2, w3)],
             norm=w11, d_from=min(_edges_in(g, part.left, w12)),
             guard="shared seed color collided with the base colors",
-            fix=lambda raw: self._hub_right(g, part, hub, 2) + [(hub, w2), (w3, w31)],
+            fix=lambda raw: _edges_in(g, part.right, hub) + [(hub, w2), (w3, w31)],
             # the hub edge of u1 waits for the ordered tail
             steps=[("seed", (w, w2), 3, "seeding the third branch edge")]
             + [s for s in _shell(g, labels, [u, v]) if s[1] != (u1, hub)],
@@ -1193,8 +1168,6 @@ class _Solver:
         u1 = m_a[0]
         if u1 in labels.children[labels.v]:
             labels.swap_uv()
-        if u1 not in labels.children[labels.u]:
-            raise FallbackTriggered("chosen anchor on an unexpected branch")
         u, v = labels.u, labels.v
         kids = _kids(g, u1, u)
         lk = sorted(c for c in kids if c in part.left)

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from strongedge.graph import (
     Graph,
@@ -695,6 +695,48 @@ class TestPartitionFixtures:
         assert_solved(g, coloring, solver.trace)
         assert pocket_digest(coloring, solver.trace) == FORCED_DIGESTS[(name, shown)]
 
+    def test_final_verify_catches_a_bad_block(self, monkeypatch):
+        # the transferred blocks are checked once, by the recipe's final
+        # verify: a left block that repeats a color at a left-core vertex
+        # must fall back there and be finished by the exact solver
+        import strongedge.reduction as red
+        g, info = build_pocket(SHAPES["hub-deg2"])
+        core = max(info["left"])  # a left-core vertex, away from every helper
+        solve_block, planted = red._Solver._solve_block, []
+
+        def bad_left(solver, g_, sub, depth, side, fixed):
+            col = solve_block(solver, g_, sub, depth, side, fixed)
+            if side == "left":
+                e1, e2 = sub.incident(core)[:2]
+                col[e2] = col[e1]
+                planted.append((e1, e2))
+            return col
+
+        verify, checked = red.verify_strong_coloring, []
+
+        def spy(g_, coloring):
+            ok, witness = verify(g_, coloring)
+            checked.append((g_, coloring.as_dict(), ok))
+            return ok, witness
+
+        monkeypatch.setattr(red._Solver, "_solve_block", bad_left)
+        monkeypatch.setattr(red, "verify_strong_coloring", spy)
+        coloring, trace = solve21(g)
+        fallbacks = [s.params for s in trace.steps if s.tag == "fallback"]
+        assert len(planted) == 1 and len(fallbacks) == 1
+        assert fallbacks[0].startswith("reason=recipe produced conflict")
+        ok, witness = verify_strong_coloring(g, coloring)
+        assert ok, witness
+        assert set(coloring.colored()) == set(g.edges())
+        assert len(coloring.colors_used()) <= 21
+        # the verifier rejected the recipe's coloring with the planted pair,
+        # and the coloring solve21 returned passed it
+        (e1, e2), = planted
+        assert [ok for _, _, ok in checked] == [False, True]
+        (_, bad, _), (last_g, last, _) = checked
+        assert bad[e1] == bad[e2]
+        assert last_g is g and last == coloring.as_dict()
+
     def test_partition_invariants(self):
         g, info = build_pocket(SHAPES["r-sibling"])
         plan = build_precolor_and_sequence(g, 0)
@@ -734,6 +776,59 @@ class TestPartitionFixtures:
         assert all(g.degree(v) == 4 for v in g.vertices())
         assert girth(g) == 6
         assert find_edge_cut_at_most(g, 3) is None
+
+
+POCKET_BASES = {**SHAPES, **{name: shape for name, (shape, _) in VARIANT_SHAPES.items()}}
+GRANDCHILD_SPECS = ["L", "R", "hub:h", "hub:p", "hub:q"]
+CHILD_SPECS = st.one_of(
+    st.sampled_from(["L", "R"]),
+    st.lists(st.sampled_from(GRANDCHILD_SPECS), min_size=3, max_size=3)
+    .map(lambda kids: M(*kids)))
+
+
+@st.composite
+def pocket_shapes(draw):
+    """A fixture shape with each branch's child specs and each mid child's
+    grandchild specs permuted, u and v swapped half the time, and one child
+    spec in four draws replaced."""
+    base = POCKET_BASES[draw(st.sampled_from(sorted(POCKET_BASES)))]
+    shape = {key: [M(*draw(st.permutations(spec[1]))) if isinstance(spec, tuple) else spec
+                   for spec in draw(st.permutations(base[key]))]
+             for key in "uvw"}
+    if draw(st.booleans()):
+        shape["u"], shape["v"] = shape["v"], shape["u"]
+    if draw(st.integers(0, 3)) == 0:
+        shape[draw(st.sampled_from("uvw"))][draw(st.integers(0, 2))] = draw(CHILD_SPECS)
+    return shape
+
+
+def relabeled(g0, rng):
+    """g0 with every vertex but the anchor 0 renamed and its edges inserted
+    in shuffled order; the solver anchors at the lowest id."""
+    ids = list(range(1, g0.num_vertices()))
+    rng.shuffle(ids)
+    perm = [0] + ids
+    edges = [[perm[p] for p in g0.endpoints(e)] for e in g0.edges()]
+    rng.shuffle(edges)
+    g = Graph(g0.num_vertices())
+    for a, b in edges:
+        g.add_edge(a, b)
+    return g
+
+
+class TestPocketDraws:
+    @settings(max_examples=70, derandomize=True, database=None, deadline=None)
+    @given(shape=pocket_shapes(), seed=st.integers(0, 2**32 - 1))
+    def test_mutated_pockets_solve_without_fallback(self, shape, seed):
+        try:
+            g0, _ = build_pocket(shape)
+        except (ValueError, RuntimeError):
+            reject()
+        # Hypothesis repeats a few small seeds; keying the shuffle on the
+        # shape too keeps one seed from giving every shape the same roles
+        g = relabeled(g0, random.Random(f"{seed} {shape}"))
+        coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
 
 
 class TestCompletionStrategies:
