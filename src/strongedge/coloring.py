@@ -263,9 +263,13 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
 
     Branches DSATUR-style on the uncolored edge with the fewest choices,
     breaking color symmetry by capping new colors at one past the maximum in
-    use, with a greedy clique as lower bound.  When `budget` search nodes are
-    exhausted the result carries bounds and exact=False; the coloring witness
-    always verifies.  With stop_at set, the search halts as soon as the
+    use, with a greedy clique as lower bound.  Only colorings that beat the
+    incumbent are searched: an edge's cap is also below the best color count
+    found so far, read afresh each time the edge takes its next color, and a
+    branch whose colors above already reach that count is dropped.  The search
+    ends once the incumbent meets the lower bound.  When `budget` search nodes
+    are exhausted the result carries bounds and exact=False; the coloring
+    witness always verifies.  With stop_at set, the search halts as soon as the
     incumbent uses at most stop_at colors (useful when any small coloring
     will do).  The search keeps its own stack, so its depth, one level per
     colored edge, has no limit from Python's recursion limit.  A negative
@@ -302,9 +306,10 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
              for v in range(m)]
 
     # The search tree is walked with an explicit stack, one frame per edge
-    # being branched on: [edge, its score, color cap, colors in use above it,
-    # the color it has now, the neighbours that color saturated].  The cap is
-    # fixed when the frame is entered, even if upper falls below it later.
+    # being branched on: [edge, its score, colors in use above it, the color
+    # it has now, the neighbours that color saturated].  A frame's cap is read
+    # from the current upper on every retry, so once a better coloring is
+    # found no frame tries a color that cannot beat it.
     nodes = 0
     complete = True
     stack = []
@@ -318,28 +323,29 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
         if top >= 0:
             v = score.index(top)
             score[v] = -1
-            stack.append([v, top, min(upper - 1, used + 1), used, 0, ()])
+            stack.append([v, top, used, 0, ()])
         else:
-            if used < upper:
-                upper = used
-                best = list(colors)
+            # every color on the path is below upper, so each leaf beats it
+            upper = used
+            best = list(colors)
+            if upper == lower:
+                break
             if stop_at is not None and upper <= stop_at:
                 complete = False
                 break
-        # Undo the color of the deepest frame and try its next one; a frame
-        # with no color left, or any frame once upper meets lower, is popped,
-        # and an empty stack ends the search.
+        # Undo the color of the deepest frame and try its next one below the
+        # cap; a frame with no color left, or whose colors above already reach
+        # upper, is popped, and an empty stack ends the search.
         while stack:
             frame = stack[-1]
-            v, _, cap, used, c, touched = frame
+            v, _, used, c, touched = frame
             if c:
                 colors[v] = 0
                 bit = 1 << c
                 for w in touched:
                     seen[w] ^= bit
                     score[w] -= step
-                if upper == lower:
-                    c = cap
+            cap = min(used + 1, upper - 1) if used < upper else 0
             c += 1
             while c <= cap and seen[v] >> c & 1:
                 c += 1
@@ -353,7 +359,7 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
             for w in touched:
                 seen[w] |= bit
                 score[w] += step
-            frame[4], frame[5] = c, touched
+            frame[3], frame[4] = c, touched
             used = max(used, c)
             break
         else:

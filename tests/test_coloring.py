@@ -364,24 +364,37 @@ class TestLineGraphSquare:
         assert 3 not in adj[0] and 0 not in adj[3]
 
 
-# First 16 hex digits of sha256 of the witness coloring JSON plus the bounds
-# and node count: pins the exact solver's search on each graph.
+# First 16 hex digits of sha256 of the witness coloring JSON plus the bounds,
+# and the search nodes: the witness pins which colorings the search finds, the
+# node count how much of the tree it walks to prove the last one optimal.
 EXACT_DIGESTS = {
-    "blowup-c5-2": (lambda: gen_blowup_c5(2), "1c2ef3953044eff2"),
-    "pg2": (lambda: gen_incidence_pg(2), "170ee38228e8d371"),
-    "c5": (lambda: cycle(5), "cde27c1fb7be5cea"),
-    "cubic-14": (lambda: gen_random_regular(3, 14, 0), "ac70b191d52c3e4f"),
+    "blowup-c5-2": (lambda: gen_blowup_c5(2), "caa0fe9339ef4278", 0),
+    "pg2": (lambda: gen_incidence_pg(2), "5b84140aa24f11ed", 548),
+    "c5": (lambda: cycle(5), "b0c37195c3c73bf8", 0),
+    "cubic-14": (lambda: gen_random_regular(3, 14, 0), "70830e5118435217", 55),
 }
 
 
 class TestExact:
     @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
     def test_witness_digest(self, name):
-        build, digest = EXACT_DIGESTS[name]
+        build, digest, _ = EXACT_DIGESTS[name]
         res = exact_strong_index(build())
-        text = (coloring_to_json(res.coloring)
-                + f" lower={res.lower} upper={res.upper} nodes={res.nodes}")
+        text = coloring_to_json(res.coloring) + f" lower={res.lower} upper={res.upper}"
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+    def test_node_count(self, name):
+        build, _, nodes = EXACT_DIGESTS[name]
+        assert exact_strong_index(build()).nodes == nodes
+
+    @pytest.mark.parametrize("seed", [31, 134])
+    def test_prunes_branches_that_cannot_beat_the_incumbent(self, seed):
+        # value 8 below a greedy seed of 9.  Trying colors that reach the
+        # incumbent costs 594,250 nodes on seed 31; searching below a branch
+        # whose colors already reach it costs 975,007 on seed 134.
+        res = exact_strong_index(gen_random_regular(3, 18, seed), budget=100_000)
+        assert res.exact and res.value == 8
 
     def test_c5(self):
         assert exact_strong_index(cycle(5)).value == 5
