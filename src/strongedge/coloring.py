@@ -112,8 +112,9 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     share an endpoint are paired by the pass over either of them.  The
     smallest conflicting pair across one edge uses only the two lowest class
     edges at each end, so each edge costs O(colors at its sparser end),
-    however many edges share a color at a vertex.  Nothing here uses
-    edge_neighborhood or the helpers built on it.
+    however many edges share a color at a vertex.  The pass reads g's edge
+    table directly, in any order, since the witness is the minimum pair.
+    Nothing here uses edge_neighborhood or the helpers built on it.
 
     Returns (True, None) or (False, (e, f)) where e < f is the smallest
     conflicting pair.  Edges colored outside 1..k are impossible by
@@ -127,8 +128,7 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
             if len(low) < 2:
                 low.append(e)
     best = None
-    for e in g.edges():
-        u, v = g.endpoints(e)
+    for u, v in g._edges.values():
         at_u, at_v = marks.get(u), marks.get(v)
         if not at_u or not at_v:
             continue

@@ -93,13 +93,16 @@ class Graph:
         """Subgraph on `vertices` keeping vertex and edge ids.
 
         Id counters carry over, so ids of later additions never collide with
-        ids of the parent graph.
+        ids of the parent graph.  Only the kept vertices' incidence lists are
+        read: O(k log k) for k kept vertices and their incident edges, not a
+        pass over every edge of the parent.
         """
         keep = set(vertices)
+        adj, ends = self._adj, self._edges
         g = Graph(0)
         g._adj = {v: [] for v in sorted(keep)}
-        for e in self.edges():
-            u, v = self._edges[e]
+        for e in sorted({e for v in keep for e in adj[v]}):
+            u, v = ends[e]
             if u in keep and v in keep:
                 g._edges[e] = (u, v)
                 g._adj[u].append(e)
@@ -164,22 +167,24 @@ class Graph:
         return len(self._adj) + len(self._edges)
 
     def components(self) -> list[list[int]]:
+        """Vertex sets of the connected components, each ascending, ordered
+        by their lowest vertex.  One breadth-first pass over the adjacency,
+        O(n log n + m)."""
+        adj, ends = self._adj, self._edges
         seen: set[int] = set()
         comps = []
-        for root in self.vertices():
+        for root in sorted(adj):
             if root in seen:
                 continue
-            comp = [root]
             seen.add(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for e in self._adj[u]:
-                    w = self.other_end(e, u)
+            comp = [root]
+            for u in comp:
+                for e in adj[u]:
+                    a, b = ends[e]
+                    w = b if a == u else a
                     if w not in seen:
                         seen.add(w)
                         comp.append(w)
-                        queue.append(w)
             comps.append(sorted(comp))
         return comps
 
@@ -288,11 +293,13 @@ def find_edge_cut_at_most(g: Graph, k: int):
     lowest vertex that avoids the candidate's edges, whose reach is side1.
     When every degree is even, every cut is even too (the degrees on one side
     sum to twice the edges inside it plus the cut), so sizes 1 and 3 are
-    skipped.  Bridges and pairs cost O(n + m) unless labels collide.  Triples
-    try every pair of edges, O(m^2): about 0.4 s under CPython 3.11 on two
-    random 5-regular graphs of 400 vertices joined by three edges numbered
-    last (m = 2,003).  The solver never needs them: it asks only on 4-regular
-    graphs, whose cuts are even.
+    skipped.  When no triple search will run and every label is distinct and
+    nonzero, there is no candidate at all, and None is returned before the
+    label classes are built.  Bridges and pairs cost O(n + m) unless labels
+    collide.  Triples try every pair of edges, O(m^2): about 0.4 s under
+    CPython 3.11 on two random 5-regular graphs of 400 vertices joined by
+    three edges numbered last (m = 2,003).  The solver never needs them: it
+    asks only on 4-regular graphs, whose cuts are even.
     """
     if not 1 <= k <= 3:
         raise ValueError("k must be 1, 2 or 3")
@@ -337,6 +344,9 @@ def find_edge_cut_at_most(g: Graph, k: int):
         a = up[i]
         label[a >> 1] = fold[i]
         fold[head[a ^ 1]] ^= fold[i]
+    even = not any(len(arcs) % 2 for arcs in out)
+    if (k < 3 or even) and 0 not in label and len(set(label)) == m:
+        return None     # no bridge or pair candidate, and no triple search
     holding: dict[int, list[int]] = {}  # label -> its edges' indices, ascending
     for j in range(m):
         holding.setdefault(label[j], []).append(j)
@@ -349,7 +359,6 @@ def find_edge_cut_at_most(g: Graph, k: int):
         return ((i, j, h) for i in range(m) for j in range(i + 1, m)
                 for h in holding.get(label[i] ^ label[j], ()) if h > j)
 
-    even = not any(len(arcs) % 2 for arcs in out)
     for size in range(1, k + 1):
         if even and size % 2:
             continue

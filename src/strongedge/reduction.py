@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 
 from .graph import (
     C4,
@@ -496,8 +497,8 @@ class _Solver:
                 col.update(self.solve(g.induced_subgraph(comp), depth + 1, g.measure()))
             return col
 
-        low = next((v for v in g.vertices() if g.degree(v) <= 3), None)
-        if low is not None:
+        low = [v for v in g.vertices() if g.degree(v) <= 3]
+        if low:
             return self._low_degree_batch(g, low, depth)
 
         conf = find_configuration(g, *CONFIGURATION_KINDS[:1])
@@ -529,22 +530,37 @@ class _Solver:
 
     # .. simple reductions ..
 
-    def _low_degree_batch(self, g: Graph, v: int, depth: int) -> dict:
-        """Peel low-degree vertices, starting at v, recurse once, extend back.
+    def _low_degree_batch(self, g: Graph, low: list, depth: int) -> dict:
+        """Peel low-degree vertices, lowest id first, recurse once, extend back.
 
-        Each peeled vertex has degree at most three when it is peeled, so each
-        of its edges sees at most 20 other edges in the graph it is peeled
-        from, and one of the 21 colors is free.  The peel records each such
-        neighbourhood just before the removal; after the recursion the edges
-        are colored in reverse peel order against the recorded sets.
+        `low` holds every vertex of degree at most three, ascending (so
+        already a heap).  Each peeled vertex has degree at most three when it
+        is peeled, so each of its edges sees at most 20 other edges in the
+        graph it is peeled from, and one of the 21 colors is free.  The peel
+        records each such neighbourhood just before the removal; after the
+        recursion the edges are colored in reverse peel order against the
+        recorded ids.
+
+        Removal only lowers degrees, so a vertex stays peelable once its
+        degree reaches three: a heap of those ids, fed by the neighbours of
+        each removed vertex, pops the lowest peelable id, as a rescan of the
+        vertex list would.  A neighbour is pushed once (a double edge lowers
+        its degree by two).  The peel costs O(n + m log n), not O(n^2).
         """
-        g2, first, peeled = g.copy(), v, []
-        while v is not None:
-            peeled.append([(e, edge_neighborhood(g2, e)) for e in g2.incident(v)])
+        g2, first, peeled = g.copy(), low[0], []
+        queued = set(low)
+        while low:
+            v = heappop(low)
+            incident = g2.incident(v)
+            peeled.append([(e, tuple(edge_neighborhood(g2, e))) for e in incident])
+            near = {g2.other_end(e, v) for e in incident}
             g2.remove_vertex(v)
             if g2.num_edges() <= BASE_CASE_EDGES:
                 break
-            v = next((u for u in g2.vertices() if g2.degree(u) <= 3), None)
+            for w in near:
+                if w not in queued and g2.degree(w) <= 3:
+                    queued.add(w)
+                    heappush(low, w)
         self.trace.record(depth, "low-degree",
                           f"v={first} count={len(peeled)}", g)
         col = self.solve(g2, depth + 1, g.measure())

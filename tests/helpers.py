@@ -7,10 +7,12 @@ plain backtracking in id order, and distinct-representative checks via
 exhaustive assignment search.  The sequence-plan audit, the 2K2 test and the
 trace's case list were library exports used only by tests; they live here
 now.  The exceptions, at the end, are the library's replaced implementations
-of the configuration finders and of the verifier, kept verbatim as
-differential oracles for their successors.
+of the configuration finders, of the verifier and of the edge-scan subgraph
+and components split, kept verbatim as differential oracles for their
+successors.
 """
 import random
+from collections import deque
 from itertools import combinations, permutations, product
 
 from strongedge.graph import (
@@ -594,3 +596,41 @@ def verify_oracle(g: Graph, coloring):
             if f > e and assign.get(f) == ce:
                 return False, (e, f)
     return True, None
+
+
+def induced_subgraph_oracle(g: Graph, vertices) -> Graph:
+    """Graph.induced_subgraph as it was: one pass over every edge of g."""
+    keep = set(vertices)
+    h = Graph(0)
+    h._adj = {v: [] for v in sorted(keep)}
+    for e in g.edges():
+        u, v = g._edges[e]
+        if u in keep and v in keep:
+            h._edges[e] = (u, v)
+            h._adj[u].append(e)
+            h._adj[v].append(e)
+    h._next_vertex = g._next_vertex
+    h._next_edge = g._next_edge
+    return h
+
+
+def components_oracle(g: Graph) -> list[list[int]]:
+    """Graph.components as it was: a deque BFS through other_end."""
+    seen: set[int] = set()
+    comps = []
+    for root in g.vertices():
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for e in g._adj[u]:
+                w = g.other_end(e, u)
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -46,7 +47,9 @@ from helpers import (
     circulant,
     collaborative_cases,
     complete,
+    components_oracle,
     cycle,
+    induced_subgraph_oracle,
     k5e_ring,
     path,
     peel_order_oracle,
@@ -417,6 +420,104 @@ class TestDispatchPaths:
             solve21(g)
         assert {(k, frozenset(degrees)) for k, degrees, _ in calls} == {(3, frozenset({4}))}
         assert {size for _, _, size in calls} == {None, 2}
+
+
+def max4_multigraph(draw) -> Graph:
+    """A multigraph of maximum degree four with shuffled ids: a random forest
+    (most draws connected), extra edges that may double a link, and a few
+    vertices removed so the ids have gaps."""
+    n = draw(st.integers(8, 40))
+    ids = draw(st.permutations(range(n)))
+    g = Graph(n)
+
+    def link(u, v):
+        if u != v and g.degree(u) < 4 and g.degree(v) < 4:
+            g.add_edge(u, v)
+
+    for i in range(1, n):
+        if draw(st.integers(0, 19)):
+            link(ids[i], ids[draw(st.integers(0, i - 1))])
+    ends = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(ends, ends), max_size=2 * n)):
+        link(u, v)
+    for v in draw(st.sets(ends, max_size=2)):
+        g.remove_vertex(v)
+    return g
+
+
+class TestLinearDispatch:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_replaced_implementations(self, data):
+        g = max4_multigraph(data.draw)
+        comps = g.components()
+        assert comps == components_oracle(g)
+        keep = data.draw(st.sets(st.sampled_from(g.vertices())))
+        new, old = g.induced_subgraph(keep), induced_subgraph_oracle(g, keep)
+        assert list(new._adj.items()) == list(old._adj.items())
+        assert list(new._edges.items()) == list(old._edges.items())
+        assert (new._next_vertex, new._next_edge) == (old._next_vertex, old._next_edge)
+
+        # the largest component is solved alone, so the peel, when there is
+        # one, is the top-level step and its removals come first
+        h = g.induced_subgraph(max(comps, key=len))
+        removed = []
+        remove_vertex = Graph.remove_vertex
+
+        def logged(graph, v):
+            removed.append(v)
+            remove_vertex(graph, v)
+
+        with mock.patch.object(Graph, "remove_vertex", logged):
+            coloring, trace = solve21(h)
+        assert_solved(h, coloring, trace)
+        if trace.steps[0].tag == "low-degree":
+            order = peel_order_oracle(h, BASE_CASE_EDGES)
+            assert removed[:len(order)] == order
+            assert trace.steps[0].params == f"v={order[0]} count={len(order)}"
+
+    def test_large_solve_lists_the_vertices_a_few_times(self):
+        # the peel pops a heap instead of rescanning the sorted vertex list
+        # after each removal, which took thousands of scans here
+        g = gen_random_regular(4, 2560, 1)
+        calls = []
+        vertices = Graph.vertices
+
+        def counted(graph):
+            calls.append(graph.num_vertices())
+            return vertices(graph)
+
+        with mock.patch.object(Graph, "vertices", counted):
+            coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert len(calls) <= 10, calls
+
+    def test_split_does_not_rescan_the_parent(self):
+        # 400 disjoint copies: each component is cut out of the parent's
+        # adjacency, so the only pass over the parent's edge list is
+        # solve21's own check that every edge got a color
+        one = gen_random_regular(4, 30, 1)
+        g = Graph(0)
+        for _ in range(400):
+            shift = g.num_vertices()
+            for _ in range(one.num_vertices()):
+                g.add_vertex()
+            for e in one.edges():
+                a, b = one.endpoints(e)
+                g.add_edge(a + shift, b + shift)
+        callers = []
+        edges = Graph.edges
+
+        def logged(graph):
+            if graph is g:
+                callers.append(sys._getframe(1).f_code.co_name)
+            return edges(graph)
+
+        with mock.patch.object(Graph, "edges", logged):
+            coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert trace.steps[0].params == "count=400"
+        assert callers == ["solve21"]
 
 
 class TestPublicReductions:
