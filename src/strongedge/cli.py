@@ -98,8 +98,13 @@ def _regularity_str(g: Graph) -> str:
 
 
 def cmd_color(args) -> int:
+    # an option the chosen algorithm would ignore is an error, not a no-op
+    reduce21 = args.alg == "reduce21"
+    for name in ("k", "seed") if reduce21 else ("trace",):
+        if getattr(args, name) is not None:
+            raise _Exit(EXIT_USAGE, f"error: --{name} does not apply to --alg {args.alg}")
     g = _read_graph(args.input)
-    if args.alg == "reduce21":
+    if reduce21:
         if g.max_degree() > 4:
             raise _Exit(EXIT_USAGE, "error: reduce21 requires maximum degree at most 4")
         coloring, trace = solve21(g)
@@ -110,14 +115,15 @@ def cmd_color(args) -> int:
             else:
                 _write_text(args.trace, trace.format_text())
     else:
-        if args.k < 0:
+        k = 21 if args.k is None else args.k
+        if k < 0:
             raise _Exit(EXIT_USAGE, "error: --k must be non-negative")
         order = None
         if args.seed is not None:
             import random
             order = g.edges()
             random.Random(args.seed).shuffle(order)
-        coloring, failed = greedy_color(g, args.k, order)
+        coloring, failed = greedy_color(g, k, order)
         if failed is not None:
             raise _Exit(EXIT_FAILURE, f"greedy failed at edge {failed}")
 
@@ -126,7 +132,7 @@ def cmd_color(args) -> int:
         raise _Exit(EXIT_INTERNAL,
                     f"internal error: produced coloring is invalid ({witness})")
     _write_text(args.out, coloring_to_json(coloring) + "\n")
-    if args.alg == "reduce21" and trace.fallback_count:
+    if reduce21 and trace.fallback_count:
         # only on success, so that a failure prints no line but its own
         print(f"warning: {trace.fallback_count} fallback event(s); "
               "coloring is still valid", file=sys.stderr)
@@ -241,11 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="color a graph file")
     p.add_argument("input", help="graph file (edge list or JSON)")
     p.add_argument("--alg", choices=("reduce21", "greedy"), default="reduce21")
-    p.add_argument("--k", type=int, default=21, help="palette size for greedy")
+    p.add_argument("--k", type=int, default=None,
+                   help="palette size for greedy (default 21)")
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle the greedy edge order with this seed")
     p.add_argument("--out", default="-", help="coloring JSON output path")
-    p.add_argument("--trace", default=None, help="write the reduction trace here")
+    p.add_argument("--trace", default=None,
+                   help="write the reduce21 reduction trace here")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("exact", help="compute the exact strong chromatic index")

@@ -192,19 +192,6 @@ def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
     return None
 
 
-def match_targets(g: Graph, assignment: dict[int, int], targets, k: int):
-    """Match the target edges to pairwise-distinct colors available in 1..k.
-
-    Returns the target -> color assignment, or None when Hall's condition
-    fails and no such matching exists.  Distinctness makes the matched
-    targets mutually safe, so adding the assignment to a good partial
-    coloring keeps it good.
-    """
-    targets = sorted(targets)
-    avail = {t: available_colors(g, assignment, t, k) for t in targets}
-    return _match_distinct(targets, avail)
-
-
 def line_graph_square(g: Graph) -> list[set[int]]:
     """Neighbour sets of the graph on the edges of g, adjacent iff they see
     each other.

@@ -47,7 +47,6 @@ from .coloring import (
     edge_neighborhood,
     exact_strong_index,
     line_graph_square,
-    match_targets,
     verify_strong_coloring,
 )
 
@@ -59,9 +58,6 @@ BASE_CASE_EDGES = 20
 #: Search nodes the exact solver may spend finishing a subinstance after a
 #: fallback; past it the solve stops with an error instead of searching on.
 EXACT_FINISH_BUDGET = 1_000_000
-
-#: Search nodes that one short-cycle completion may spend over all its searches.
-COMPLETION_NODES = 200_000
 
 
 class ExactFinishBudgetError(RuntimeError):
@@ -471,7 +467,6 @@ def _check_partition_structure(g: Graph, part: VertexPartition) -> None:
 class _Solver:
     def __init__(self):
         self.trace = ReductionTrace()
-        self._nodes_left = COMPLETION_NODES  # reset by each _complete_targets
 
     # .. top level ..
 
@@ -665,94 +660,32 @@ class _Solver:
             # The forced transfer can collide with an edge at a three-side
             # vertex: that edge sees both spokes here but not the bridge in
             # the reduced graph, so nothing steered it off the shared color.
-            # The completion search over all eight targets still closes it.
+            # Matching all eight targets to distinct colors then closes it.
             col.pop(e_v1z1, None)
             col.pop(e_v2z2, None)
             remaining = targets
         self._complete_targets(g, col, remaining, depth)
         return col
 
-    # .. completion strategies for short-cycle targets ..
+    # .. short-cycle completion ..
 
     def _complete_targets(self, g: Graph, col: dict, targets, depth: int) -> None:
-        """Color the uncolored targets, trying in order:
+        """Color the uncolored targets with distinct available colors.
 
-        1. direct: distinct available colors (match_targets);
-        2. search: _try_backtrack over every coloring of the targets, with
-           all other edges fixed, so targets that do not see each other may
-           share a color;
-        3. recolored: give two nearby edges that do not see each other one
-           common color, then search again.
-
-        The searches of one call share COMPLETION_NODES nodes; when they are
-        spent or every step fails, the call falls back.
+        Each target gets a color of 1..PALETTE on no colored edge it sees,
+        and no two targets share one (a Kuhn matching, _match_distinct), so
+        the matched targets are mutually safe.  When Hall's condition fails
+        and no such matching exists, the call falls back.
         """
         targets = sorted(t for t in targets if t not in col)
         if not targets:
             return
-        assigned = match_targets(g, col, targets, PALETTE)
-        self._nodes_left = COMPLETION_NODES
-        if assigned is not None:
-            col.update(assigned)
-            outcome = "direct"
-        elif self._try_backtrack(g, col, targets):
-            outcome = "search"
-        elif self._try_recolor_two(g, col, targets):
-            outcome = "recolored"
-        else:
+        avail = {t: available_colors(g, col, t, PALETTE) for t in targets}
+        assigned = _match_distinct(targets, avail)
+        if assigned is None:
             raise FallbackTriggered(f"completion exhausted for {len(targets)} target edges")
-        self.trace.record(depth, "sdr", f"targets={len(targets)} outcome={outcome}", g)
-
-    def _try_recolor_two(self, g: Graph, col: dict, targets) -> bool:
-        near = set().union(*(edge_neighborhood(g, t) for t in targets))
-        cand = sorted(e for e in near if e in col)
-        for i, f1 in enumerate(cand):
-            seen = edge_neighborhood(g, f1)
-            for f2 in cand[i + 1:]:
-                if col[f1] == col[f2] or f2 in seen:
-                    continue
-                if self._nodes_left <= 0:
-                    return False
-                c1, c2 = col.pop(f1), col.pop(f2)
-                common = (available_colors(g, col, f1, PALETTE)
-                          & available_colors(g, col, f2, PALETTE))
-                if common:
-                    col[f1] = col[f2] = min(common)
-                    if self._try_backtrack(g, col, targets):
-                        return True
-                col[f1], col[f2] = c1, c2
-        return False
-
-    def _try_backtrack(self, g: Graph, col: dict, targets) -> bool:
-        """Search the colorings of the uncolored targets, fewest available
-        colors first, spending at most the solver's remaining nodes."""
-        un = sorted(t for t in targets if t not in col)
-
-        def rec():
-            if self._nodes_left <= 0:
-                return False
-            self._nodes_left -= 1
-            pick, avail = None, None
-            for t in un:
-                if t in col:
-                    continue
-                a = available_colors(g, col, t, PALETTE)
-                if avail is None or len(a) < len(avail):
-                    pick, avail = t, a
-                    if not a:
-                        break
-            if pick is None:
-                return True
-            if not avail:
-                return False
-            for c in sorted(avail):
-                col[pick] = c
-                if rec():
-                    return True
-                del col[pick]
-            return False
-
-        return rec()
+        col.update(assigned)
+        self.trace.record(depth, "sdr", f"targets={len(targets)} outcome=direct", g)
 
     # .. the anchored decomposition ..
 

@@ -6,14 +6,15 @@ minimum cut, patterns via itertools over vertex tuples, chromatic numbers via
 plain backtracking in id order, and distinct-representative checks via
 exhaustive assignment search.  The sequence-plan audit, the 2K2 test and the
 trace's case list were library exports used only by tests; they live here
-now.  The exceptions, at the end, are the library's replaced implementations
-of the configuration finders, of the verifier and of the edge-scan subgraph
-and components split, kept verbatim as differential oracles for their
-successors.
+now, beside `complete_with_palette`, which drives the solver's short-cycle
+completion under a small palette.  The exceptions, at the end, are the
+library's replaced implementations of the configuration finders, of the
+verifier and of the edge-scan subgraph and components split, kept verbatim as
+differential oracles for their successors.
 """
 import random
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from strongedge.graph import (
     C4,
@@ -361,17 +362,19 @@ def brute_distinct_assignment(avail: dict):
     return rec(0, frozenset(), {})
 
 
-def brute_completion(g: Graph, col: dict, targets, k: int):
-    """First coloring of the targets from 1..k, in product order, under which
-    no target shares a color with an edge it sees, colored or target; the
-    other edges keep their colors.  Returns a dict or None."""
-    seen = {t: seen_edges(g, t) for t in targets}
-    for colors in product(range(1, k + 1), repeat=len(targets)):
-        full = dict(col)
-        full.update(zip(targets, colors))
-        if all(full.get(f) != full[t] for t in targets for f in seen[t]):
-            return dict(zip(targets, colors))
-    return None
+def complete_with_palette(g: Graph, col: dict, targets, k: int):
+    """The colors the solver's short-cycle completion gives the targets under
+    a k-color palette, or None when it falls back (col is left unchanged)."""
+    from unittest import mock
+    from strongedge import reduction
+    work = dict(col)
+    with mock.patch.object(reduction, "PALETTE", k):
+        try:
+            reduction._Solver()._complete_targets(g, work, targets, 0)
+        except reduction.FallbackTriggered:
+            assert work == col
+            return None
+    return {t: work[t] for t in targets}
 
 
 def strong_adjacency(g: Graph):

@@ -21,7 +21,6 @@ from strongedge.coloring import (
     edge_neighborhood,
     exact_strong_index,
     greedy_color,
-    match_targets,
     verify_strong_coloring,
 )
 from strongedge.reduction import build_partition, build_precolor_and_sequence, solve21
@@ -33,6 +32,7 @@ from helpers import (
     brute_min_cut,
     complete,
     complete_bipartite,
+    complete_with_palette,
     cycle,
     is_2k2_free,
     path,
@@ -183,7 +183,7 @@ def test_criterion_07_sdr_oracle_equivalence():
         rng.shuffle(uncolored)
         targets = sorted(uncolored[:rng.randint(1, 8)])
         col = coloring.as_dict()
-        assigned = match_targets(g, col, targets, k)
+        assigned = complete_with_palette(g, col, targets, k)
         brute = brute_distinct_assignment(
             {t: available_colors(g, col, t, k) for t in targets})
         if (assigned is not None) != (brute is not None):

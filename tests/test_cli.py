@@ -123,6 +123,23 @@ class TestColor:
         assert main(["color", gpath, "--alg", "reduce21",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_greedy_rejects_trace(self, tmp_path, capsys):
+        # greedy makes no reduction trace, so --trace would write nothing
+        trace = tmp_path / "t.txt"
+        assert main(["color", c5_file(tmp_path), "--alg", "greedy", "--trace", str(trace),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: --trace does not apply to --alg greedy\n"
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("option", ["--k", "--seed"])
+    def test_reduce21_rejects_greedy_options(self, tmp_path, capsys, option):
+        # reduce21 always uses 21 colors in a fixed order
+        out = tmp_path / "x.json"
+        assert main(["color", c5_file(tmp_path), option, "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} does not apply to --alg reduce21\n")
+        assert not out.exists()
+
     def test_greedy_negative_palette_exits_two(self, tmp_path, capsys):
         code = main(["color", c5_file(tmp_path), "--alg", "greedy", "--k", "-1",
                      "--out", str(tmp_path / "x.json")])

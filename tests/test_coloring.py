@@ -18,7 +18,6 @@ from strongedge.coloring import (
     exact_strong_index,
     greedy_color,
     line_graph_square,
-    match_targets,
     verify_strong_coloring,
 )
 from strongedge.reduction import _colors_at, solve21
@@ -29,6 +28,7 @@ from helpers import (
     brute_distinct_assignment,
     complete,
     complete_bipartite,
+    complete_with_palette,
     cycle,
     path,
     petersen,
@@ -284,14 +284,16 @@ class TestGreedy:
 
 
 class TestSdr:
+    """The short-cycle completion's distinct-representatives step."""
+
     def test_forced_singletons(self):
-        assigned = match_targets(path(3), {}, [0, 1, 2], 3)
+        assigned = complete_with_palette(path(3), {}, [0, 1, 2], 3)
         assert assigned is not None
         assert sorted(assigned.values()) == [1, 2, 3]
 
     def test_hall_violation_returns_none(self):
         # two adjacent edges under k=1 both have availability {1}
-        assert match_targets(path(2), {}, [0, 1], 1) is None
+        assert complete_with_palette(path(2), {}, [0, 1], 1) is None
 
     def test_triangle_deletion_scenario(self):
         # delete a triangle from a 4-regular graph, color the rest exactly,
@@ -314,7 +316,7 @@ class TestSdr:
             for v in tri:
                 h.remove_vertex(v)
             col = exact_strong_index(h).coloring.as_dict()
-            assigned = match_targets(g, col, targets, 21)
+            assigned = complete_with_palette(g, col, targets, 21)
             avail = {t: available_colors(g, col, t, 21) for t in targets}
             brute = brute_distinct_assignment(avail)
             assert (assigned is not None) == (brute is not None)
@@ -340,7 +342,7 @@ class TestSdr:
             if not targets:
                 continue
             col = trimmed.as_dict()
-            assigned = match_targets(g, col, targets, k)
+            assigned = complete_with_palette(g, col, targets, k)
             avail = {t: available_colors(g, col, t, k) for t in targets}
             assert (assigned is not None) == (brute_distinct_assignment(avail) is not None), seed
             if assigned is not None:

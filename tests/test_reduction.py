@@ -19,7 +19,6 @@ from strongedge.graph import (
 from strongedge.coloring import (
     PartialColoring,
     available_colors,
-    match_targets,
     coloring_to_json,
     edge_neighborhood,
     exact_strong_index,
@@ -42,7 +41,6 @@ from strongedge.reduction import (
 from helpers import (
     audit_sequence,
     bip_circulant,
-    brute_completion,
     brute_distinct_assignment,
     circulant,
     collaborative_cases,
@@ -933,65 +931,33 @@ class TestPocketDraws:
 
 
 class TestCompletionStrategies:
-    """The search and recolor-two steps of _complete_targets, driven by
-    synthetic availability states.
+    """_complete_targets on synthetic availability states, and the exact
+    finish that takes over when it falls back.
 
-    Natural instances close by direct distinct-representative extension, so
-    these steps are exercised with a shrunk palette and hand-built seeds.
+    Natural instances close by distinct representatives, so the fallback is
+    exercised with a shrunk palette and hand-built partial colorings.
     """
 
-    def test_pairing_rescues_equal_singletons(self, monkeypatch):
+    def test_equal_singletons_fall_back(self, monkeypatch):
         import strongedge.reduction as red
         monkeypatch.setattr(red, "PALETTE", 3)
         g = cycle(6)
-        t1, t2 = 0, 3
         col = {1: 1, 2: 2, 4: 1, 5: 2}
         solver = red._Solver()
         # both targets can only take color 3, so distinctness is hopeless
-        assert match_targets(g, col, [t1, t2], red.PALETTE) is None
-        solver._complete_targets(g, col, [t1, t2], 0)
-        assert col[t1] == 3 and col[t2] == 3
-        assert "outcome=search" in solver.trace.steps[-1].params
-
-    def test_recolor_two_frees_a_blocked_edge(self, monkeypatch):
-        import strongedge.reduction as red
-        monkeypatch.setattr(red, "PALETTE", 4)
-        g = path(5)  # edges 0..4 along 0-1-2-3-4-5
-        target = 2
-        col = {0: 3, 1: 1, 3: 2, 4: 4}
-        solver = red._Solver()
-        assert not red.available_colors(g, col, target, 4)
-        solver._complete_targets(g, col, [target], 0)
-        assert col[target] in (1, 2, 3, 4)
-        ok, _ = verify_strong_coloring(
-            g, PartialColoring(4, col))
-        assert ok
-        assert "outcome=recolored" in solver.trace.steps[-1].params
-
-    def test_backtrack_colors_repeating_targets(self, monkeypatch):
-        import strongedge.reduction as red
-        monkeypatch.setattr(red, "PALETTE", 3)
-        g = cycle(6)
-        col = {1: 1, 2: 2, 4: 1, 5: 2}
-        solver = red._Solver()
-        work = dict(col)
-        assert solver._try_backtrack(g, work, [0, 3])
-        assert work[0] == 3 and work[3] == 3
-
-    def test_backtrack_reports_failure(self, monkeypatch):
-        import strongedge.reduction as red
-        monkeypatch.setattr(red, "PALETTE", 2)
-        g = path(3)
-        solver = red._Solver()
-        work = {0: 1, 2: 2}
-        # middle edge sees both colors of a two-color palette
-        assert not solver._try_backtrack(g, work, [1])
+        with pytest.raises(FallbackTriggered,
+                           match="completion exhausted for 2 target edges"):
+            solver._complete_targets(g, col, [0, 3], 0)
+        assert col == {1: 1, 2: 2, 4: 1, 5: 2}
+        assert not solver.trace.steps
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.data())
     def test_search_matches_brute_force(self, data):
         # a small multigraph of maximum degree four, a strong partial
-        # coloring of its other edges, and up to five uncolored targets
+        # coloring of its other edges, and up to five uncolored targets:
+        # the completion colors them iff an exhaustive search finds
+        # distinct representatives, and otherwise falls back
         import strongedge.reduction as red
         n = data.draw(st.integers(2, 14))
         g = Graph(n)
@@ -1001,7 +967,7 @@ class TestCompletionStrategies:
                 g.add_edge(u, v)
         if not g.num_edges():
             return
-        k = data.draw(st.integers(2, 5))
+        k = data.draw(st.integers(2, 8))
         targets = sorted(data.draw(st.sets(st.sampled_from(g.edges()),
                                            min_size=1, max_size=5)))
         col = {}
@@ -1010,53 +976,36 @@ class TestCompletionStrategies:
             if (e not in targets and c
                     and all(col.get(f) != c for f in seen_edges(g, e))):
                 col[e] = c
-        expected = brute_completion(g, col, targets, k)
+        expected = brute_distinct_assignment(
+            {t: set(range(1, k + 1)) - {col.get(f) for f in seen_edges(g, t)}
+             for t in targets})
+        solver = red._Solver()
+        work = dict(col)
         with mock.patch.object(red, "PALETTE", k):
-            work = dict(col)
-            found = red._Solver()._try_backtrack(g, work, targets)
-            assert found == (expected is not None)
-            if found:
-                assert set(targets) <= set(work)
-                assert verify_oracle(g, PartialColoring(k, work)) == (True, None)
-                assert {e: c for e, c in work.items() if e not in targets} == col
-            solver = red._Solver()
-            work = dict(col)
             try:
                 solver._complete_targets(g, work, targets, 0)
             except FallbackTriggered:
                 assert expected is None
+                assert work == col
                 return
+        assert expected is not None
         assert set(targets) <= set(work)
         assert verify_oracle(g, PartialColoring(k, work)) == (True, None)
-        outcome = solver.trace.steps[-1].params.split("outcome=")[1]
-        assert (outcome == "recolored") == (expected is None)
-
-    def test_blocked_tail_state_closes_by_recoloring(self):
-        state = TestBlockedTailManeuver().blocked_state()
-        g, plan, seeded, blocked = state
-        import strongedge.reduction as red
-        solver = red._Solver()
-        col = seeded.as_dict()
-        solver._complete_targets(g, col, [blocked], 0)
-        assert blocked in col
-        ok, _ = verify_strong_coloring(g, PartialColoring(21, col))
-        assert ok
+        assert {e: c for e, c in work.items() if e not in targets} == col
+        assert solver.trace.steps[-1].params == f"targets={len(targets)} outcome=direct"
 
     def test_forced_fallback_recovers_via_exact(self, monkeypatch):
+        # with every availability set empty, the completion of the triangle
+        # finds no match and the exact finish colors the whole graph
         import strongedge.reduction as red
-
-        def boom(self, g, col, targets, depth):
-            raise red.FallbackTriggered("forced by test")
-
-        monkeypatch.setattr(red._Solver, "_complete_targets", boom)
+        monkeypatch.setattr(red, "available_colors", lambda *args: frozenset())
         g = circulant(11, (1, 2))
         coloring, trace = solve21(g)
         ok, _ = verify_strong_coloring(g, coloring)
         assert ok and set(coloring.colored()) == set(g.edges())
         assert len(coloring.colors_used()) <= 21
-        assert trace.fallback_count >= 1
-        assert any("forced by test" in s.params for s in trace.steps
-                   if s.tag == "fallback")
+        assert [s.format() for s in trace.steps if s.tag == "fallback"] == [
+            "0 fallback reason=completion exhausted for 9 target edges |V|=11 |E|=22"]
 
     def test_exact_finish_budget_is_bounded(self, monkeypatch):
         # C7 needs 4 colors; with a palette of 3 and a one-node budget the

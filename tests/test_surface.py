@@ -10,6 +10,7 @@ from unittest import mock
 import strongedge
 from strongedge import coloring, reduction
 from strongedge.cli import main
+from strongedge.graph import gen_random_regular
 
 from helpers import cycle
 from pocket import SHAPES, build_pocket
@@ -77,6 +78,14 @@ def test_tracer_targets_resolve_and_trace_a_solve():
     with tracer.Tracer().installed() as t:
         col, trace = reduction.solve21(g)
         assert t.calls["coloring.exact_strong_index"] == 0
+        # a short-cycle completion reads one availability set per target
+        # through reduction's binding of available_colors
+        assert t.calls["coloring.available_colors"] == 0
+        _, sdr_trace = reduction.solve21(gen_random_regular(4, 59, 194))
+        sdr = [s.params for s in sdr_trace.steps if s.tag == "sdr"]
+        assert sdr == ["targets=8 outcome=direct"]
+        assert t.calls["reduction.complete_targets"] == 1
+        assert t.calls["coloring.available_colors"] == 8
         # the exact solver through each of its two bindings: a direct call,
         # then the exact finish of a solve whose low-degree extension fails
         coloring.exact_strong_index(cycle(5))
