@@ -58,28 +58,38 @@ class PartialColoring:
         return f"PartialColoring(k={self.k}, colored={len(self._assign)})"
 
 
-def edge_neighborhood(g: Graph, e: int) -> frozenset:
-    """Edges seen by e: those at a vertex of the closed neighbourhood of an
-    endpoint of e, e itself excepted.
+def _ball(g: Graph, at: list) -> frozenset:
+    """The edges at an end of an edge in `at`, read straight from the
+    adjacency.  With `at` the edges at x this is B(x), the edges at x or at a
+    neighbour of x; with the edges at u and at v, B(u) | B(v)."""
+    adj, ends = g._adj, g._edges
+    near = set(chain.from_iterable(map(ends.__getitem__, at)))
+    return frozenset(chain.from_iterable(map(adj.__getitem__, near)))
 
-    Read straight from the graph's adjacency, without copying edge lists.
+
+def _balls(g: Graph) -> dict[int, frozenset]:
+    """B(x) for every vertex x of g, each built once."""
+    return {x: _ball(g, at) for x, at in g._adj.items()}
+
+
+def edge_neighborhood(g: Graph, e: int) -> frozenset:
+    """Edges seen by e = uv: B(u) | B(v) without e.
+
     With maximum degree four there are at most 24.  An unknown edge id raises
-    ValueError.  The solver's neighbourhood maps (SequencePlan.neighborhoods,
-    line_graph_square) come from here; verify_strong_coloring does not.
+    ValueError.  Callers that need many neighbourhoods of one graph take them
+    from _balls instead; verify_strong_coloring uses neither.
     """
     adj, ends = g._adj, g._edges
     if e not in ends:
         raise ValueError(f"unknown edge id {e}")
     u, v = ends[e]
-    near = set(chain.from_iterable(map(ends.__getitem__, adj[u] + adj[v])))
-    seen = set(chain.from_iterable(map(adj.__getitem__, near)))
-    seen.discard(e)
-    return frozenset(seen)
+    return _ball(g, adj[u] + adj[v]) - {e}
 
 
 def _neighborhoods(g: Graph) -> dict[int, frozenset]:
     """edge_neighborhood of every edge of g, in ascending edge-id order."""
-    return {e: edge_neighborhood(g, e) for e in g.edges()}
+    balls, ends = _balls(g), g._edges
+    return {e: (balls[ends[e][0]] | balls[ends[e][1]]) - {e} for e in g.edges()}
 
 
 def _first_free(shown, k: int):
@@ -150,7 +160,8 @@ def greedy_color(g: Graph, k: int, order=None):
     Returns (coloring, failed_edge); failed_edge is None on full success and
     otherwise the first edge whose availability was empty (coloring then holds
     the partial result up to that point).  With k >= 2*D*D - 2*D + 1 for max
-    degree D the greedy pass always completes.
+    degree D the greedy pass always completes.  Each vertex's ball is built
+    once; e = uv reads B(u) | B(v), where e itself is still uncolored.
     """
     eids = g.edges()
     if order is None:
@@ -159,8 +170,10 @@ def greedy_color(g: Graph, k: int, order=None):
         raise ValueError("order must be a permutation of the edge ids")
     coloring = PartialColoring(k)
     assign = coloring._assign
+    balls, ends = _balls(g), g._edges
     for e in order:
-        c = _first_free({assign[f] for f in edge_neighborhood(g, e) if f in assign}, k)
+        u, v = ends[e]
+        c = _first_free({assign[f] for f in balls[u] | balls[v] if f in assign}, k)
         if c is None:
             return coloring, e
         assign[e] = c

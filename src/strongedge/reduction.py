@@ -39,6 +39,7 @@ from .graph import (
 )
 from .coloring import (
     PartialColoring,
+    _balls,
     _first_free,
     _greedy_seed,
     _match_distinct,
@@ -216,8 +217,8 @@ class SequencePlan:
     four later sequence edges, so a forward greedy pass with 21 colors always
     has room; the tail itself is saved by color repetition in the seed and by
     one sanctioned recolor move.  neighborhoods maps every edge of the graph
-    to its edge_neighborhood, built once with the plan; extend_sequence reads
-    every neighbourhood it needs from it.
+    to its edge_neighborhood, built once with the plan from one ball per
+    vertex; extend_sequence reads every neighbourhood it needs from it.
     """
 
     labels: BranchLabels
@@ -529,12 +530,15 @@ class _Solver:
         """Peel low-degree vertices, lowest id first, recurse once, extend back.
 
         `low` holds every vertex of degree at most three, ascending (so
-        already a heap).  Each peeled vertex has degree at most three when it
-        is peeled, so each of its edges sees at most 20 other edges in the
-        graph it is peeled from, and one of the 21 colors is free.  The peel
-        records each such neighbourhood just before the removal; after the
-        recursion the edges are colored in reverse peel order against the
-        recorded ids.
+        already a heap).  The peel records each peeled vertex's edge ids;
+        after the recursion the edges are colored in reverse peel order, each
+        against its neighbourhood in the unmutated input g, taken from one
+        ball per vertex of g.  Let v be peeled from g_t, the graph just before
+        its removal, and e = va.  When e is colored back every colored edge
+        lies in g_t, and an edge of g joining an end of e to an end of a
+        colored f has both ends in g_t, so it is in g_t too: e sees the same
+        colored edges in g as in g_t.  In g_t, v has degree at most three, so
+        e sees at most 20 other edges there, and one of the 21 colors is free.
 
         Removal only lowers degrees, so a vertex stays peelable once its
         degree reaches three: a heap of those ids, fed by the neighbours of
@@ -547,7 +551,7 @@ class _Solver:
         while low:
             v = heappop(low)
             incident = g2.incident(v)
-            peeled.append([(e, tuple(edge_neighborhood(g2, e))) for e in incident])
+            peeled.append(incident)
             near = {g2.other_end(e, v) for e in incident}
             g2.remove_vertex(v)
             if g2.num_edges() <= BASE_CASE_EDGES:
@@ -559,9 +563,11 @@ class _Solver:
         self.trace.record(depth, "low-degree",
                           f"v={first} count={len(peeled)}", g)
         col = self.solve(g2, depth + 1, g.measure())
-        for pendant in reversed(peeled):
-            for e, seen in pendant:
-                _greedy_assign(col, e, seen, "low-degree extension")
+        balls, ends = _balls(g), g._edges
+        for incident in reversed(peeled):
+            for e in incident:
+                u, v = ends[e]
+                _greedy_assign(col, e, balls[u] | balls[v], "low-degree extension")
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:

@@ -378,13 +378,13 @@ def complete_with_palette(g: Graph, col: dict, targets, k: int):
 
 
 def strong_adjacency(g: Graph):
-    """Adjacency lists of the seeing-relation graph over 0..m-1 edge indices."""
-    from strongedge.coloring import edge_neighborhood
+    """Adjacency lists of the seeing-relation graph over 0..m-1 edge indices,
+    from seen_edges rather than the library's neighbourhood code."""
     eids = g.edges()
     index = {e: i for i, e in enumerate(eids)}
     adj = [set() for _ in eids]
     for i, e in enumerate(eids):
-        for f in edge_neighborhood(g, e):
+        for f in seen_edges(g, e):
             adj[i].add(index[f])
     return [sorted(s) for s in adj]
 
@@ -585,17 +585,18 @@ def first_configuration_oracle(g: Graph, *kinds: str):
 
 def verify_oracle(g: Graph, coloring):
     """Check that no two same-colored edges see each other, by the sorted
-    per-edge neighbourhood scan that verify_strong_coloring replaced.
+    per-edge neighbourhood scan that verify_strong_coloring replaced.  The
+    neighbourhoods come from seen_edges, so no library neighbourhood code is
+    involved in the check.
 
     Returns (True, None) or (False, (e, f)) with the first offending pair in
     ascending id order.  Edges colored outside 1..k are impossible by
     construction of PartialColoring.
     """
-    from strongedge.coloring import edge_neighborhood
     assign = coloring._assign
     for e in sorted(assign):
         ce = assign[e]
-        for f in sorted(edge_neighborhood(g, e)):
+        for f in sorted(seen_edges(g, e)):
             if f > e and assign.get(f) == ce:
                 return False, (e, f)
     return True, None

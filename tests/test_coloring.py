@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_regular
 from strongedge.coloring import (
     PartialColoring,
+    _neighborhoods,
     available_colors,
     bounds,
     coloring_from_json,
@@ -31,6 +32,7 @@ from helpers import (
     complete_with_palette,
     cycle,
     path,
+    peel_order_oracle,
     petersen,
     random_graph_max_deg,
     seen_edges,
@@ -69,21 +71,41 @@ class TestNeighborhood:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(st.data())
     def test_matches_oracle_through_a_peel(self, data):
-        # the peel's pattern: record the neighbourhood of each edge at a
-        # vertex, then remove the vertex; each recorded set must be what the
-        # edge sees in the graph the vertex left, and removals must keep the
-        # survivors' neighbourhoods right
+        # vertex removals, in any order, must keep every survivor's
+        # neighbourhood right, from edge_neighborhood and _neighborhoods alike
         g = max_degree_four_multigraph(data.draw)
         assert_neighborhoods_match_oracle(g)
         order = data.draw(st.permutations(g.vertices()))
-        recorded = []
         for v in order[:data.draw(st.integers(0, len(order)))]:
-            recorded.append((g.copy(), [(e, edge_neighborhood(g, e)) for e in g.incident(v)]))
             g.remove_vertex(v)
             assert_neighborhoods_match_oracle(g)
-        for left, pendant in reversed(recorded):
-            for e, seen in pendant:
-                assert seen == seen_edges(left, e), e
+
+    def test_parallel_edges_and_an_isolated_vertex(self):
+        g = Graph(5)
+        for u, v in [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)]:
+            g.add_edge(u, v)
+        assert g.degree(4) == 0
+        assert_neighborhoods_match_oracle(g)
+        assert edge_neighborhood(g, 0) == {1, 2, 3, 4}
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_peeled_edges_see_the_same_colored_edges_in_the_input(self, data):
+        # the low-degree peel colors an edge e at a peeled vertex back against
+        # its neighbourhood in the input g, not in g_t, the graph the vertex
+        # left: every edge colored by then lies in g_t, so the two must agree
+        # on E(g_t).  The oracle's peel runs down to no edges, past the
+        # solver's base case, so that every removal is checked.
+        if data.draw(st.booleans()):
+            g = max_degree_four_multigraph(data.draw)
+        else:
+            g = pairing_model_multigraph(data.draw)
+        g_t = g.copy()
+        for v in peel_order_oracle(g, 0):
+            kept = set(g_t.edges())
+            for e in g_t.incident(v):
+                assert seen_edges(g, e) & kept == seen_edges(g_t, e), (v, e)
+            g_t.remove_vertex(v)
 
 
 def max_degree_four_multigraph(draw) -> Graph:
@@ -99,9 +121,24 @@ def max_degree_four_multigraph(draw) -> Graph:
     return g
 
 
+def pairing_model_multigraph(draw) -> Graph:
+    """The pairing model on 2-24 vertices: four stubs per vertex in a drawn
+    order, paired off in turn, loops dropped.  Parallel edges stay, so the
+    graph is a multigraph of maximum degree four, mostly 4-regular."""
+    n = draw(st.integers(2, 24))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(4)]))
+    g = Graph(n)
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
 def assert_neighborhoods_match_oracle(g: Graph) -> None:
+    hoods = _neighborhoods(g)
+    assert list(hoods) == g.edges()
     for e in g.edges():
-        assert edge_neighborhood(g, e) == seen_edges(g, e), e
+        assert edge_neighborhood(g, e) == hoods[e] == seen_edges(g, e), e
 
 
 @lru_cache(maxsize=None)
@@ -124,10 +161,10 @@ class TestVerify:
     def test_shares_no_code_with_the_neighborhood_path(self):
         # the verifier checks the solver's output, so it must not reuse the
         # neighbourhood code the solver colors with
-        path_names = {"edge_neighborhood", "_neighborhoods", "_first_free",
-                      "available_colors"}
+        path_names = {"edge_neighborhood", "_neighborhoods", "_ball", "_balls",
+                      "_first_free", "available_colors"}
         assert not code_names(verify_strong_coloring.__code__) & path_names
-        assert "edge_neighborhood" in code_names(greedy_color.__code__)
+        assert "_balls" in code_names(greedy_color.__code__)
 
     def test_all_distinct_on_c5(self):
         g = cycle(5)

@@ -96,9 +96,11 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert t.calls["coloring.exact_strong_index"] == 2
     assert_solved(g, col, trace)
     assert pocket_digest(col, trace) == POCKET_DIGESTS["mixed-branch"]
+    # the benchmark's per-layer rows read edge_neighborhood through these
+    # bindings; the mixed-branch solve's recipe passes make 16 calls
     for layer in ("reduction.dispatch", "reduction.collaborative",
                   "graph.find_edge_cut_at_most", "graph.find_configuration",
-                  "reduction.build_partition"):
+                  "reduction.build_partition", "coloring.edge_neighborhood"):
         assert t.calls[layer] > 0, layer
     assert set(t.calls) <= set(tracer.LAYERS)
     assert [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS] == originals
