@@ -394,8 +394,19 @@ def coloring_to_json(coloring: PartialColoring) -> str:
     return json.dumps({"k": coloring.k, "colors": colors}, sort_keys=True)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads object hook: the object as a dict, ValueError on a repeated key."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        raise ValueError("coloring JSON repeats a key in one object")
+    return data
+
+
 def coloring_from_json(text: str) -> PartialColoring:
-    data = json.loads(text)
+    """Parse {"k": <int>, "colors": {"<edge id>": <color>, ...}}.  Edge keys
+    must be canonical decimal ids ("0", "17"; not "00", " 1" or "1_0") and no
+    key may repeat, so no two keys name the same edge."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError("coloring JSON must be an object")
     colors = _json_field(data, "colors", "coloring JSON")
@@ -403,5 +414,7 @@ def coloring_from_json(text: str) -> PartialColoring:
         raise ValueError("coloring JSON 'colors' must be an object")
     c = PartialColoring(_json_int(_json_field(data, "k", "coloring JSON"), "'k'"))
     for e, col in colors.items():
+        if not e.isdecimal() or str(int(e)) != e:
+            raise ValueError(f"coloring JSON edge key {e!r} is not a canonical decimal id")
         c.assign(int(e), _json_int(col, f"the color of edge {e}"))
     return c

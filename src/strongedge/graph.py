@@ -19,7 +19,7 @@ C5 = "c5"
 
 #: Search order used by the reduction solver; earlier kinds are assumed absent
 #: by the completion recipes of later ones.  The solver looks for the first
-#: kind before the small-cut detector and for the rest after it.
+#: kind before the 2-edge-cut detector and for the rest after it.
 CONFIGURATION_KINDS = (MULTI_EDGE, TRIANGLE, K33, K24, K23, C4, C5)
 
 INFINITE = math.inf
@@ -261,16 +261,19 @@ def girth(g: Graph):
 # -- minimum edge cut ---------------------------------------------------------
 
 
-def find_edge_cut_at_most(g: Graph, k: int):
-    """Lexicographically first minimum edge cut of a connected graph, if it
-    has at most k edges, for k in 1..3.
+def find_edge_cut_at_most(g: Graph):
+    """Lexicographically first 2-edge cut of a connected graph whose degrees
+    are all even, or None when it has none.
 
-    Returns None when every edge cut has more than k edges, and otherwise an
-    EdgeCut whose cut_edges, ascending, are the first edge set in
-    lexicographic order of ascending edge ids among the minimum cuts; side1
-    holds the lowest vertex id and side2 the rest, each ascending.  The
-    answer depends on g alone.  Raises ValueError on disconnected input
-    (callers must split components first) and when k is not 1, 2 or 3.
+    The cut_edges of the returned EdgeCut are the first such pair in
+    lexicographic order of ascending edge ids; side1 holds the lowest vertex
+    id and side2 the rest, each ascending.  The answer depends on g alone.
+    Raises ValueError on disconnected input (callers must split components
+    first) and when some degree is odd.  Every cut of an even-degree graph is
+    even (the degrees on one side sum to twice the edges inside it plus the
+    cut), so a 2-edge cut is a minimum one; the solver asks only on 4-regular
+    graphs.  The name stays because perfbench's tracer patches
+    reduction.find_edge_cut_at_most by name and keys a layer by it.
 
     Labels (cycle-space sampling; Pritchard and Thurimella, "Fast computation
     of small cuts via cycle space sampling", ACM TALG 2011), O(n + m): a
@@ -281,28 +284,16 @@ def find_edge_cut_at_most(g: Graph, k: int):
     non-tree edges, the labels obey the cut-space lemma: an edge set is a cut
     (the edges across some bipartition of the vertices) iff its labels XOR to
     the empty set.  The random labels are the exact ones under a linear map,
-    so every cut still XORs to 0: a bridge has label 0, the two edges of a
-    2-edge cut have equal labels, and the three of a 3-edge cut XOR to 0.
+    so the two edges of a 2-edge cut have equal labels.
 
-    Search: for each size from 1 to k, the candidates of that size, a label-0
-    edge, a pair with equal labels or a triple whose labels XOR to 0, are
-    tried in lexicographic order, and the first one whose removal disconnects
-    g is returned.  Every cut is a candidate of its size and the sizes go up,
-    so that one is the first minimum cut.  A collision can only add candidates with no cut
-    behind them, which the check rejects: one breadth-first search from the
-    lowest vertex that avoids the candidate's edges, whose reach is side1.
-    When every degree is even, every cut is even too (the degrees on one side
-    sum to twice the edges inside it plus the cut), so sizes 1 and 3 are
-    skipped.  When no triple search will run and every label is distinct and
-    nonzero, there is no candidate at all, and None is returned before the
-    label classes are built.  Bridges and pairs cost O(n + m) unless labels
-    collide.  Triples try every pair of edges, O(m^2): about 0.4 s under
-    CPython 3.11 on two random 5-regular graphs of 400 vertices joined by
-    three edges numbered last (m = 2,003).  The solver never needs them: it
-    asks only on 4-regular graphs, whose cuts are even.
+    Search: when every label is distinct there is no candidate, and None is
+    returned before the label classes are built.  Otherwise the pairs with
+    equal labels are tried in lexicographic order, and the first one whose
+    removal disconnects g is returned.  A collision can only add candidates
+    with no cut behind them, which the check rejects: one breadth-first
+    search from the lowest vertex that avoids the candidate's edges, whose
+    reach is side1.  This costs O(n + m) unless labels collide.
     """
-    if not 1 <= k <= 3:
-        raise ValueError("k must be 1, 2 or 3")
     verts = g.vertices()
     n = len(verts)
     if n <= 1:
@@ -318,6 +309,8 @@ def find_edge_cut_at_most(g: Graph, k: int):
         head[2 * j], head[2 * j + 1] = ib, ia
         out[ia].append((2 * j, ib))
         out[ib].append((2 * j + 1, ia))
+    if any(len(arcs) % 2 for arcs in out):
+        raise ValueError("graph has a vertex of odd degree")
 
     up = [-1] * n       # up[i]: the arc the spanning tree enters i by; up[0]
     up[0] = 2 * m       # is no arc, only a mark that vertex 0 is in the tree
@@ -344,37 +337,25 @@ def find_edge_cut_at_most(g: Graph, k: int):
         a = up[i]
         label[a >> 1] = fold[i]
         fold[head[a ^ 1]] ^= fold[i]
-    even = not any(len(arcs) % 2 for arcs in out)
-    if (k < 3 or even) and 0 not in label and len(set(label)) == m:
-        return None     # no bridge or pair candidate, and no triple search
+    if len(set(label)) == m:
+        return None     # no pair candidate
     holding: dict[int, list[int]] = {}  # label -> its edges' indices, ascending
     for j in range(m):
         holding.setdefault(label[j], []).append(j)
 
-    def candidates(size):
-        if size == 1:
-            return ((j,) for j in holding.get(0, ()))
-        if size == 2:
-            return ((i, j) for i in range(m) for j in holding[label[i]] if j > i)
-        return ((i, j, h) for i in range(m) for j in range(i + 1, m)
-                for h in holding.get(label[i] ^ label[j], ()) if h > j)
-
-    for size in range(1, k + 1):
-        if even and size % 2:
-            continue
-        for cut in candidates(size):
-            inside = [False] * n
-            inside[0] = True
-            reach = [0]
-            for u in reach:
-                for a, w in out[u]:
-                    if not inside[w] and a >> 1 not in cut:
-                        inside[w] = True
-                        reach.append(w)
-            if len(reach) < n:
-                return EdgeCut([verts[i] for i in range(n) if inside[i]],
-                               [verts[i] for i in range(n) if not inside[i]],
-                               [eids[j] for j in cut])
+    for cut in ((i, j) for i in range(m) for j in holding[label[i]] if j > i):
+        inside = [False] * n
+        inside[0] = True
+        reach = [0]
+        for u in reach:
+            for a, w in out[u]:
+                if not inside[w] and a >> 1 not in cut:
+                    inside[w] = True
+                    reach.append(w)
+        if len(reach) < n:
+            return EdgeCut([verts[i] for i in range(n) if inside[i]],
+                           [verts[i] for i in range(n) if not inside[i]],
+                           [eids[j] for j in cut])
     return None
 
 

@@ -3,11 +3,12 @@
 The solver peels a graph down by a fixed ladder of reductions: tiny instances
 are colored greedily, then low-degree vertices, parallel edges, small edge
 cuts, and short-cycle patterns are removed and recolored from availability
-counts.  What survives is 4-regular with girth at least six and no cut of
-three or fewer edges; those graphs are handled by an anchored decomposition:
-a three-color seed around an anchor vertex, a reverse-greedy edge sequence,
-and, when the sequence stalls, a left/mid/right vertex split whose two sides
-are colored independently and stitched together by color renaming.
+counts.  What survives is 4-regular with girth at least six and no 2-edge
+cut (every cut of a 4-regular graph is even); those graphs are handled by an
+anchored decomposition: a three-color seed around an anchor vertex, a
+reverse-greedy edge sequence, and, when the sequence stalls, a left/mid/right
+vertex split whose two sides are colored independently and stitched together
+by color renaming.
 
 Every proof-backed step checks availability before assigning.  If a step is
 ever blocked (which indicates a bug or a gap in the underlying argument) the
@@ -503,7 +504,7 @@ class _Solver:
 
         # no vertex has degree <= 3 and no edge is doubled, so g is simple and
         # 4-regular here: its cuts are all even, and a small one has two edges
-        cut = find_edge_cut_at_most(g, 3)
+        cut = find_edge_cut_at_most(g)
         if cut is not None:
             return self._small_cut(g, cut, depth)
 
@@ -571,28 +572,24 @@ class _Solver:
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:
-        """Color the two sides of a cut of t <= 3 edges apart and stitch them:
+        """Color the two sides of a 2-edge cut apart and stitch them:
 
         1. build each side as a block with an apex and one stub per cut edge;
-        2. solve each side and normalize its stubs, in cut order, to 1..t;
+        2. solve each side and normalize its stubs, in cut order, to 1 and 2;
         3. separate the boundaries: rename side two so that its edges at the
-           cut avoid side one's colors there (none is in 1..t: each sees
-           every stub through the apex);
+           cut avoid side one's colors there (neither is 1 or 2: each sees
+           both stubs through the apex);
         4. splice, giving each cut edge its stubs' color, and verify.
-
-        _dispatch asks for a cut only on a simple 4-regular g, where every cut
-        is even, so t is 2 there; the steps hold for any t <= 3.
         """
         self.trace.record(depth, "small-cut", f"edges={cut.cut_edges}", g)
-        cut_edges = sorted(cut.cut_edges)
         sides = []
         for side in (set(cut.side1), set(cut.side2)):
-            ends = [next(p for p in g.endpoints(e) if p in side) for e in cut_edges]
+            ends = [next(p for p in g.endpoints(e) if p in side) for e in cut.cut_edges]
             sub, ids = self._block(g, side, [(_APEX, p, None) for p in ends])
             apex = ids[_APEX]
             stubs = sub.incident(apex)
             col = self._solve_block(g, sub, depth, "cut",
-                                    lambda raw: dict(zip(stubs, (1, 2, 3))))
+                                    lambda raw: dict(zip(stubs, (1, 2))))
             boundary = [e for s in stubs for e in sub.incident(sub.other_end(s, apex))
                         if e not in stubs]
             sides.append((sub, col, stubs, boundary))
@@ -604,8 +601,7 @@ class _Solver:
 
         working = {e: col1[e] for e in g1.edges() if g.has_edge_id(e)}
         working.update({e: col2[e] for e in g2.edges() if g.has_edge_id(e)})
-        for s, e in enumerate(cut_edges):
-            working[e] = s + 1
+        working.update(zip(cut.cut_edges, (1, 2)))
         ok, witness = _verify_dict(g, working)
         if not ok:
             raise FallbackTriggered(f"cut splice produced conflict {witness}")
@@ -965,9 +961,7 @@ class _Solver:
         z1, z2, z3 = labels.children[z]
         z11, z12, z13 = labels.children[z1]
         a_prime = self._crossing_partner(g, part, _eid(g, z1, z11))
-        thin = part.right_degree(g, z13) != 3
-        if thin and z12 not in part.right:
-            raise FallbackTriggered("thin outward child without a right twin")
+        pair = _outward_pair(g, part, z13, z12)
         o1, o2 = sorted(set(labels.branch[:3]) - {z})
 
         def fix(raw):
@@ -981,8 +975,7 @@ class _Solver:
 
         return _Recipe(
             left=[(z11, a_prime, None)],
-            right=([(z13, z12, "pairing the outward children")] if thin else [])
-            + [(z13, z3, "joining outward child to right sibling")],
+            right=pair + [(z13, z3, "joining outward child to right sibling")],
             norm=z11, d_from=(z11, a_prime), fix=fix,
             steps=_shell(g, labels, [o1]) + _shell(g, labels, [o2]) + _down(g, z2, z)
             + [("try", (z1, z11), z12, "seeding the crossing child edge")],
@@ -993,13 +986,10 @@ class _Solver:
         x, (u, v, w, y) = labels.x, labels.branch
         u1, u2, u3 = labels.children[u]
         u11, u12, u13 = labels.children[u1]
-        thin = part.right_degree(g, u13) != 3
-        if thin and u12 not in part.right:
-            raise FallbackTriggered("thin outward child without a right twin")
+        pair = _outward_pair(g, part, u13, u12)
         return _Recipe(
             left=[(u11, u2, "joining crossing target to left sibling")],
-            right=([(u13, u12, "pairing the outward children")] if thin else [])
-            + [(u13, y, "joining outward child to free branch")],
+            right=pair + [(u13, y, "joining outward child to free branch")],
             norm=u11, d_from=(u2, _kids(g, u2, u)[0]),
             guard="sibling seed color collided with the base colors",
             fix=lambda raw: self._right_triple(g, part, u13, u12) + [(u13, y)],
@@ -1232,6 +1222,15 @@ def _edge(g: Graph, ref, helpers=None) -> int:
 def _edges_in(g: Graph, side: set, v: int) -> list[int]:
     """Edges of v with both ends in `side`, in id order."""
     return [e for e in g.incident(v) if v in side and g.other_end(e, v) in side]
+
+
+def _outward_pair(g: Graph, part: VertexPartition, outer: int, twin: int) -> list:
+    """The helper pairing outer with twin when outer has < 3 right edges."""
+    if part.right_degree(g, outer) == 3:
+        return []
+    if twin not in part.right:
+        raise FallbackTriggered("thin outward child without a right twin")
+    return [(outer, twin, "pairing the outward children")]
 
 
 def _down(g: Graph, v: int, parent: int) -> list:

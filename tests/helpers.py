@@ -145,6 +145,17 @@ def shuffled(g: Graph, rng: random.Random) -> Graph:
     return h
 
 
+def even_closure(g: Graph) -> Graph:
+    """Copy of g with its odd-degree vertices, in id order, joined in
+    consecutive pairs by one new edge each (parallel when the pair is
+    already adjacent): every degree is even, so every cut is too."""
+    h = g.copy()
+    odd = [v for v in h.vertices() if h.degree(v) % 2]
+    for u, v in zip(odd[::2], odd[1::2]):
+        h.add_edge(u, v)
+    return h
+
+
 def k5e_ring(blobs: int, rng: random.Random) -> Graph:
     """Ring of K5-minus-an-edge blobs, each blob's two degree-3 vertices tied
     to the neighbouring blobs: 4-regular with edge connectivity 2."""
@@ -231,19 +242,6 @@ def min_cut_size_oracle(g: Graph) -> int:
         weight = h[u][v]["weight"] + 1 if h.has_edge(u, v) else 1
         h.add_edge(u, v, weight=weight)
     return nx.stoer_wagner(h)[0]
-
-
-def cycle_space_floor(g: Graph, min_cut: int):
-    """The first size at which find_edge_cut_at_most's label search meets a
-    cut, on a connected g whose minimum cut has min_cut edges: min_cut when
-    it is 1 or 2, otherwise 3 when some degree is odd and 4 when every degree
-    is even (every cut is then even, and the search skips sizes 1 and 3).
-    None below two vertices, where the function returns before the search."""
-    if g.num_vertices() < 2:
-        return None
-    if min_cut <= 2:
-        return min_cut
-    return 3 if any(g.degree(v) % 2 for v in g.vertices()) else 4
 
 
 def brute_has_configuration(g: Graph, kind: str) -> bool:

@@ -29,11 +29,12 @@ from helpers import (
     brute_chromatic,
     brute_distinct_assignment,
     brute_has_configuration,
-    brute_min_cut,
+    brute_min_cuts,
     complete,
     complete_bipartite,
     complete_with_palette,
     cycle,
+    even_closure,
     is_2k2_free,
     path,
     random_graph,
@@ -222,20 +223,24 @@ def test_criterion_08_exact_solver_oracle():
 def test_criterion_09_structure_detector_oracles():
     t0 = time.time()
     discrepancies = 0
+    outcomes = {"cut": 0, "none": 0}
     for seed in range(200):
         g = random_graph(5 + seed % 6, 4 + seed % 12, seed)
         for kind in CONFIGURATION_KINDS:
             found = find_configuration(g, kind) is not None
             if found != brute_has_configuration(g, kind):
                 discrepancies += 1
+        # the cut detector takes even degrees only: pair up the odd ones
+        g = even_closure(g)
         if g.num_vertices() >= 2 and len(g.components()) == 1:
-            cut = find_edge_cut_at_most(g, 3)
-            expected = brute_min_cut(g)
-            if expected > 3 and cut is not None:
-                discrepancies += 1
-            if expected <= 3 and (cut is None or len(cut.cut_edges) != expected):
+            cut = find_edge_cut_at_most(g)
+            first = brute_min_cuts(g)[0]
+            expected = first if len(first[2]) == 2 else None
+            outcomes["none" if expected is None else "cut"] += 1
+            if (None if cut is None else (cut.side1, cut.side2, cut.cut_edges)) != expected:
                 discrepancies += 1
     assert discrepancies == 0
+    assert min(outcomes.values()) >= 20, outcomes
     assert time.time() - t0 < 120.0
     report(9, "pattern and cut detectors match brute enumeration", t0)
 

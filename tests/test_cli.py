@@ -42,7 +42,7 @@ BAD_GRAPH_JSON = ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0, 1, 2
 # no palette size.
 BAD_COLORING_JSON = ["[1, 2]", '{"k": 5, "colors": 5}', '{"k": 5, "colors": {"0": [1]}}',
                      '{"k": "5", "colors": {"0": 1}}', '{"k": 3, "colors": {"0": 1.5}}',
-                     '{"colors": {}}']
+                     '{"colors": {}}', '{"k": 21, "colors": {"0": 1, "00": 2}}']
 
 # Each command that writes a file, pointed at a path in a missing directory.
 UNWRITABLE = {

@@ -536,6 +536,15 @@ class TestColoringJson:
         again = coloring_from_json(coloring_to_json(c))
         assert again == c
 
+    # int() reads "00", " 0" and "1_0" as 0, 0 and 10, so such keys would
+    # silently overwrite the color of another key's edge
+    @pytest.mark.parametrize("colors", [
+        '{"0": 1, "00": 2}', '{" 0": 1}', '{"1_0": 3}', '{"+1": 1}', '{"-1": 1}',
+        '{"0": 1, "0": 2}'])
+    def test_noncanonical_or_repeated_edge_keys_raise(self, colors):
+        with pytest.raises(ValueError):
+            coloring_from_json(f'{{"k": 21, "colors": {colors}}}')
+
     def test_sorted_output_is_deterministic(self):
         g = gen_blowup_c5(2)
         c, _ = greedy_color(g, 21)

@@ -39,8 +39,8 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
-    cycle_space_floor,
     doubled,
+    even_closure,
     first_configuration_oracle,
     girth_oracle,
     is_2k2_free,
@@ -142,14 +142,14 @@ class TestEdgeCut:
         return g
 
     def test_bridge(self):
-        cut = find_edge_cut_at_most(self.bridge_fixture(), 3)
-        assert cut is not None and len(cut.cut_edges) == 1
-        u, v = self.bridge_fixture().endpoints(cut.cut_edges[0])
-        assert {u, v} == {0, 5}
+        # a bridge leaves odd degrees behind (here at 1 and 6), and the
+        # detector takes only even-degree graphs, which have no bridge
+        with pytest.raises(ValueError, match="odd degree"):
+            find_edge_cut_at_most(self.bridge_fixture())
 
     def test_four_edge_connected_incidence_graph(self):
         g = gen_incidence_pg(3)
-        assert find_edge_cut_at_most(g, 3) is None
+        assert find_edge_cut_at_most(g) is None
         nx = pytest.importorskip("networkx")
         h = nx.Graph()
         for e in g.edges():
@@ -157,29 +157,24 @@ class TestEdgeCut:
         assert nx.edge_connectivity(h) == 4
 
     def test_c5_cut(self):
-        cut = find_edge_cut_at_most(cycle(5), 3)
+        cut = find_edge_cut_at_most(cycle(5))
         assert cut is not None and len(cut.cut_edges) == 2
-
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_k_outside_one_to_three_raises(self, k):
-        with pytest.raises(ValueError):
-            find_edge_cut_at_most(cycle(5), k)
 
     def test_disconnected_raises(self):
         g = Graph(4)
         g.add_edge(0, 1)
         g.add_edge(2, 3)
-        with pytest.raises(ValueError):
-            find_edge_cut_at_most(g, 3)
+        with pytest.raises(ValueError, match="disconnected"):
+            find_edge_cut_at_most(doubled(g))
 
     def test_minimum_against_bipartition_oracle(self):
         for seed in range(40):
-            g = random_graph(7, 9 + seed % 4, seed)
+            g = even_closure(random_graph(7, 9 + seed % 4, seed))
             if len(g.components()) > 1:
                 continue
             expected = brute_min_cut(g)
-            cut = find_edge_cut_at_most(g, 3)
-            if expected > 3:
+            cut = find_edge_cut_at_most(g)
+            if expected > 2:
                 assert cut is None, f"seed {seed}"
                 continue
             assert cut is not None and len(cut.cut_edges) == expected, f"seed {seed}"
@@ -189,12 +184,12 @@ class TestEdgeCut:
                 h.remove_edge(e)
             assert len(h.components()) > 1
 
-
     # Two multigraphs of minimum degree 4 whose minimum cut is the two edges
     # into a triple edge, so a high minimum degree rules out no small cut;
     # the label search finds the two edges as a pair with equal labels.  Both
     # graphs also defeat a gate that flows only to a greedy dominating set,
-    # whose lemma needs a simple graph.
+    # whose lemma needs a simple graph.  The second has degree-5 vertices in
+    # its core, which even_closure pairs up inside the core.
     @pytest.mark.parametrize("core, missing, ties, far", [
         (5, [(0, 1)], [(0, 5), (1, 6)], [5, 6]),
         (6, [(0, 4), (0, 5)], [(0, 6), (5, 7)], [6, 7]),
@@ -208,26 +203,25 @@ class TestEdgeCut:
             g.add_edge(*far)
         for u, v in ties:
             g.add_edge(u, v)
+        g = even_closure(g)
         assert min(g.degree(v) for v in g.vertices()) == 4
-        cut = find_edge_cut_at_most(g, 3)
+        cut = find_edge_cut_at_most(g)
         assert cut is not None
         assert cut.side1 == list(range(core)) and cut.side2 == far
         assert [g.endpoints(e) for e in cut.cut_edges] == ties
 
     def test_odd_degrees_keep_three_edge_cuts(self):
         # two K5s joined by three disjoint edges: degree 5 at the joined ends,
-        # edge connectivity 3 and no cut pair, so only the odd degrees say
-        # that a 3-edge cut may exist
+        # edge connectivity 3 and no cut pair.  An odd minimum cut is no pair,
+        # so a finder of 2-edge cuts refuses odd degrees
         g = Graph(10)
         for base in (0, 5):
             for i, j in combinations(range(5), 2):
                 g.add_edge(base + i, base + j)
-        joins = [g.add_edge(i, 5 + i) for i in range(3)]
-        cut = find_edge_cut_at_most(g, 3)
-        assert cut is not None
-        assert (cut.side1, cut.side2, cut.cut_edges) == (
-            [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], joins)
-        assert find_edge_cut_at_most(g, 2) is None
+        for i in range(3):
+            g.add_edge(i, 5 + i)
+        with pytest.raises(ValueError, match="odd degree"):
+            find_edge_cut_at_most(g)
 
     @pytest.mark.parametrize("g", [
         circulant(9, (1, 2)),
@@ -237,43 +231,41 @@ class TestEdgeCut:
     ], ids=["c9-12", "c13-15", "doubled-c6", "random-12"])
     def test_four_regular_four_edge_connected(self, g):
         assert brute_min_cut(g) == 4
-        assert find_edge_cut_at_most(g, 3) is None
+        assert find_edge_cut_at_most(g) is None
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.data())
     def test_gate_against_bipartition_oracle(self, data):
-        g = planted_cut_multigraph(data.draw)
+        g = even_closure(planted_cut_multigraph(data.draw))
         expected = brute_min_cut(g)
-        for k in (1, 2, 3):
-            cut = find_edge_cut_at_most(g, k)
-            if expected > k:
-                assert cut is None, k
-                continue
-            assert cut is not None and len(cut.cut_edges) == expected, k
-            inside = set(cut.side1)
-            assert sorted(cut.side1 + cut.side2) == g.vertices()
-            assert cut.cut_edges == [e for e in g.edges()
-                                     if (g.endpoints(e)[0] in inside)
-                                     != (g.endpoints(e)[1] in inside)]
+        cut = find_edge_cut_at_most(g)
+        if expected > 2:
+            assert cut is None
+            return
+        assert cut is not None and len(cut.cut_edges) == expected
+        inside = set(cut.side1)
+        assert sorted(cut.side1 + cut.side2) == g.vertices()
+        assert cut.cut_edges == [e for e in g.edges()
+                                 if (g.endpoints(e)[0] in inside)
+                                 != (g.endpoints(e)[1] in inside)]
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.data())
     def test_label_collisions_are_caught(self, data):
         # two-bit labels collide on every graph with five or more non-tree
-        # edges, so zero, repeated and zero-XOR labels show up with no cut
-        # behind them; the disconnection check rejects those candidates and
-        # the answer is still the first minimum cut
+        # edges, so repeated labels show up with no cut behind them; the
+        # disconnection check rejects those candidates and the answer is
+        # still the first minimum cut
         class TwoBits(random.Random):
             def getrandbits(self, k):
                 return super().getrandbits(2)
 
-        g = planted_cut_multigraph(data.draw)
+        g = even_closure(planted_cut_multigraph(data.draw))
         first = brute_min_cuts(g)[0]
         with mock.patch.object(graph_module, "random", SimpleNamespace(Random=TwoBits)):
-            for k in (1, 2, 3):
-                cut = find_edge_cut_at_most(g, k)
-                got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
-                assert got == (first if len(first[2]) <= k else None), k
+            cut = find_edge_cut_at_most(g)
+        got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
+        assert got == (first if len(first[2]) == 2 else None)
 
     def test_cut_against_independent_oracles(self):
         pytest.importorskip("networkx")
@@ -286,33 +278,28 @@ class TestEdgeCut:
         graphs += [pendant_k5e(rng, joins) for joins in (1, 2, 3)]
         # graphs of at most ten vertices get every minimum cut by bipartition
         # enumeration, and the answer must be the first; larger ones get the
-        # minimum cut size from networkx, and the sides must match the cut.
-        # Each case is labelled by the first size at which the label search
-        # meets a cut and by whether k reaches the minimum cut
+        # minimum cut size from networkx, and the sides must match the cut
         branches = Counter()
-        for g in graphs:
+        for g in map(even_closure, graphs):
             cuts = brute_min_cuts(g) if g.num_vertices() <= 10 else None
             size = len(cuts[0][2]) if cuts else min_cut_size_oracle(g)
-            floor = cycle_space_floor(g, size)
-            for k in (1, 2, 3):
-                cut = find_edge_cut_at_most(g, k)
-                branches[floor, "none" if size > k else "cut"] += 1
-                if size > k:
-                    assert cut is None, (g, k)
-                    continue
-                got = (cut.side1, cut.side2, cut.cut_edges)
-                if cuts:
-                    assert got == cuts[0], (g, k)
-                    continue
-                inside = set(cut.side1)
-                assert len(cut.cut_edges) == size, (g, k)
-                assert cut.side1[0] == g.vertices()[0]
-                assert sorted(cut.side1 + cut.side2) == g.vertices()
-                assert cut.cut_edges == [e for e in g.edges()
-                                         if (g.endpoints(e)[0] in inside)
-                                         != (g.endpoints(e)[1] in inside)]
-        assert {floor for floor, _ in branches} == {1, 2, 3, 4}, branches
-        assert {branch for _, branch in branches} == {"none", "cut"}, branches
+            cut = find_edge_cut_at_most(g)
+            branches["none" if size > 2 else "cut"] += 1
+            if size > 2:
+                assert cut is None, g
+                continue
+            got = (cut.side1, cut.side2, cut.cut_edges)
+            if cuts:
+                assert got == cuts[0], g
+                continue
+            inside = set(cut.side1)
+            assert len(cut.cut_edges) == size, g
+            assert cut.side1[0] == g.vertices()[0]
+            assert sorted(cut.side1 + cut.side2) == g.vertices()
+            assert cut.cut_edges == [e for e in g.edges()
+                                     if (g.endpoints(e)[0] in inside)
+                                     != (g.endpoints(e)[1] in inside)]
+        assert branches["none"] >= 10 and branches["cut"] >= 10, branches
 
     def test_k5e_ring_returns_the_first_pair(self):
         # any two of the ring's joins, the only edges in no triangle, form a
@@ -327,13 +314,14 @@ class TestEdgeCut:
         for e in joins[:2]:
             h.remove_edge(e)
         side1, side2 = sorted(h.components())
-        cut = find_edge_cut_at_most(g, 3)
+        cut = find_edge_cut_at_most(g)
         assert cut is not None
         assert (cut.side1, cut.side2, cut.cut_edges) == (side1, side2, joins[:2])
 
     def test_two_joined_expanders(self):
-        # two random 4-regular graphs of 1,280 vertices joined by two edges:
-        # the cut comes off the labels in linear time
+        # two random 4-regular graphs of 1,280 vertices joined by two edges,
+        # whose ends even_closure pairs up on each side: the cut comes off
+        # the labels in linear time
         g = Graph(2560)
         for base, seed in ((0, 1), (1280, 2)):
             half = gen_random_regular(4, 1280, seed)
@@ -341,7 +329,7 @@ class TestEdgeCut:
                 u, v = half.endpoints(e)
                 g.add_edge(base + u, base + v)
         joins = [g.add_edge(5, 1980), g.add_edge(900, 1283)]
-        cut = find_edge_cut_at_most(g, 3)
+        cut = find_edge_cut_at_most(even_closure(g))
         assert cut is not None
         assert (cut.side1, cut.side2, cut.cut_edges) == (
             list(range(1280)), list(range(1280, 2560)), joins)

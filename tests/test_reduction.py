@@ -405,9 +405,9 @@ class TestDispatchPaths:
         import strongedge.reduction as red
         calls = []
 
-        def spy(g, k):
-            cut = find_edge_cut_at_most(g, k)
-            calls.append((k, {g.degree(v) for v in g.vertices()},
+        def spy(g):
+            cut = find_edge_cut_at_most(g)
+            calls.append(({g.degree(v) for v in g.vertices()},
                           None if cut is None else len(cut.cut_edges)))
             return cut
 
@@ -416,8 +416,8 @@ class TestDispatchPaths:
         graphs += [random_graph_max_deg(n, 2 * n, 4, n) for n in range(8, 48)]
         for g in graphs:
             solve21(g)
-        assert {(k, frozenset(degrees)) for k, degrees, _ in calls} == {(3, frozenset({4}))}
-        assert {size for _, _, size in calls} == {None, 2}
+        assert {frozenset(degrees) for degrees, _ in calls} == {frozenset({4})}
+        assert {size for _, size in calls} == {None, 2}
 
 
 def max4_multigraph(draw) -> Graph:
@@ -531,7 +531,7 @@ class TestPublicReductions:
 
     def test_reduce_small_cut(self):
         g = two_block_cut_fixture()
-        cut = find_edge_cut_at_most(g, 3)
+        cut = find_edge_cut_at_most(g)
         assert cut is not None and len(cut.cut_edges) == 2
         solver = _Solver()
         coloring = PartialColoring(21, solver._small_cut(g, cut, 0))
@@ -874,7 +874,7 @@ class TestPartitionFixtures:
         g, info = build_pocket(SHAPES["twin-anchors"])
         assert all(g.degree(v) == 4 for v in g.vertices())
         assert girth(g) == 6
-        assert find_edge_cut_at_most(g, 3) is None
+        assert find_edge_cut_at_most(g) is None
 
 
 POCKET_BASES = {**SHAPES, **{name: shape for name, (shape, _) in VARIANT_SHAPES.items()}}
