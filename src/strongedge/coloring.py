@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .graph import Graph, _json_field, _json_int
+from .graph import Graph, _json_field, _json_int, _unique_keys
 
 
 class PartialColoring:
@@ -114,23 +114,60 @@ def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> fr
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     """Check that every color class is an induced matching.
 
-    One map from each vertex and color to the two lowest edge ids of that
-    color at that vertex marks the class endpoints.  Two same-colored edges
-    conflict when some edge of g, colored or not, joins an endpoint of one to
-    an endpoint of the other, so one pass over g's edges, pairing the class
-    edges marked at its two ends, finds every conflict.  Two class edges that
-    share an endpoint are paired by the pass over either of them.  The
-    smallest conflicting pair across one edge uses only the two lowest class
-    edges at each end, so each edge costs O(colors at its sparser end),
-    however many edges share a color at a vertex.  The pass reads g's edge
-    table directly, in any order, since the witness is the minimum pair.
-    Nothing here uses edge_neighborhood or the helpers built on it.
+    The decision reads one set per vertex, S(x): the colors of the colored
+    edges at x.  Two same-colored edges conflict when they share an endpoint
+    or some edge of g, colored or not, joins an endpoint of one to an
+    endpoint of the other.  So the coloring is valid exactly when no vertex
+    repeats a color, that is the sizes of the S(x) sum to twice the number of
+    colored edges, and S(u) & S(v) holds, for each edge uv, only the colors
+    of the colored u-v edges.  In a simple graph that is uv's own color, or
+    nothing when uv is uncolored; the parallel u-v edges are counted only
+    when a set intersection is larger than that.  The decision costs
+    O(sum of degrees + sum over edges uv of min(|S(u)|, |S(v)|)), and
+    O(deg u) more for each edge uv whose intersection is larger.
+
+    Only a coloring that fails is handed to _smallest_conflict for its
+    witness, so a valid coloring never pays for that search.  Nothing here
+    uses edge_neighborhood or the helpers built on it.
 
     Returns (True, None) or (False, (e, f)) where e < f is the smallest
-    conflicting pair.  Edges colored outside 1..k are impossible by
-    construction of PartialColoring.
+    conflicting pair.  A colored edge id that is not in g raises ValueError.
+    Edges colored outside 1..k are impossible by construction of
+    PartialColoring.
     """
     assign = coloring._assign
+    adj, ends = g._adj, g._edges
+    at = {x: set(map(assign.get, es)) for x, es in adj.items()}
+    for colors in at.values():
+        colors.discard(None)
+    # each S(x) has at most as many colors as x has colored edges, so the sum
+    # falls short exactly when a vertex repeats a color or a colored id is not
+    # in g, for which the witness search raises ValueError from g.endpoints
+    ok = sum(map(len, at.values())) == 2 * len(assign)
+    if ok:
+        for e, (u, v) in ends.items():
+            shared = len(at[u] & at[v])
+            if (shared > (e in assign)
+                    and shared > sum(f in assign and v in ends[f] for f in adj[u])):
+                ok = False
+                break
+    return (True, None) if ok else (False, _smallest_conflict(g, assign))
+
+
+def _smallest_conflict(g: Graph, assign: dict[int, int]):
+    """The smallest conflicting pair (e, f), e < f, of a raw edge->color dict,
+    or None when there is none.
+
+    One map from each vertex and color to the two lowest edge ids of that
+    color at that vertex marks the class endpoints.  One pass over g's edges,
+    pairing the class edges marked at its two ends, finds every conflict; two
+    class edges that share an endpoint are paired by the pass over either of
+    them.  The smallest conflicting pair across one edge uses only the two
+    lowest class edges at each end, so each edge costs O(colors at its
+    sparser end), however many edges share a color at a vertex.  The pass
+    reads g's edge table directly, in any order, since the witness is the
+    minimum pair.
+    """
     marks: dict[int, dict[int, list[int]]] = {}
     for e in sorted(assign):
         for v in g.endpoints(e):
@@ -151,7 +188,7 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
                         pair = (x, y) if x < y else (y, x)
                         if best is None or pair < best:
                             best = pair
-    return (True, None) if best is None else (False, best)
+    return best
 
 
 def greedy_color(g: Graph, k: int, order=None):
@@ -394,19 +431,11 @@ def coloring_to_json(coloring: PartialColoring) -> str:
     return json.dumps({"k": coloring.k, "colors": colors}, sort_keys=True)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """json.loads object hook: the object as a dict, ValueError on a repeated key."""
-    data = dict(pairs)
-    if len(data) < len(pairs):
-        raise ValueError("coloring JSON repeats a key in one object")
-    return data
-
-
 def coloring_from_json(text: str) -> PartialColoring:
     """Parse {"k": <int>, "colors": {"<edge id>": <color>, ...}}.  Edge keys
     must be canonical decimal ids ("0", "17"; not "00", " 1" or "1_0") and no
     key may repeat, so no two keys name the same edge."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
+    data = json.loads(text, object_pairs_hook=_unique_keys("coloring JSON"))
     if not isinstance(data, dict):
         raise ValueError("coloring JSON must be an object")
     colors = _json_field(data, "colors", "coloring JSON")

@@ -649,6 +649,17 @@ def _json_field(data: dict, key: str, what: str):
     return data[key]
 
 
+def _unique_keys(what: str):
+    """json.loads object hook for `what` ("graph JSON"): the object as a
+    dict, ValueError naming `what` on a repeated key."""
+    def hook(pairs: list) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            raise ValueError(f"{what} repeats a key in one object")
+        return data
+    return hook
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: "p <n> <m>" then m lines "e <u> <v>".
 
@@ -703,7 +714,8 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
+    """Parse {"n": <int>, "edges": [[u, v], ...]}; no key may repeat."""
+    data = json.loads(text, object_pairs_hook=_unique_keys("graph JSON"))
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     edges = _json_field(data, "edges", "graph JSON")

@@ -32,10 +32,11 @@ def assert_one_line_error(capsys):
 
 # Graph JSON of the wrong shape: not an object, edges not a list, an entry
 # that is not a pair, a null vertex count, a fractional vertex count, a
-# boolean vertex id, no vertex count.
+# boolean vertex id, no vertex count, a repeated key.
 BAD_GRAPH_JSON = ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[0, 1, 2]]}',
                   '{"n": null, "edges": []}', '{"n": 3.5, "edges": []}',
-                  '{"n": 3, "edges": [[true, 2]]}', '{"edges": []}']
+                  '{"n": 3, "edges": [[true, 2]]}', '{"edges": []}',
+                  '{"n": 2, "edges": [[0, 1]], "edges": [[0, 1], [0, 1]]}']
 
 # Coloring JSON of the wrong shape: not an object, colors not an object,
 # a color that is a list, a palette size that is a string, a fractional color,
@@ -324,6 +325,15 @@ class TestVerify:
         assert capsys.readouterr().err == "error: coloring JSON is missing the field 'k'\n"
         assert main(["verify", str(gpath), str(out)]) == 2
         assert capsys.readouterr().err == "error: graph JSON is missing the field 'n'\n"
+
+    def test_repeated_key_is_named(self, tmp_path, capsys):
+        gpath, out = tmp_path / "g.json", tmp_path / "col.json"
+        gpath.write_text('{"n": 2, "edges": [[0, 1]], "edges": [[0, 1], [0, 1]]}')
+        out.write_text('{"k": 5, "colors": {"0": 1, "0": 2}}')
+        assert main(["verify", c5_file(tmp_path), str(out)]) == 2
+        assert capsys.readouterr().err == "error: coloring JSON repeats a key in one object\n"
+        assert main(["verify", str(gpath), str(out)]) == 2
+        assert capsys.readouterr().err == "error: graph JSON repeats a key in one object\n"
 
 
 class TestGen:

@@ -11,6 +11,7 @@ from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_
 from strongedge.coloring import (
     PartialColoring,
     _neighborhoods,
+    _smallest_conflict,
     available_colors,
     bounds,
     coloring_from_json,
@@ -163,8 +164,78 @@ class TestVerify:
         # neighbourhood code the solver colors with
         path_names = {"edge_neighborhood", "_neighborhoods", "_ball", "_balls",
                       "_first_free", "available_colors"}
-        assert not code_names(verify_strong_coloring.__code__) & path_names
+        assert "_smallest_conflict" in code_names(verify_strong_coloring.__code__)
+        for stage in (verify_strong_coloring, _smallest_conflict):
+            assert not code_names(stage.__code__) & path_names, stage.__name__
         assert "_balls" in code_names(greedy_color.__code__)
+
+    @pytest.mark.parametrize("make", [lambda: build_pocket(SHAPES["hub-deg2"])[0],
+                                      lambda: gen_random_regular(4, 320, 0)],
+                             ids=["pocket-hub-deg2", "regular4-320"])
+    def test_valid_coloring_skips_the_witness_search(self, monkeypatch, make):
+        # the witness is searched for only when the decision fails, so neither
+        # the solver's own checks nor a final verify of its output reach it
+        import strongedge.coloring as col
+
+        def search(g, assign):
+            raise AssertionError("witness search on a valid coloring")
+
+        monkeypatch.setattr(col, "_smallest_conflict", search)
+        g = make()
+        coloring, trace = solve21(g)
+        assert trace.fallback_count == 0
+        assert verify_strong_coloring(g, coloring) == (True, None)
+
+    def test_unknown_colored_edge_raises(self):
+        g = cycle(5)
+        with pytest.raises(ValueError, match="unknown edge id 99"):
+            verify_strong_coloring(g, PartialColoring(5, {0: 1, 99: 2}))
+        # also when the known edges conflict, and the lowest unknown id is named
+        with pytest.raises(ValueError, match="unknown edge id 7"):
+            verify_strong_coloring(g, PartialColoring(5, {0: 1, 1: 1, 9: 2, 7: 3}))
+
+    def test_parallel_edges_share_their_own_colors(self):
+        # three 0-1 edges, two colored: S(0) & S(1) = {1, 2} is no conflict
+        # across any of them, but a color of theirs one edge away is
+        g = Graph(4)
+        for u, v in [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3)]:
+            g.add_edge(u, v)
+        c = PartialColoring(3, {0: 1, 1: 2, 3: 3})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (True, None)
+        c.assign(4, 2)
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (False, (1, 4))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_sorted_scan_on_multigraphs_gaps_and_recolorings(self, data):
+        if data.draw(st.booleans()):
+            # a solved coloring with one or two edges recolored
+            g, solved = solved_regular(*data.draw(st.sampled_from([(12, 0), (16, 1), (24, 2)])))
+            g, assign = g.copy(), solved.as_dict()
+            for e in data.draw(st.lists(st.sampled_from(g.edges()), min_size=1, max_size=2)):
+                assign[e] = data.draw(st.integers(1, 21))
+        else:
+            # a pairing-model multigraph, loops dropped and parallel edges kept,
+            # partly colored; n = 0 is the empty graph
+            n = data.draw(st.integers(0, 12))
+            stubs = data.draw(st.permutations([v for v in range(n) for _ in range(4)]))
+            g = Graph(n)
+            for a, b in zip(stubs[::2], stubs[1::2]):
+                if a != b:
+                    g.add_edge(a, b)
+            k = data.draw(st.integers(1, 12))
+            colors = data.draw(st.lists(st.integers(0, k), min_size=g.num_edges(),
+                                        max_size=g.num_edges()))
+            assign = {e: x for e, x in zip(g.edges(), colors) if x}
+        # removed vertices and edges leave gaps in both id ranges
+        for v in data.draw(st.sets(st.sampled_from(g.vertices()), max_size=2)
+                           if g.vertices() else st.just(set())):
+            g.remove_vertex(v)
+        for e in data.draw(st.sets(st.sampled_from(g.edges()), max_size=3)
+                           if g.edges() else st.just(set())):
+            g.remove_edge(e)
+        c = PartialColoring(21, {e: x for e, x in assign.items() if e in g._edges})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c)
 
     def test_all_distinct_on_c5(self):
         g = cycle(5)
