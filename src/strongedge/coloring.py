@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .graph import Graph, _json_field, _json_int, _unique_keys
+from .graph import Graph, _is_canonical_decimal, _json_field, _json_int, _unique_keys
 
 
 class PartialColoring:
@@ -67,17 +67,12 @@ def _ball(g: Graph, at: list) -> frozenset:
     return frozenset(chain.from_iterable(map(adj.__getitem__, near)))
 
 
-def _balls(g: Graph) -> dict[int, frozenset]:
-    """B(x) for every vertex x of g, each built once."""
-    return {x: _ball(g, at) for x, at in g._adj.items()}
-
-
 def edge_neighborhood(g: Graph, e: int) -> frozenset:
     """Edges seen by e = uv: B(u) | B(v) without e.
 
     With maximum degree four there are at most 24.  An unknown edge id raises
     ValueError.  Callers that need many neighbourhoods of one graph take them
-    from _balls instead; verify_strong_coloring uses neither.
+    from _neighborhoods instead; verify_strong_coloring uses neither.
     """
     adj, ends = g._adj, g._edges
     if e not in ends:
@@ -87,9 +82,52 @@ def edge_neighborhood(g: Graph, e: int) -> frozenset:
 
 
 def _neighborhoods(g: Graph) -> dict[int, frozenset]:
-    """edge_neighborhood of every edge of g, in ascending edge-id order."""
-    balls, ends = _balls(g), g._edges
+    """edge_neighborhood of every edge of g, in ascending edge-id order, from
+    one ball B(x) per vertex x."""
+    ends = g._edges
+    balls = {x: _ball(g, at) for x, at in g._adj.items()}
     return {e: (balls[ends[e][0]] | balls[ends[e][1]]) - {e} for e in g.edges()}
+
+
+def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
+    """Give each edge of `order`, in turn, the smallest color of 1..k on none
+    of the edges it sees, on top of the raw edge->color dict `assign`.
+
+    Returns the first edge left with no free color, the edges before it
+    colored, or None.  One pass builds, for each vertex x, its closed
+    neighbourhood N[x] and a bit mask of the colors on x's colored edges,
+    with bit 0 always set.  The edges e = uv sees are the other edges with an
+    end in N[u] | N[v], so the OR of those masks holds exactly the colors e
+    sees while e is uncolored, and its lowest clear bit is e's color.
+    Coloring e sets that bit at u and at v.
+    """
+    adj, ends = g._adj, g._edges
+    near = {}
+    for x, es in adj.items():
+        near[x] = closed = {x}
+        for f in es:
+            closed.update(ends[f])
+    mask = dict.fromkeys(adj, 1)
+    for f, c in assign.items():
+        if f in ends:
+            u, v = ends[f]
+            mask[u] |= 1 << c
+            mask[v] |= 1 << c
+    for e in order:
+        u, v = ends[e]
+        seen = 0
+        for x in near[u]:
+            seen |= mask[x]
+        for x in near[v]:
+            seen |= mask[x]
+        bit = ~seen & (seen + 1)
+        c = bit.bit_length() - 1
+        if c > k:
+            return e
+        assign[e] = c
+        mask[u] |= bit
+        mask[v] |= bit
+    return None
 
 
 def _first_free(shown, k: int):
@@ -197,8 +235,8 @@ def greedy_color(g: Graph, k: int, order=None):
     Returns (coloring, failed_edge); failed_edge is None on full success and
     otherwise the first edge whose availability was empty (coloring then holds
     the partial result up to that point).  With k >= 2*D*D - 2*D + 1 for max
-    degree D the greedy pass always completes.  Each vertex's ball is built
-    once; e = uv reads B(u) | B(v), where e itself is still uncolored.
+    degree D the greedy pass always completes.  The pass is one _first_fit
+    call, which reads per-vertex color masks.
     """
     eids = g.edges()
     if order is None:
@@ -206,15 +244,7 @@ def greedy_color(g: Graph, k: int, order=None):
     elif sorted(order) != eids:
         raise ValueError("order must be a permutation of the edge ids")
     coloring = PartialColoring(k)
-    assign = coloring._assign
-    balls, ends = _balls(g), g._edges
-    for e in order:
-        u, v = ends[e]
-        c = _first_free({assign[f] for f in balls[u] | balls[v] if f in assign}, k)
-        if c is None:
-            return coloring, e
-        assign[e] = c
-    return coloring, None
+    return coloring, _first_fit(g, coloring._assign, order, k)
 
 
 # -- distinct-representatives matching -----------------------------------------
@@ -443,7 +473,7 @@ def coloring_from_json(text: str) -> PartialColoring:
         raise ValueError("coloring JSON 'colors' must be an object")
     c = PartialColoring(_json_int(_json_field(data, "k", "coloring JSON"), "'k'"))
     for e, col in colors.items():
-        if not e.isdecimal() or str(int(e)) != e:
+        if not _is_canonical_decimal(e):
             raise ValueError(f"coloring JSON edge key {e!r} is not a canonical decimal id")
         c.assign(int(e), _json_int(col, f"the color of edge {e}"))
     return c

@@ -634,6 +634,18 @@ def _declared_vertices(n: int) -> int:
     return n
 
 
+def _is_canonical_decimal(token: str) -> bool:
+    """True for "0" and "17"; False for "00", "+1", "-1", "1_0" and non-ASCII
+    digits such as "١٠", all of which int() would accept."""
+    return token.isdecimal() and str(int(token)) == token
+
+
+def _edge_list_int(token: str, lineno: int) -> int:
+    if not _is_canonical_decimal(token):
+        raise ValueError(f"line {lineno}: {token!r} is not a canonical decimal integer")
+    return int(token)
+
+
 def _json_int(value, what: str) -> int:
     """A JSON field that must be an integer: ValueError on anything else,
     floats, booleans and numeric strings included."""
@@ -664,6 +676,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: "p <n> <m>" then m lines "e <u> <v>".
 
     Edge ids are assigned in line order.  Repeated lines give parallel edges.
+    Every number must be a canonical decimal ("12", not "012", "+12" or
+    "1_2"); anything else raises ValueError naming its line.
     """
     g = None
     m_declared = 0
@@ -677,14 +691,14 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
-            n, m_declared = int(parts[1]), int(parts[2])
+            n, m_declared = (_edge_list_int(t, lineno) for t in parts[1:])
             g = Graph(_declared_vertices(n))
         elif parts[0] == "e":
             if g is None:
                 raise ValueError(f"line {lineno}: edge before p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            g.add_edge(int(parts[1]), int(parts[2]))
+            g.add_edge(*(_edge_list_int(t, lineno) for t in parts[1:]))
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if g is None:

@@ -40,7 +40,7 @@ from .graph import (
 )
 from .coloring import (
     PartialColoring,
-    _balls,
+    _first_fit,
     _first_free,
     _greedy_seed,
     _match_distinct,
@@ -532,14 +532,15 @@ class _Solver:
 
         `low` holds every vertex of degree at most three, ascending (so
         already a heap).  The peel records each peeled vertex's edge ids;
-        after the recursion the edges are colored in reverse peel order, each
-        against its neighbourhood in the unmutated input g, taken from one
-        ball per vertex of g.  Let v be peeled from g_t, the graph just before
-        its removal, and e = va.  When e is colored back every colored edge
-        lies in g_t, and an edge of g joining an end of e to an end of a
-        colored f has both ends in g_t, so it is in g_t too: e sees the same
-        colored edges in g as in g_t.  In g_t, v has degree at most three, so
-        e sees at most 20 other edges there, and one of the 21 colors is free.
+        after the recursion one _first_fit pass over the unmutated input g
+        colors them in reverse peel order, each with the smallest color its
+        neighbourhood in g leaves free.  Let v be peeled from g_t, the graph
+        just before its removal, and e = va.  When e is colored back every
+        colored edge lies in g_t, and an edge of g joining an end of e to an
+        end of a colored f has both ends in g_t, so it is in g_t too: e sees
+        the same colored edges in g as in g_t.  In g_t, v has degree at most
+        three, so e sees at most 20 other edges there, and one of the 21
+        colors is free.
 
         Removal only lowers degrees, so a vertex stays peelable once its
         degree reaches three: a heap of those ids, fed by the neighbours of
@@ -564,11 +565,10 @@ class _Solver:
         self.trace.record(depth, "low-degree",
                           f"v={first} count={len(peeled)}", g)
         col = self.solve(g2, depth + 1, g.measure())
-        balls, ends = _balls(g), g._edges
-        for incident in reversed(peeled):
-            for e in incident:
-                u, v = ends[e]
-                _greedy_assign(col, e, balls[u] | balls[v], "low-degree extension")
+        failed = _first_fit(g, col, [e for es in reversed(peeled) for e in es], PALETTE)
+        if failed is not None:
+            raise FallbackTriggered(
+                f"no color available for edge {failed} during low-degree extension")
         return col
 
     def _small_cut(self, g: Graph, cut: EdgeCut, depth: int) -> dict:

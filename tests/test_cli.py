@@ -159,6 +159,15 @@ class TestColor:
         assert main(["color", str(p)]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("text", ["p 1_2 1\ne 0 1_0\n", "p 12 1\ne +0 \u0661\u0660\n"],
+                             ids=["underscores", "sign-and-arabic-digits"])
+    def test_noncanonical_edge_list_integer_exits_two(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        assert main(["color", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1, err
+
     def test_oversized_vertex_count_exits_two(self, tmp_path, capsys):
         # rejected before the graph is allocated
         p = tmp_path / "huge.txt"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_regular
 from strongedge.coloring import (
     PartialColoring,
+    _first_fit,
     _neighborhoods,
     _smallest_conflict,
     available_colors,
@@ -162,12 +163,12 @@ class TestVerify:
     def test_shares_no_code_with_the_neighborhood_path(self):
         # the verifier checks the solver's output, so it must not reuse the
         # neighbourhood code the solver colors with
-        path_names = {"edge_neighborhood", "_neighborhoods", "_ball", "_balls",
+        path_names = {"edge_neighborhood", "_neighborhoods", "_ball", "_first_fit",
                       "_first_free", "available_colors"}
         assert "_smallest_conflict" in code_names(verify_strong_coloring.__code__)
         for stage in (verify_strong_coloring, _smallest_conflict):
             assert not code_names(stage.__code__) & path_names, stage.__name__
-        assert "_balls" in code_names(greedy_color.__code__)
+        assert "_first_fit" in code_names(greedy_color.__code__)
 
     @pytest.mark.parametrize("make", [lambda: build_pocket(SHAPES["hub-deg2"])[0],
                                       lambda: gen_random_regular(4, 320, 0)],
@@ -352,6 +353,52 @@ class TestAvailability:
         c = PartialColoring(5, {0: 1, 1: 4})
         assert _colors_at(g, c.as_dict(), 0) == {1, 4}
         assert _colors_at(g, c.as_dict(), 1) == {1}
+
+
+class TestFirstFit:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_a_first_fit_over_seen_edges(self, data):
+        # each edge of the order takes the smallest color of 1..k that none
+        # of the edges it sees has, on top of a drawn partial assignment (not
+        # necessarily valid); the first edge with no free color is returned
+        # and the edges after it stay uncolored
+        if data.draw(st.booleans()):
+            g = max_degree_four_multigraph(data.draw)
+        else:
+            g = pairing_model_multigraph(data.draw)
+        for _ in range(data.draw(st.integers(0, 2))):
+            g.add_vertex()
+        for v in data.draw(st.lists(st.sampled_from(g.vertices()), max_size=2, unique=True)):
+            g.remove_vertex(v)
+        k = data.draw(st.integers(1, 25))
+        pre = data.draw(st.dictionaries(st.sampled_from(g.edges()), st.integers(1, k))
+                        if g.edges() else st.just({}))
+        order = data.draw(st.permutations([e for e in g.edges() if e not in pre]))
+        expected, failed = dict(pre), None
+        for e in order:
+            shown = {expected[f] for f in seen_edges(g, e) if f in expected}
+            free = [c for c in range(1, k + 1) if c not in shown]
+            if not free:
+                failed = e
+                break
+            expected[e] = free[0]
+        col = dict(pre)
+        assert _first_fit(g, col, order, k) == failed
+        assert col == expected
+
+    def test_parallel_edges_and_an_isolated_vertex(self):
+        # the three parallel 0-1 edges see each other and the 1-2 edge; the
+        # isolated vertex 3 carries no color
+        g = Graph(4)
+        for u, v in [(0, 1), (0, 1), (1, 2), (0, 1)]:
+            g.add_edge(u, v)
+        col = {2: 1}
+        assert _first_fit(g, col, [0, 1, 3], 5) is None
+        assert col == {2: 1, 0: 2, 1: 3, 3: 4}
+        col = {2: 1}
+        assert _first_fit(g, col, [0, 1, 3], 3) == 3
+        assert col == {2: 1, 0: 2, 1: 3}
 
 
 class TestGreedy:

@@ -639,6 +639,15 @@ class TestFormats:
             parse_edge_list("p 2 2\ne 0 1\n")
         with pytest.raises(ValueError):
             parse_edge_list("p 2 1\nq 0 1\n")
+        # int() would read each of these numbers; the format takes only
+        # canonical ASCII decimals
+        for text, line in [("p 1_2 1\ne 0 1_0\n", 1), ("p 12 1\ne 0 1_0\n", 2),
+                           ("p 12 1\ne +0 \u0661\u0660\n", 2),
+                           ("p 12 1\ne 0 \u0661\u0660\n", 2), ("p 012 1\ne 0 1\n", 1),
+                           ("p 12 1\ne 0 01\n", 2), ("p 12 -1\n", 1),
+                           ("c x\np 12 1\ne 0 \uff11\n", 3)]:
+            with pytest.raises(ValueError, match=f"^line {line}: .* is not a canonical"):
+                parse_edge_list(text)
 
     def test_json_roundtrip(self):
         g = gen_incidence_pg(2)

@@ -74,7 +74,6 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
     originals = [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS]
     g, _ = build_pocket(SHAPES["mixed-branch"])
-    forced = reduction.FallbackTriggered("forced by test")
     with tracer.Tracer().installed() as t:
         col, trace = reduction.solve21(g)
         assert t.calls["coloring.exact_strong_index"] == 0
@@ -87,12 +86,16 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert t.calls["reduction.complete_targets"] == 1
         assert t.calls["coloring.available_colors"] == 8
         # the exact solver through each of its two bindings: a direct call,
-        # then the exact finish of a solve whose low-degree extension fails
+        # then the exact finish of a solve whose low-degree extension fails:
+        # the color-back reports peeled edge 0 (of 0-1) uncolorable, and the
+        # peel's own guard falls back
         coloring.exact_strong_index(cycle(5))
         assert t.calls["coloring.exact_strong_index"] == 1
-        with mock.patch.object(reduction, "_greedy_assign", side_effect=forced):
+        with mock.patch.object(reduction, "_first_fit", return_value=0):
             _, forced_trace = reduction.solve21(cycle(25))
         assert forced_trace.fallback_count == 1
+        assert [s.params for s in forced_trace.steps if s.tag == "fallback"] == [
+            "reason=no color available for edge 0 during low-degree extension"]
         assert t.calls["coloring.exact_strong_index"] == 2
     assert_solved(g, col, trace)
     assert pocket_digest(col, trace) == POCKET_DIGESTS["mixed-branch"]
