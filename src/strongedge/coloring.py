@@ -276,11 +276,21 @@ def line_graph_square(g: Graph) -> list[set[int]]:
     """Neighbour sets of the graph on the edges of g, adjacent iff they see
     each other.
 
-    Index i stands for the i-th edge of g in ascending edge-id order.
+    Index i stands for the i-th edge of g in ascending edge-id order.  Each
+    vertex's ball is mapped to indices once; edge i = uv sees the indices in
+    the balls of u and v, but not i.
     """
-    hoods = _neighborhoods(g)
-    index = {e: i for i, e in enumerate(hoods)}
-    return [{index[f] for f in seen} for seen in hoods.values()]
+    eids = g.edges()
+    index = {e: i for i, e in enumerate(eids)}
+    balls = {x: set(map(index.__getitem__, _ball(g, at))) for x, at in g._adj.items()}
+    ends = g._edges
+    adj = []
+    for i, e in enumerate(eids):
+        u, v = ends[e]
+        seen = balls[u] | balls[v]
+        seen.discard(i)
+        adj.append(seen)
+    return adj
 
 
 # -- exact solver ---------------------------------------------------------------
@@ -311,15 +321,37 @@ def _greedy_seed(adj: list[set[int]]) -> list[int]:
 
 
 def _greedy_clique(adj: list[set[int]]) -> list[int]:
+    """A large clique of adj, found greedily, as a sorted list.
+
+    From each of the eight vertices of largest degree (ties to the lower
+    index) the clique grows by the candidate that keeps the most candidates,
+    ties to the lower index, until none is left; the largest clique wins, the
+    earlier start on ties.  Candidates are counted with bit masks indexed
+    over the sorted union of the starts' neighbourhoods, the only vertices
+    that can ever be candidates, so a mask has no more bits than the starts
+    have neighbours, however many vertices adj has.
+    """
+    starts = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))[:8]
+    near = sorted(set().union(*(adj[s] for s in starts)))
+    pos = {v: i for i, v in enumerate(near)}
+    bits = [sum(1 << pos[w] for w in adj[v] if w in pos) for v in near]
     best: list[int] = []
-    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
-    for start in order[:8]:
+    for start in starts:
         clique = [start]
-        candidates = set(adj[start])
-        while candidates:
-            v = min(candidates, key=lambda w: (-len(adj[w] & candidates), w))
-            clique.append(v)
-            candidates &= adj[v]
+        cand = sum(1 << pos[v] for v in adj[start])
+        while cand:
+            # the set bits of cand in ascending order; a strict > keeps the
+            # lowest index among equal counts
+            top, rest = -1, cand
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                kept = (bits[i] & cand).bit_count()
+                if kept > top:
+                    top, pick = kept, i
+                rest ^= low
+            clique.append(near[pick])
+            cand &= bits[pick]
         if len(clique) > len(best):
             best = sorted(clique)
     return best
@@ -413,9 +445,9 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
                     seen[w] ^= bit
                     score[w] -= step
             cap = min(used + 1, upper - 1) if used < upper else 0
-            c += 1
-            while c <= cap and seen[v] >> c & 1:
-                c += 1
+            # the lowest color above c that no colored neighbour has
+            free = ~seen[v] >> (c + 1)
+            c += (free & -free).bit_length()
             if c > cap:
                 score[v] = frame[1]
                 stack.pop()

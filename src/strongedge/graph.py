@@ -640,9 +640,9 @@ def _is_canonical_decimal(token: str) -> bool:
     return token.isdecimal() and str(int(token)) == token
 
 
-def _edge_list_int(token: str, lineno: int) -> int:
+def _edge_list_int(token: str) -> int:
     if not _is_canonical_decimal(token):
-        raise ValueError(f"line {lineno}: {token!r} is not a canonical decimal integer")
+        raise ValueError(f"{token!r} is not a canonical decimal integer")
     return int(token)
 
 
@@ -677,7 +677,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Edge ids are assigned in line order.  Repeated lines give parallel edges.
     Every number must be a canonical decimal ("12", not "012", "+12" or
-    "1_2"); anything else raises ValueError naming its line.
+    "1_2").  Any error on a line, the graph's own checks on its vertex count
+    and edges included, raises ValueError naming that line.
     """
     g = None
     m_declared = 0
@@ -686,21 +687,24 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#") or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if g is not None:
-                raise ValueError(f"line {lineno}: duplicate p line")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
-            n, m_declared = (_edge_list_int(t, lineno) for t in parts[1:])
-            g = Graph(_declared_vertices(n))
-        elif parts[0] == "e":
-            if g is None:
-                raise ValueError(f"line {lineno}: edge before p line")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            g.add_edge(*(_edge_list_int(t, lineno) for t in parts[1:]))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+        try:
+            if parts[0] == "p":
+                if g is not None:
+                    raise ValueError("duplicate p line")
+                if len(parts) != 3:
+                    raise ValueError("expected 'p <n> <m>'")
+                n, m_declared = map(_edge_list_int, parts[1:])
+                g = Graph(_declared_vertices(n))
+            elif parts[0] == "e":
+                if g is None:
+                    raise ValueError("edge before p line")
+                if len(parts) != 3:
+                    raise ValueError("expected 'e <u> <v>'")
+                g.add_edge(*map(_edge_list_int, parts[1:]))
+            else:
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if g is None:
         raise ValueError("missing p line")
     if g.num_edges() != m_declared:

@@ -9,8 +9,9 @@ trace's case list were library exports used only by tests; they live here
 now, beside `complete_with_palette`, which drives the solver's short-cycle
 completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
-verifier and of the edge-scan subgraph and components split, kept verbatim as
-differential oracles for their successors.
+verifier, of the edge-scan subgraph and components split and of the exact
+solver's greedy clique, kept verbatim as differential oracles for their
+successors.
 """
 import random
 from collections import deque
@@ -636,3 +637,20 @@ def components_oracle(g: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def greedy_clique_oracle(adj: list) -> list[int]:
+    """coloring._greedy_clique as it was: set intersections over the whole
+    adjacency, from each of the eight vertices of largest degree."""
+    best: list[int] = []
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    for start in order[:8]:
+        clique = [start]
+        candidates = set(adj[start])
+        while candidates:
+            v = min(candidates, key=lambda w: (-len(adj[w] & candidates), w))
+            clique.append(v)
+            candidates &= adj[v]
+        if len(clique) > len(best):
+            best = sorted(clique)
+    return best

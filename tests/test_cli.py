@@ -168,6 +168,19 @@ class TestColor:
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("text, message", [
+        ("p 3 2\ne 0 1\n# gap\ne 0 5\n", "line 4: unknown endpoint in (0, 5)"),
+        ("p 2 1\ne 1 1\n", "line 2: self-loop at vertex 1"),
+        ("c big\np 400000000 0\n", "line 2: declared vertex count 400000000")],
+        ids=["unknown-endpoint", "self-loop", "oversized-count"])
+    def test_graph_error_names_its_line(self, tmp_path, capsys, text, message):
+        # the graph's own checks fail on a parsed line, which the message names
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert main(["color", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
     def test_oversized_vertex_count_exits_two(self, tmp_path, capsys):
         # rejected before the graph is allocated
         p = tmp_path / "huge.txt"

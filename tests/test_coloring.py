@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 import types
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_
 from strongedge.coloring import (
     PartialColoring,
     _first_fit,
+    _greedy_clique,
     _neighborhoods,
     _smallest_conflict,
     available_colors,
@@ -33,6 +35,7 @@ from helpers import (
     complete_bipartite,
     complete_with_palette,
     cycle,
+    greedy_clique_oracle,
     path,
     peel_order_oracle,
     petersen,
@@ -133,6 +136,20 @@ def pairing_model_multigraph(draw) -> Graph:
     for u, v in zip(stubs[::2], stubs[1::2]):
         if u != v:
             g.add_edge(u, v)
+    return g
+
+
+def gapped_multigraph(draw) -> Graph:
+    """A graph from either strategy above, with up to two isolated vertices
+    added and up to two vertices removed, so ids have gaps."""
+    if draw(st.booleans()):
+        g = max_degree_four_multigraph(draw)
+    else:
+        g = pairing_model_multigraph(draw)
+    for _ in range(draw(st.integers(0, 2))):
+        g.add_vertex()
+    for v in draw(st.lists(st.sampled_from(g.vertices()), max_size=2, unique=True)):
+        g.remove_vertex(v)
     return g
 
 
@@ -363,14 +380,7 @@ class TestFirstFit:
         # of the edges it sees has, on top of a drawn partial assignment (not
         # necessarily valid); the first edge with no free color is returned
         # and the edges after it stay uncolored
-        if data.draw(st.booleans()):
-            g = max_degree_four_multigraph(data.draw)
-        else:
-            g = pairing_model_multigraph(data.draw)
-        for _ in range(data.draw(st.integers(0, 2))):
-            g.add_vertex()
-        for v in data.draw(st.lists(st.sampled_from(g.vertices()), max_size=2, unique=True)):
-            g.remove_vertex(v)
+        g = gapped_multigraph(data.draw)
         k = data.draw(st.integers(1, 25))
         pre = data.draw(st.dictionaries(st.sampled_from(g.edges()), st.integers(1, k))
                         if g.edges() else st.just({}))
@@ -507,6 +517,12 @@ class TestSdr:
 
 
 class TestLineGraphSquare:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_seen_edges_oracle(self, data):
+        g = gapped_multigraph(data.draw)
+        assert line_graph_square(g) == [set(s) for s in strong_adjacency(g)]
+
     def test_c5_gives_k5(self):
         adj = line_graph_square(cycle(5))
         assert adj == [set(range(5)) - {i} for i in range(5)]
@@ -519,6 +535,41 @@ class TestLineGraphSquare:
         adj = line_graph_square(path(4))
         assert sum(len(nb) for nb in adj) == 2 * 5
         assert 3 not in adj[0] and 0 not in adj[3]
+
+
+class TestGreedyClique:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_set_based_clique_on_edge_graphs(self, data):
+        adj = line_graph_square(gapped_multigraph(data.draw))
+        assert _greedy_clique(adj) == greedy_clique_oracle(adj)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 40), st.floats(0.05, 0.9), st.integers(0, 10 ** 6))
+    def test_matches_the_set_based_clique_on_random_graphs(self, n, p, seed):
+        # any graph, many ties: more than eight starts compete, and candidates
+        # often keep equally many others
+        rng = random.Random(seed)
+        adj = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        assert _greedy_clique(adj) == greedy_clique_oracle(adj)
+
+    def test_memory_does_not_grow_with_the_graph(self):
+        # the masks are indexed over the eight starts' neighbourhoods; masks
+        # over all 20,000 edges would peak at about 53 MB here
+        adj = line_graph_square(gen_random_regular(4, 10000, 1))
+        tracemalloc.start()
+        try:
+            clique = _greedy_clique(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clique == greedy_clique_oracle(adj)
+        assert peak < 8 * 10 ** 6, peak
 
 
 # First 16 hex digits of sha256 of the witness coloring JSON plus the bounds,

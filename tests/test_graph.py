@@ -648,6 +648,13 @@ class TestFormats:
                            ("c x\np 12 1\ne 0 \uff11\n", 3)]:
             with pytest.raises(ValueError, match=f"^line {line}: .* is not a canonical"):
                 parse_edge_list(text)
+        # the graph's own checks name the line too
+        for text, line, message in [("p 2 1\ne 0 5\n", 2, "unknown endpoint"),
+                                    ("p 2 1\n\n# x\ne 1 1\n", 4, "self-loop"),
+                                    ("p 1000001 0\n", 1, "declared vertex count"),
+                                    ("p 2 2\ne 0 1\ne 2 1\n", 3, "unknown endpoint")]:
+            with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+                parse_edge_list(text)
 
     def test_json_roundtrip(self):
         g = gen_incidence_pg(2)
