@@ -71,22 +71,15 @@ def edge_neighborhood(g: Graph, e: int) -> frozenset:
     """Edges seen by e = uv: B(u) | B(v) without e.
 
     With maximum degree four there are at most 24.  An unknown edge id raises
-    ValueError.  Callers that need many neighbourhoods of one graph take them
-    from _neighborhoods instead; verify_strong_coloring uses neither.
+    ValueError.  Callers that need many neighbourhoods of one graph build
+    one _ball per vertex, or color through _first_fit's per-vertex masks;
+    verify_strong_coloring uses none of these.
     """
     adj, ends = g._adj, g._edges
     if e not in ends:
         raise ValueError(f"unknown edge id {e}")
     u, v = ends[e]
     return _ball(g, adj[u] + adj[v]) - {e}
-
-
-def _neighborhoods(g: Graph) -> dict[int, frozenset]:
-    """edge_neighborhood of every edge of g, in ascending edge-id order, from
-    one ball B(x) per vertex x."""
-    ends = g._edges
-    balls = {x: _ball(g, at) for x, at in g._adj.items()}
-    return {e: (balls[ends[e][0]] | balls[ends[e][1]]) - {e} for e in g.edges()}
 
 
 def _first_fit(g: Graph, assign: dict[int, int], order, k: int):

@@ -40,11 +40,11 @@ from .graph import (
 )
 from .coloring import (
     PartialColoring,
+    _ball,
     _first_fit,
     _first_free,
     _greedy_seed,
     _match_distinct,
-    _neighborhoods,
     available_colors,
     edge_neighborhood,
     exact_strong_index,
@@ -112,9 +112,9 @@ class ReductionTrace:
 # -- shared assignment helpers -------------------------------------------------
 
 
-def _greedy_assign(col: dict, e: int, seen, why: str) -> None:
-    """Give e the smallest color on none of the edges it sees, `seen`."""
-    c = _first_free({col[f] for f in seen if f in col}, PALETTE)
+def _greedy_assign(g: Graph, col: dict, e: int, why: str) -> None:
+    """Give e the smallest color on none of the edges it sees."""
+    c = _first_free({col[f] for f in edge_neighborhood(g, e) if f in col}, PALETTE)
     if c is None:
         raise FallbackTriggered(f"no color available for edge {e} during {why}")
     col[e] = c
@@ -217,16 +217,13 @@ class SequencePlan:
     Every edge of the sequence before the fixed eight-edge tail sees at least
     four later sequence edges, so a forward greedy pass with 21 colors always
     has room; the tail itself is saved by color repetition in the seed and by
-    one sanctioned recolor move.  neighborhoods maps every edge of the graph
-    to its edge_neighborhood, built once with the plan from one ball per
-    vertex; extend_sequence reads every neighbourhood it needs from it.
+    one sanctioned recolor move.
     """
 
     labels: BranchLabels
     precolor: PartialColoring
     tail: list[int]
     order: list[int]
-    neighborhoods: dict[int, frozenset]
 
     def covers_all(self, g: Graph) -> bool:
         uncolored = set(g.edges()) - set(self.precolor.colored())
@@ -265,7 +262,6 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
         psi.assign(_eid(g, u, labels.children[u][i]), i + 1)
         psi.assign(_eid(g, v, labels.children[v][i]), i + 1)
     psi.assign(_eid(g, w, labels.children[w][0]), 1)
-    precolored = set(psi.colored())
 
     w1, w2, w3 = labels.children[w]
     w21 = _kids(g, w2, w)[0]
@@ -277,61 +273,71 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
     ]
 
     # Grow to the closure: an edge joins once four of its neighborhood are in.
-    neighborhoods = _neighborhoods(g)
-    count = dict.fromkeys(neighborhoods, 0)
-    in_seq = set(tail)
+    # Queued f = ab sees the edges of B(a) | B(b) but f, which is already in.
+    # Each edge counts once per f, so the edges f brings to four do not
+    # depend on the walk order; they join in ascending order.
+    ends = g._edges
+    balls = {z: _ball(g, at) for z, at in g._adj.items()}
+    count = dict.fromkeys(ends, 0)
+    done = set(psi.colored()) | set(tail)
     queue = list(tail)
     for f in queue:
-        for e in sorted(neighborhoods[f]):
-            if e in in_seq or e in precolored:
-                continue
+        a, b = ends[f]
+        joined = []
+        for e in (balls[a] | balls[b]) - done:
             count[e] += 1
             if count[e] == 4:
-                in_seq.add(e)
-                queue.append(e)
+                joined.append(e)
+        joined.sort()
+        done.update(joined)
+        queue += joined
     order = queue[len(tail):][::-1] + tail
-    return SequencePlan(labels, psi, tail, order, neighborhoods)
+    return SequencePlan(labels, psi, tail, order)
 
 
 def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     """Greedy-color the sequence in order on top of the seed coloring.
 
-    The only edges allowed to stall are the two grandchild edges at the head
-    of the tail; a stall there means their whole colored neighborhood shows
-    all 21 colors, so the seed color 1 on the third branch's first child edge
-    is moved onto the stalled edge and that child edge is recolored once its
+    One _first_fit pass colors the order.  The only edges allowed to stall
+    are the two grandchild edges at the head of the tail; a stall there means
+    their whole colored neighborhood shows all 21 colors, so the seed color 1
+    on the third branch's first child edge is moved onto the stalled edge,
+    and the pass resumes after it.  That child edge is recolored once its
     slack returns, after the second grandchild edge (or the order's last
     edge).  A stall anywhere else raises FallbackTriggered.
+
+    On a plan from build_precolor_and_sequence two of the guards are implied:
+    the six tail edges at w and at the anchor are uncolored until the donor
+    is back, so with the donor out the other grandchild edge sees at most 20
+    colored edges and cannot stall too ("stalled twice"), and the donor sees
+    at most 18 when it is recolored.  A seeded plan can force both.
     """
     col = plan.precolor.as_dict()
-    hoods = plan.neighborhoods
-    labels = plan.labels
-    w = labels.w
-    e_ww1 = _eid(g, w, labels.children[w][0])
-    allowed_stalls = {plan.tail[0], plan.tail[1]}
-    flush_after = plan.tail[1]
-    pending_recolor = None
-
-    for e in plan.order:
-        c = _first_free({col[f] for f in hoods[e] if f in col}, PALETTE)
-        if c is not None:
-            col[e] = c
-        else:
-            if e not in allowed_stalls:
+    order, tail = plan.order, plan.tail
+    w = plan.labels.w
+    e_ww1 = _eid(g, w, plan.labels.children[w][0])
+    start, stop, pending = 0, len(order), False
+    while True:
+        e = _first_fit(g, col, order[start:stop], PALETTE)
+        if e is not None:
+            if e not in tail[:2]:
                 raise FallbackTriggered(f"sequence stalled at edge {e}")
-            moved = col.get(e_ww1)
+            moved = col.pop(e_ww1, None)
             if moved is None:
                 raise FallbackTriggered("sequence stalled twice; donor edge already moved")
-            del col[e_ww1]
-            if any(col.get(f) == moved for f in hoods[e]):
+            if any(col.get(f) == moved for f in edge_neighborhood(g, e)):
                 raise FallbackTriggered("donor color still blocked after removal")
             col[e] = moved
-            pending_recolor = e_ww1
-        if pending_recolor is not None and e in (flush_after, plan.order[-1]):
-            _greedy_assign(col, pending_recolor, hoods[pending_recolor],
-                           "recolor of moved seed edge")
-            pending_recolor = None
-    return PartialColoring(PALETTE, col)
+            at = order.index(e, start)
+            start, pending = at + 1, True
+            stop = order.index(tail[1], at) + 1 if tail[1] in order[at:] else len(order)
+            continue
+        if pending:
+            _greedy_assign(g, col, e_ww1, "recolor of moved seed edge")
+            pending = False
+        if stop == len(order):
+            return PartialColoring(PALETTE, col)
+        start, stop = stop, len(order)
 
 
 # -- the left/mid/right partition -------------------------------------------------
@@ -618,7 +624,7 @@ class _Solver:
             g2 = g.copy()
             g2.remove_edge(e)
             col = self.solve(g2, depth + 1, g.measure())
-            _greedy_assign(col, e, edge_neighborhood(g, e), "parallel edge reinsertion")
+            _greedy_assign(g, col, e, "parallel edge reinsertion")
             return col
 
         if conf.kind == K23:
@@ -884,11 +890,11 @@ class _Solver:
                     _checked_assign(g, col, e, d, why)
                     order.remove(ref)
             elif e not in col:
-                _greedy_assign(col, e, edge_neighborhood(g, e), f"{kind} pass")
+                _greedy_assign(g, col, e, f"{kind} pass")
         for e in [_edge(g, ref) for ref in order]:
             if e in col:
                 raise FallbackTriggered(f"ordered edge {e} was already colored")
-            _greedy_assign(col, e, edge_neighborhood(g, e), "final order")
+            _greedy_assign(g, col, e, "final order")
         missing = [e for e in g.edges() if e not in col]
         if missing:
             raise FallbackTriggered(f"recipe left {len(missing)} edges uncolored")

@@ -9,9 +9,9 @@ trace's case list were library exports used only by tests; they live here
 now, beside `complete_with_palette`, which drives the solver's short-cycle
 completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
-verifier, of the edge-scan subgraph and components split and of the exact
-solver's greedy clique, kept verbatim as differential oracles for their
-successors.
+verifier, of the edge-scan subgraph and components split, of the exact
+solver's greedy clique and of the sequence closure and extension, kept
+verbatim as differential oracles for their successors.
 """
 import random
 from collections import deque
@@ -121,6 +121,22 @@ def random_graph_max_deg(n, m, dmax, seed):
         if g.degree(u) >= dmax or g.degree(v) >= dmax:
             continue
         g.add_edge(u, v)
+    return g
+
+
+def pg_lift(k: int, rng: random.Random) -> Graph:
+    """Random k-lift of the PG(2,3) incidence graph: vertex (v, i) is v*k + i,
+    and each base edge uv becomes the matching (u, i)-(v, pi(i)) for a random
+    permutation pi.  4-regular, and its girth is at least the base's six."""
+    from strongedge.graph import gen_incidence_pg
+    base = gen_incidence_pg(3)
+    g = Graph(base.num_vertices() * k)
+    for e in base.edges():
+        u, v = base.endpoints(e)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        for i in range(k):
+            g.add_edge(u * k + i, v * k + perm[i])
     return g
 
 
@@ -654,3 +670,90 @@ def greedy_clique_oracle(adj: list) -> list[int]:
         if len(clique) > len(best):
             best = sorted(clique)
     return best
+
+
+def sequence_plan_oracle(g: Graph, x: int) -> tuple[dict, list, list, int]:
+    """The seed, tail and order of build_precolor_and_sequence at anchor x as
+    it grew them from a per-edge neighbourhood map, here seen_edges: each
+    queued edge's neighbourhood walked in ascending order, and an edge queued
+    the moment four sequence edges are in it.  Returns the seed's edge->color
+    dict, the tail, the order and the most edges one queued edge brought in."""
+    def kids(v, parent):
+        return sorted(set(g.neighbors(v)) - {parent})
+
+    def eid(a, b):
+        (e,) = g.edges_between(a, b)
+        return e
+
+    u, v, w, y = sorted(g.neighbors(x))
+    precolor = {}
+    for i, c in enumerate(kids(u, x)):
+        precolor[eid(u, c)] = i + 1
+    for i, c in enumerate(kids(v, x)):
+        precolor[eid(v, c)] = i + 1
+    w1, w2, w3 = kids(w, x)
+    precolor[eid(w, w1)] = 1
+    tail = [eid(w2, kids(w2, w)[0]), eid(w3, kids(w3, w)[0]), eid(w, w2), eid(w, w3),
+            eid(x, u), eid(x, v), eid(x, y), eid(x, w)]
+
+    count = dict.fromkeys(g.edges(), 0)
+    in_seq = set(tail)
+    queue = list(tail)
+    most = 0
+    for f in queue:
+        before = len(queue)
+        for e in sorted(seen_edges(g, f)):
+            if e in in_seq or e in precolor:
+                continue
+            count[e] += 1
+            if count[e] == 4:
+                in_seq.add(e)
+                queue.append(e)
+        most = max(most, len(queue) - before)
+    return precolor, tail, queue[len(tail):][::-1] + tail, most
+
+
+def extend_sequence_oracle(g: Graph, plan) -> dict:
+    """extend_sequence as it colored from the per-edge neighbourhood map, here
+    seen_edges: the smallest free color of 1..21 edge by edge, with the donor
+    move at a stall of the tail's first two edges.  Returns the edge->color
+    dict, or raises FallbackTriggered with the same reason."""
+    from strongedge.reduction import FallbackTriggered
+    col = plan.precolor.as_dict()
+    labels = plan.labels
+    w = labels.w
+    (e_ww1,) = g.edges_between(w, labels.children[w][0])
+    allowed_stalls = {plan.tail[0], plan.tail[1]}
+    flush_after = plan.tail[1]
+    pending_recolor = None
+
+    def first_free(e):
+        shown = {col[f] for f in seen_edges(g, e) if f in col}
+        c = 1
+        while c in shown:
+            c += 1
+        return c if c <= 21 else None
+
+    for e in plan.order:
+        c = first_free(e)
+        if c is not None:
+            col[e] = c
+        else:
+            if e not in allowed_stalls:
+                raise FallbackTriggered(f"sequence stalled at edge {e}")
+            moved = col.get(e_ww1)
+            if moved is None:
+                raise FallbackTriggered("sequence stalled twice; donor edge already moved")
+            del col[e_ww1]
+            if any(col.get(f) == moved for f in seen_edges(g, e)):
+                raise FallbackTriggered("donor color still blocked after removal")
+            col[e] = moved
+            pending_recolor = e_ww1
+        if pending_recolor is not None and e in (flush_after, plan.order[-1]):
+            c = first_free(pending_recolor)
+            if c is None:
+                raise FallbackTriggered(f"no color available for edge {pending_recolor}"
+                                        " during recolor of moved seed edge")
+            col[pending_recolor] = c
+            pending_recolor = None
+    return col

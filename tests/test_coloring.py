@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from strongedge.graph import Graph, gen_blowup_c5, gen_incidence_pg, gen_random_regular
 from strongedge.coloring import (
     PartialColoring,
+    _ball,
     _first_fit,
     _greedy_clique,
-    _neighborhoods,
     _smallest_conflict,
     available_colors,
     bounds,
@@ -77,7 +77,7 @@ class TestNeighborhood:
     @given(st.data())
     def test_matches_oracle_through_a_peel(self, data):
         # vertex removals, in any order, must keep every survivor's
-        # neighbourhood right, from edge_neighborhood and _neighborhoods alike
+        # neighbourhood right, from edge_neighborhood and per-vertex _ball alike
         g = max_degree_four_multigraph(data.draw)
         assert_neighborhoods_match_oracle(g)
         order = data.draw(st.permutations(g.vertices()))
@@ -154,10 +154,13 @@ def gapped_multigraph(draw) -> Graph:
 
 
 def assert_neighborhoods_match_oracle(g: Graph) -> None:
-    hoods = _neighborhoods(g)
-    assert list(hoods) == g.edges()
+    """B(x) from _ball is every edge at x or at a neighbour of x, and
+    edge_neighborhood is seen_edges."""
+    for x in g.vertices():
+        near = {x, *g.neighbors(x)}
+        assert _ball(g, g.incident(x)) == {f for z in near for f in g.incident(z)}, x
     for e in g.edges():
-        assert edge_neighborhood(g, e) == hoods[e] == seen_edges(g, e), e
+        assert edge_neighborhood(g, e) == seen_edges(g, e), e
 
 
 @lru_cache(maxsize=None)
@@ -180,8 +183,8 @@ class TestVerify:
     def test_shares_no_code_with_the_neighborhood_path(self):
         # the verifier checks the solver's output, so it must not reuse the
         # neighbourhood code the solver colors with
-        path_names = {"edge_neighborhood", "_neighborhoods", "_ball", "_first_fit",
-                      "_first_free", "available_colors"}
+        path_names = {"edge_neighborhood", "_ball", "_first_fit", "_first_free",
+                      "available_colors"}
         assert "_smallest_conflict" in code_names(verify_strong_coloring.__code__)
         for stage in (verify_strong_coloring, _smallest_conflict):
             assert not code_names(stage.__code__) & path_names, stage.__name__

@@ -47,12 +47,15 @@ from helpers import (
     complete,
     components_oracle,
     cycle,
+    extend_sequence_oracle,
     induced_subgraph_oracle,
     k5e_ring,
     path,
     peel_order_oracle,
+    pg_lift,
     random_graph_max_deg,
     seen_edges,
+    sequence_plan_oracle,
     verify_oracle,
 )
 from pocket import M, SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
@@ -587,13 +590,31 @@ class TestSequencePlan:
         with pytest.raises(ValueError):
             build_precolor_and_sequence(girth5_graph(), 0)
 
-    @pytest.mark.parametrize("name", ["pg3", "hub-deg2"])
-    def test_plan_carries_every_neighborhood(self, name):
-        g = gen_incidence_pg(3) if name == "pg3" else build_pocket(SHAPES[name])[0]
-        plan = build_precolor_and_sequence(g, 0)
-        assert plan.neighborhoods == {e: edge_neighborhood(g, e) for e in g.edges()}
-        for e in g.edges():
-            assert plan.neighborhoods[e] == seen_edges(g, e)
+    @pytest.mark.parametrize("name", ["pg3", *sorted(SHAPES), *sorted(THIN_SHAPES),
+                                      "lift2-0", "lift3-1", "lift5-2"])
+    def test_matches_the_neighborhood_map_oracle(self, name):
+        # seed, tail, order and extension against the per-edge neighbourhood
+        # map they were built from before: PG(2,3) from every anchor, the
+        # eleven pocket fixtures and seeded lifts of PG(2,3) from vertex 0.
+        # In each, one queued edge brings two or more edges in at once, so the
+        # order that edges join in within a step is checked too.
+        if name == "pg3":
+            g = gen_incidence_pg(3)
+            anchors = g.vertices()
+        elif name.startswith("lift"):
+            k, seed = map(int, name[len("lift"):].split("-"))
+            g, anchors = pg_lift(k, random.Random(seed)), [0]
+        else:
+            g, _ = build_pocket(SHAPES[name] if name in SHAPES else THIN_SHAPES[name][0])
+            anchors = [0]
+        for x in anchors:
+            plan = build_precolor_and_sequence(g, x)
+            precolor, tail, order, most = sequence_plan_oracle(g, x)
+            assert plan.precolor.as_dict() == precolor, x
+            assert (plan.tail, plan.order) == (tail, order), x
+            assert most >= 2
+            new, old = extension_outcomes(g, plan)
+            assert new == old, x
 
     def test_extend_sequence_completes(self):
         g = gen_incidence_pg(3)
@@ -604,7 +625,26 @@ class TestSequencePlan:
         assert ok and set(coloring.colored()) == set(g.edges())
 
 
+def extension_outcomes(g: Graph, plan: SequencePlan) -> list:
+    """What extend_sequence and its oracle make of a plan: each an edge->color
+    dict or the reason it fell back."""
+    outcomes = []
+    for extend in (lambda: extend_sequence(g, plan).as_dict(),
+                   lambda: extend_sequence_oracle(g, plan)):
+        try:
+            outcomes.append(extend())
+        except FallbackTriggered as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
 class TestBlockedTailManeuver:
+    """Seed colorings that make the tail's grandchild edges stall, on the
+    mixed-branch pocket, whose anchor two-ball is far from the rest of the
+    seed.  Plans from build_precolor_and_sequence cannot stall twice or leave
+    the donor without a color (extend_sequence's docstring); the plans here
+    that do seed some of the tail edges at w and at the anchor."""
+
     def blocked_state(self):
         """A seed coloring arranged so the first tail edge sees all 21
         colors, forcing the sanctioned recolor move.  Needs a host whose
@@ -628,14 +668,44 @@ class TestBlockedTailManeuver:
         assert ok
         return g, plan, seeded, blocked
 
+    def show(self, g: Graph, col: dict, e: int, colors, apart=()) -> None:
+        """Color edges e sees, uncolored and outside `apart`, each new color
+        on its own edge where it is free, until the colored edges e sees
+        outside `apart` show every color in `colors`."""
+        seen = edge_neighborhood(g, e) - set(apart)
+        free = sorted(f for f in seen if f not in col)
+        missing = set(colors) - {col[f] for f in seen if f in col}
+        avail = {c: {f for f in free if c in available_colors(g, col, f, 21)}
+                 for c in missing}
+        placed = brute_distinct_assignment(avail)
+        assert placed is not None
+        col.update({f: c for c, f in placed.items()})
+
+    def forced(self):
+        """The fixture, its plan, a copy of the seed coloring and the donor
+        edge w-w1."""
+        g, _ = build_pocket(SHAPES["mixed-branch"])
+        plan = build_precolor_and_sequence(g, 0)
+        w = plan.labels.w
+        (ww1,) = g.edges_between(w, plan.labels.children[w][0])
+        return g, plan, plan.precolor.as_dict(), ww1
+
+    def extend_tail(self, g: Graph, plan: SequencePlan, col: dict) -> list:
+        """Both extensions of the tail edges col leaves uncolored, in tail
+        order, on top of col, once col is checked to be a strong coloring."""
+        seeded = PartialColoring(PALETTE, col)
+        ok, _ = verify_strong_coloring(g, seeded)
+        assert ok
+        order = [e for e in plan.tail if e not in col]
+        return extension_outcomes(g, SequencePlan(plan.labels, seeded, plan.tail, order))
+
     def test_recolor_move_saves_the_tail(self):
         g, plan, seeded, blocked = self.blocked_state()
         labels = plan.labels
         w = labels.w
         e_ww1 = g.edges_between(w, labels.children[w][0])[0]
         assert not available_colors(g, seeded.as_dict(), blocked, 21)
-        tail_plan = SequencePlan(labels, seeded, plan.tail, list(plan.tail),
-                                 plan.neighborhoods)
+        tail_plan = SequencePlan(labels, seeded, plan.tail, list(plan.tail))
         out = extend_sequence(g, tail_plan)
         ok, _ = verify_strong_coloring(g, out)
         assert ok
@@ -643,14 +713,55 @@ class TestBlockedTailManeuver:
         assert out.color(e_ww1) is not None       # and the donor got recolored
         for e in plan.tail:
             assert out.color(e) is not None
+        assert out.as_dict() == extend_sequence_oracle(g, tail_plan)
 
     def test_stall_off_the_tail_falls_back(self):
         g, plan, seeded, blocked = self.blocked_state()
         # ask the walk to color the blocked edge last, where it is not allowed
         bogus = SequencePlan(plan.labels, seeded, plan.tail[2:],
-                             plan.tail[2:] + [blocked], plan.neighborhoods)
-        with pytest.raises(FallbackTriggered):
+                             plan.tail[2:] + [blocked])
+        with pytest.raises(FallbackTriggered, match=f"sequence stalled at edge {blocked}$"):
             extend_sequence(g, bogus)
+
+    def test_only_the_second_grandchild_edge_stalls(self):
+        # the second grandchild edge sees colors 2..21 off the donor, so it
+        # takes the donor's 1, and the donor is recolored right after it
+        g, plan, col, ww1 = self.forced()
+        self.show(g, col, plan.tail[1], range(2, 22), apart={ww1, *plan.tail})
+        new, old = self.extend_tail(g, plan, col)
+        assert new == old
+        assert new[plan.tail[1]] == 1 and new[plan.tail[0]] != 1
+        assert new[ww1] not in (None, 1)
+        ok, _ = verify_strong_coloring(g, PartialColoring(PALETTE, new))
+        assert ok
+
+    def test_stalled_twice(self):
+        # the first grandchild edge stalls as in blocked_state; with x-w
+        # seeded, the second sees all 21 colors without the donor, so it
+        # stalls while the donor is out
+        g, plan, col, ww1 = self.forced()
+        self.show(g, col, plan.tail[0], range(2, 22), apart={ww1, *plan.tail[1:]})
+        self.show(g, col, plan.tail[1], range(1, 22), apart={ww1, *plan.tail[:4]})
+        assert plan.tail[7] in col
+        reason = "sequence stalled twice; donor edge already moved"
+        assert self.extend_tail(g, plan, col) == [reason, reason]
+
+    def test_donor_color_still_blocked(self):
+        # the first grandchild edge sees all 21 colors without the donor,
+        # color 1 among them, so the donor's 1 does not free it
+        g, plan, col, ww1 = self.forced()
+        self.show(g, col, plan.tail[0], range(1, 22), apart={ww1, *plan.tail[1:4]})
+        reason = "donor color still blocked after removal"
+        assert self.extend_tail(g, plan, col) == [reason, reason]
+
+    def test_recolor_of_moved_seed_edge(self):
+        # the donor's other edges in view show colors 2..21, and the first
+        # grandchild edge, which takes its 1, shows 2..21 too
+        g, plan, col, ww1 = self.forced()
+        self.show(g, col, ww1, range(2, 22), apart={plan.tail[0]})
+        self.show(g, col, plan.tail[0], range(2, 22), apart={ww1})
+        reason = f"no color available for edge {ww1} during recolor of moved seed edge"
+        assert self.extend_tail(g, plan, col) == [reason, reason]
 
 
 # First 16 hex digits of sha256(coloring JSON + trace text) for each pocket
