@@ -123,21 +123,14 @@ def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
     return None
 
 
-def _first_free(shown, k: int):
-    """Smallest color of 1..k not in `shown`, or None; k may be huge."""
-    c = 1
-    while c in shown:
-        c += 1
-    return c if c <= k else None
-
-
 @lru_cache(maxsize=4)
 def _palette(k: int) -> frozenset:
     return frozenset(range(1, k + 1))
 
 
 def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> frozenset:
-    """Colors of 1..k on no edge that e sees, under a raw edge->color dict."""
+    """Colors of 1..k on no edge that e sees, under a raw edge->color dict:
+    the solver's one query for a single edge, as _first_fit is for orders."""
     return _palette(k) - {assignment[f] for f in edge_neighborhood(g, e)
                           if f in assignment}
 
@@ -304,15 +297,6 @@ class ExactResult:
         return self.upper if self.exact else None
 
 
-def _greedy_seed(adj: list[set[int]]) -> list[int]:
-    """Smallest free color for each vertex of adj, largest degree first, ties
-    to the lower index: the exact solver's incumbent and solve21's base case."""
-    colors = [0] * len(adj)
-    for v in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
-        colors[v] = _first_free({colors[w] for w in adj[v]}, len(adj))
-    return colors
-
-
 def _greedy_clique(adj: list[set[int]]) -> list[int]:
     """A large clique of adj, found greedily, as a sorted list.
 
@@ -376,7 +360,12 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     adj = line_graph_square(g)
     clique = _greedy_clique(adj)
     lower = max(len(clique), 1)
-    best = _greedy_seed(adj)
+    # the incumbent: one _first_fit pass, most seen edges first, ties to the
+    # lower id; an edge sees at most m - 1 others, so m colors always suffice
+    seed: dict[int, int] = {}
+    order = sorted(range(m), key=lambda i: (-len(adj[i]), i))
+    _first_fit(g, seed, [eids[i] for i in order], m)
+    best = [seed[e] for e in eids]
     upper = max(best)
 
     if lower == upper or (stop_at is not None and upper <= stop_at):

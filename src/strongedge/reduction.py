@@ -42,13 +42,10 @@ from .coloring import (
     PartialColoring,
     _ball,
     _first_fit,
-    _first_free,
-    _greedy_seed,
     _match_distinct,
     available_colors,
     edge_neighborhood,
     exact_strong_index,
-    line_graph_square,
     verify_strong_coloring,
 )
 
@@ -114,16 +111,16 @@ class ReductionTrace:
 
 def _greedy_assign(g: Graph, col: dict, e: int, why: str) -> None:
     """Give e the smallest color on none of the edges it sees."""
-    c = _first_free({col[f] for f in edge_neighborhood(g, e) if f in col}, PALETTE)
-    if c is None:
+    free = available_colors(g, col, e, PALETTE)
+    if not free:
         raise FallbackTriggered(f"no color available for edge {e} during {why}")
-    col[e] = c
+    col[e] = min(free)
 
 
 def _checked_assign(g: Graph, col: dict, e: int, c: int, why: str) -> None:
     if e in col:
         raise FallbackTriggered(f"edge {e} already colored during {why}")
-    if any(col.get(f) == c for f in edge_neighborhood(g, e)):
+    if c not in available_colors(g, col, e, PALETTE):
         raise FallbackTriggered(f"color {c} blocked on edge {e} during {why}")
     col[e] = c
 
@@ -325,7 +322,7 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
             moved = col.pop(e_ww1, None)
             if moved is None:
                 raise FallbackTriggered("sequence stalled twice; donor edge already moved")
-            if any(col.get(f) == moved for f in edge_neighborhood(g, e)):
+            if moved not in available_colors(g, col, e, PALETTE):
                 raise FallbackTriggered("donor color still blocked after removal")
             col[e] = moved
             at = order.index(e, start)
@@ -490,7 +487,12 @@ class _Solver:
     def _dispatch(self, g: Graph, depth: int) -> dict:
         if g.num_edges() <= BASE_CASE_EDGES:
             self.trace.record(depth, "base-case", "", g)
-            return dict(zip(g.edges(), _greedy_seed(line_graph_square(g))))
+            # most seen edges first, ties to the lower id; each of at most 20
+            # edges sees at most 19 others, so the pass cannot stall
+            order = sorted(g.edges(), key=lambda e: (-len(edge_neighborhood(g, e)), e))
+            col: dict = {}
+            _first_fit(g, col, order, PALETTE)
+            return col
 
         comps = g.components()
         if len(comps) > 1:

@@ -10,8 +10,8 @@ now, beside `complete_with_palette`, which drives the solver's short-cycle
 completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
 verifier, of the edge-scan subgraph and components split, of the exact
-solver's greedy clique and of the sequence closure and extension, kept
-verbatim as differential oracles for their successors.
+solver's greedy clique and greedy seed and of the sequence closure and
+extension, kept verbatim as differential oracles for their successors.
 """
 import random
 from collections import deque
@@ -670,6 +670,23 @@ def greedy_clique_oracle(adj: list) -> list[int]:
         if len(clique) > len(best):
             best = sorted(clique)
     return best
+
+
+def greedy_seed_oracle(adj: list) -> list[int]:
+    """coloring._greedy_seed as it was, over the squared line graph: the
+    smallest free color for each vertex of adj, largest degree first, ties to
+    the lower index.  It was the exact solver's incumbent and solve21's base
+    case.  Its palette was len(adj), which a vertex of at most len(adj) - 1
+    neighbours never exhausts, so the None of its smallest-free-color step
+    is left out."""
+    colors = [0] * len(adj)
+    for v in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
+        shown = {colors[w] for w in adj[v]}
+        c = 1
+        while c in shown:
+            c += 1
+        colors[v] = c
+    return colors
 
 
 def sequence_plan_oracle(g: Graph, x: int) -> tuple[dict, list, list, int]:

@@ -25,7 +25,7 @@ from strongedge.coloring import (
     line_graph_square,
     verify_strong_coloring,
 )
-from strongedge.reduction import _colors_at, solve21
+from strongedge.reduction import BASE_CASE_EDGES, _colors_at, solve21
 
 from helpers import (
     brute_chromatic,
@@ -36,6 +36,7 @@ from helpers import (
     complete_with_palette,
     cycle,
     greedy_clique_oracle,
+    greedy_seed_oracle,
     path,
     peel_order_oracle,
     petersen,
@@ -183,12 +184,12 @@ class TestVerify:
     def test_shares_no_code_with_the_neighborhood_path(self):
         # the verifier checks the solver's output, so it must not reuse the
         # neighbourhood code the solver colors with
-        path_names = {"edge_neighborhood", "_ball", "_first_fit", "_first_free",
-                      "available_colors"}
+        path_names = {"edge_neighborhood", "_ball", "_first_fit", "available_colors"}
         assert "_smallest_conflict" in code_names(verify_strong_coloring.__code__)
         for stage in (verify_strong_coloring, _smallest_conflict):
             assert not code_names(stage.__code__) & path_names, stage.__name__
         assert "_first_fit" in code_names(greedy_color.__code__)
+        assert "_first_fit" in code_names(exact_strong_index.__code__)
 
     @pytest.mark.parametrize("make", [lambda: build_pocket(SHAPES["hub-deg2"])[0],
                                       lambda: gen_random_regular(4, 320, 0)],
@@ -412,6 +413,18 @@ class TestFirstFit:
         col = {2: 1}
         assert _first_fit(g, col, [0, 1, 3], 3) == 3
         assert col == {2: 1, 0: 2, 1: 3}
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_base_case_and_exact_incumbent_match_the_greedy_seed(self, data):
+        # both color through _first_fit, most seen edges first and ties to
+        # the lower id, as the replaced greedy seed did over the squared line
+        # graph; budget=0 returns the incumbent unsearched
+        g = gapped_multigraph(data.draw)
+        expected = dict(zip(g.edges(), greedy_seed_oracle(strong_adjacency(g))))
+        assert exact_strong_index(g, budget=0).coloring.as_dict() == expected
+        if g.num_edges() <= BASE_CASE_EDGES:
+            assert solve21(g)[0].as_dict() == expected
 
 
 class TestGreedy:

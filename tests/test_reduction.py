@@ -31,6 +31,8 @@ from strongedge.reduction import (
     FallbackTriggered,
     SequencePlan,
     _Solver,
+    _checked_assign,
+    _greedy_assign,
     build_partition,
     build_precolor_and_sequence,
     extend_sequence,
@@ -59,6 +61,7 @@ from helpers import (
     verify_oracle,
 )
 from pocket import M, SHAPES, SWAP_SHAPES, THIN_SHAPES, build_pocket
+from test_coloring import gapped_multigraph
 
 # a 4-regular graph of girth exactly five on 19 vertices, found by local
 # search and frozen; it exercises the five-cycle reduction
@@ -232,7 +235,8 @@ class TestBaseCase:
     @given(st.data())
     def test_keeps_the_exact_incumbent(self, data):
         # a multigraph of maximum degree four with 1..BASE_CASE_EDGES edges is
-        # colored by the exact solver's greedy seed, one color per edge at most
+        # colored like the exact solver's greedy incumbent, one color per edge
+        # at most
         n = data.draw(st.integers(2, 14))
         ends = st.integers(0, n - 1)
         pairs = st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
@@ -1039,6 +1043,55 @@ class TestPocketDraws:
         g = relabeled(g0, random.Random(f"{seed} {shape}"))
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
+
+
+class TestAssignmentHelpers:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_match_the_colors_on_seen_edges(self, data):
+        # on a drawn partial coloring, valid or not, _greedy_assign takes the
+        # smallest color on no seen edge and _checked_assign refuses exactly
+        # the colors on a seen edge.  Half the graphs are simple 4-regular,
+        # where an edge sees up to 24 others; half the draws with 21 or more
+        # seen edges color 21 of them 1..21, so that no color is left
+        if data.draw(st.booleans()):
+            g = gapped_multigraph(data.draw)
+            if not g.edges():
+                reject()
+        else:
+            g = gen_random_regular(4, data.draw(st.integers(7, 30)), data.draw(st.integers(0, 99)))
+        e = data.draw(st.sampled_from(g.edges()))
+        seen = sorted(seen_edges(g, e))
+        others = [f for f in g.edges() if f != e]
+        col = data.draw(st.dictionaries(st.sampled_from(others), st.integers(1, PALETTE))
+                        if others else st.just({}))
+        if len(seen) >= PALETTE and data.draw(st.booleans()):
+            col.update(zip(data.draw(st.permutations(seen)), range(1, PALETTE + 1)))
+        shown = {col[f] for f in seen if f in col}
+        free = [c for c in range(1, PALETTE + 1) if c not in shown]
+        work = dict(col)
+        if free:
+            _greedy_assign(g, work, e, "a draw")
+            assert work == {**col, e: free[0]}
+        else:
+            with pytest.raises(FallbackTriggered,
+                               match=f"^no color available for edge {e} during a draw$"):
+                _greedy_assign(g, work, e, "a draw")
+            assert work == col
+        for c in range(1, PALETTE + 1):
+            work = dict(col)
+            if c in shown:
+                with pytest.raises(FallbackTriggered,
+                                   match=f"^color {c} blocked on edge {e} during a draw$"):
+                    _checked_assign(g, work, e, c, "a draw")
+                assert work == col
+            else:
+                _checked_assign(g, work, e, c, "a draw")
+                assert work == {**col, e: c}
+        work = {**col, e: 1}
+        with pytest.raises(FallbackTriggered, match=f"^edge {e} already colored during a draw$"):
+            _checked_assign(g, work, e, 2, "a draw")
+        assert work == {**col, e: 1}
 
 
 class TestCompletionStrategies:

@@ -77,14 +77,18 @@ def test_tracer_targets_resolve_and_trace_a_solve():
     with tracer.Tracer().installed() as t:
         col, trace = reduction.solve21(g)
         assert t.calls["coloring.exact_strong_index"] == 0
-        # a short-cycle completion reads one availability set per target
-        # through reduction's binding of available_colors
-        assert t.calls["coloring.available_colors"] == 0
+        # every single-edge assignment reads one availability set through
+        # reduction's binding of available_colors: the mixed-branch recipe
+        # passes read 16
+        assert t.calls["coloring.available_colors"] == 16
         _, sdr_trace = reduction.solve21(gen_random_regular(4, 59, 194))
         sdr = [s.params for s in sdr_trace.steps if s.tag == "sdr"]
         assert sdr == ["targets=8 outcome=direct"]
         assert t.calls["reduction.complete_targets"] == 1
-        assert t.calls["coloring.available_colors"] == 8
+        # the K2,3 solve reads 9 more: 1 for its spoke transfer, whose first
+        # checked color collides, and 8 for the completion's 8 targets, so
+        # 16 + 1 + 8 = 25
+        assert t.calls["coloring.available_colors"] == 25
         # the exact solver through each of its two bindings: a direct call,
         # then the exact finish of a solve whose low-degree extension fails:
         # the color-back reports peeled edge 0 (of 0-1) uncolorable, and the
@@ -100,7 +104,8 @@ def test_tracer_targets_resolve_and_trace_a_solve():
     assert_solved(g, col, trace)
     assert pocket_digest(col, trace) == POCKET_DIGESTS["mixed-branch"]
     # the benchmark's per-layer rows read edge_neighborhood through these
-    # bindings; the mixed-branch solve's recipe passes make 16 calls
+    # bindings: the base case orders its edges by it, and available_colors
+    # calls it once per set
     for layer in ("reduction.dispatch", "reduction.collaborative",
                   "graph.find_edge_cut_at_most", "graph.find_configuration",
                   "reduction.build_partition", "coloring.edge_neighborhood"):
