@@ -17,6 +17,7 @@ solver, so correctness never depends on the constructive path.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,6 +68,13 @@ class FallbackTriggered(Exception):
     """A proof-backed step found no valid move; the exact solver takes over."""
 
 
+def _require(cond: bool, why: str, *args) -> None:
+    """Fall back with why.format(*args) unless cond holds: the form of each
+    guard that its docstring argues cannot fail (a forced guard raises)."""
+    if not cond:
+        raise FallbackTriggered(why.format(*args))
+
+
 @dataclass
 class TraceStep:
     depth: int
@@ -87,13 +95,14 @@ class ReductionTrace:
 
     def __init__(self):
         self.steps: list[TraceStep] = []
-        self.fallback_count = 0
+
+    @property
+    def fallback_count(self) -> int:
+        return sum(s.tag == "fallback" for s in self.steps)
 
     def record(self, depth: int, tag: str, params: str, g: Graph) -> None:
         self.steps.append(TraceStep(depth, tag, params,
                                     g.num_vertices(), g.num_edges()))
-        if tag == "fallback":
-            self.fallback_count += 1
 
     def tags(self) -> list[str]:
         return [s.tag for s in self.steps]
@@ -109,18 +118,23 @@ class ReductionTrace:
 # -- shared assignment helpers -------------------------------------------------
 
 
+def _free_colors(g: Graph, col: dict, e: int, why: str) -> frozenset:
+    """Colors on none of the edges e sees; e itself must be uncolored."""
+    if e in col:
+        raise FallbackTriggered(f"edge {e} already colored during {why}")
+    return available_colors(g, col, e, PALETTE)
+
+
 def _greedy_assign(g: Graph, col: dict, e: int, why: str) -> None:
     """Give e the smallest color on none of the edges it sees."""
-    free = available_colors(g, col, e, PALETTE)
+    free = _free_colors(g, col, e, why)
     if not free:
         raise FallbackTriggered(f"no color available for edge {e} during {why}")
     col[e] = min(free)
 
 
 def _checked_assign(g: Graph, col: dict, e: int, c: int, why: str) -> None:
-    if e in col:
-        raise FallbackTriggered(f"edge {e} already colored during {why}")
-    if c not in available_colors(g, col, e, PALETTE):
+    if c not in _free_colors(g, col, e, why):
         raise FallbackTriggered(f"color {c} blocked on edge {e} during {why}")
     col[e] = c
 
@@ -173,9 +187,10 @@ def _kids(g: Graph, v: int, parent: int) -> list[int]:
 
 
 def _eid(g: Graph, a: int, b: int) -> int:
+    """The one edge between a and b: callers name adjacent pairs in graphs
+    that the multi-edge step has made simple."""
     es = g.edges_between(a, b)
-    if len(es) != 1:
-        raise FallbackTriggered(f"expected one edge between {a} and {b}, found {len(es)}")
+    _require(len(es) == 1, "expected one edge between {} and {}, found {}", a, b, len(es))
     return es[0]
 
 
@@ -241,6 +256,8 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
     With girth_known the caller vouches for girth at least six and the girth
     check is skipped; the degree and two-ball checks always run.
     """
+    if x not in g._adj:
+        raise ValueError(f"unknown vertex {x}")
     if any(g.degree(v) != 4 for v in g.vertices()):
         raise ValueError("anchored decomposition needs a 4-regular graph")
     if not girth_known and girth(g) < 6:
@@ -362,69 +379,60 @@ class VertexPartition:
         return len(_edges_in(g, self.right, v))
 
 
-def _partition_check(cond: bool, why: str) -> None:
-    if not cond:
-        raise FallbackTriggered(f"partition invariant failed: {why}")
-
-
 def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
     """Derive and validate the left/mid/right split from a non-covering plan.
 
-    Raises FallbackTriggered when any structural invariant fails, which would
-    indicate the sequence or the input violates the decomposition's
-    assumptions.
+    Its checks and _check_partition_structure's are the paper's structure
+    of a stalled maximal sequence; a plan built by hand can fail them.  An
+    edge leaving left ends in mid, never right: at a designated vertex or,
+    if its left end is one, at that end's parent, as its kids are left.
     """
     labels = plan.labels
     x, (u, v, w, y) = labels.x, labels.branch
     psi_edges = set(plan.precolor.colored())
     seq = set(plan.order)
     h = {e for e in g.edges() if e not in psi_edges and e not in seq}
-    _partition_check(bool(h), "no leftover uncolored edges")
+    _require(bool(h), "no leftover uncolored edges")
 
     left = {p for e in h for p in g.endpoints(e)}
     w1, w2, w3 = labels.children[w]
     protected = {x, u, v, w, y, w2, w3}
-    _partition_check(not (left & protected),
-                     "left block touches the anchor's protected vertices")
+    _require(not (left & protected), "left block touches the anchor's protected vertices")
 
     inner = {e for e in g.edges()
              if g.endpoints(e)[0] in left and g.endpoints(e)[1] in left}
-    _partition_check(inner == h, "left block spans more than the leftover edges")
+    _require(inner == h, "left block spans more than the leftover edges")
 
     crossing = sorted(e for e in g.edges()
                       if (g.endpoints(e)[0] in left) != (g.endpoints(e)[1] in left))
     designated = set(labels.children[u] + labels.children[v] + [w1])
     for e in crossing:
         ends = set(g.endpoints(e))
-        _partition_check(len(ends & designated) == 1,
-                         f"crossing edge {e} misses the designated ring")
+        _require(len(ends & designated) == 1, "crossing edge {} misses the designated ring", e)
+    meets = Counter(p for e in crossing for p in g.endpoints(e))
     for a in sorted(designated):
-        deg_f = sum(1 for e in crossing if a in g.endpoints(e))
-        _partition_check(deg_f <= 2, f"designated vertex {a} meets 3+ crossing edges")
+        _require(meets[a] <= 2, "designated vertex {} meets 3+ crossing edges", a)
     for l in sorted(left):
-        deg_f = sum(1 for e in crossing if l in g.endpoints(e))
-        _partition_check(deg_f <= 1, f"left vertex {l} meets two crossing edges")
+        _require(meets[l] <= 1, "left vertex {} meets two crossing edges", l)
 
-    crossing_mid = {p for e in crossing for p in g.endpoints(e)} - left
-    _partition_check(crossing_mid <= designated | {x, u, v, w},
-                     "crossing endpoint outside designated ring and anchor core")
-    mid = {x, u, v, w} | crossing_mid
+    mid = {x, u, v, w} | (set(meets) - left)
     right = set(g.vertices()) - left - mid
-    _partition_check({y, w2, w3} <= right, "free branch not in the right block")
-    _partition_check(len(crossing) >= 4, "fewer than four crossing edges")
+    _require({y, w2, w3} <= right, "free branch not in the right block")
+    _require(len(crossing) >= 4, "fewer than four crossing edges")
 
     part = VertexPartition(labels, left, mid, right, h, crossing, designated)
-    # no edge may join left to right
-    for e in g.edges():
-        a, b = g.endpoints(e)
-        _partition_check(not ((a in left and b in right) or (a in right and b in left)),
-                         f"edge {e} joins left to right")
     _check_partition_structure(g, part)
     return part
 
 
 def _check_partition_structure(g: Graph, part: VertexPartition) -> None:
-    """Per-branch structural facts used by the collaborative recipes."""
+    """Per-branch structural facts used by the collaborative recipes.
+
+    Girth six keeps a kid c of a child zi, at distance three, off mid,
+    which lies within distance two of x: so a left or right zi has its kids
+    on its side, and a crossing kid edge has c left and zi mid.  A child of
+    y is right: mid would close a 4-cycle, and left would put y in mid.
+    """
     labels = part.labels
     left, mid, right = part.left, part.mid, part.right
     crossing = set(part.crossing)
@@ -436,34 +444,24 @@ def _check_partition_structure(g: Graph, part: VertexPartition) -> None:
             if zi in mid:
                 has_f = any(e in crossing for e, _ in kid_edges)
                 has_mr = any(c in right for _, c in kid_edges)
-                _partition_check(has_f and has_mr,
-                                 f"mid vertex {zi} lacks a crossing or outward edge")
+                _require(has_f and has_mr, "mid vertex {} lacks a crossing or outward edge", zi)
+            else:
+                side = left if zi in left else right
+                _require(all(c in side for _, c in kid_edges),
+                         "vertex {} has a child outside its block", zi)
             for e, c in kid_edges:
                 if e in crossing:
-                    _partition_check(zi in mid and c in left,
-                                     f"crossing child edge {e} misplaced")
-                    left_deg = sum(1 for f in g.incident(c)
-                                   if g.other_end(f, c) in left)
-                    _partition_check(left_deg == 3,
-                                     f"crossing target {c} lacks three left edges")
-            if zi in left:
-                _partition_check(all(c in left for _, c in kid_edges),
-                                 f"left vertex {zi} has a child outside left")
-            if zi in right:
-                _partition_check(all(c in right for _, c in kid_edges),
-                                 f"right vertex {zi} has a child outside right")
-            for e, c in kid_edges:
-                if zi in mid and c in right:
-                    _partition_check(part.right_degree(g, c) >= 1,
-                                     f"outward target {c} has no right edge")
+                    _require(len(_edges_in(g, left, c)) == 3,
+                             "crossing target {} lacks three left edges", c)
+                elif zi in mid and c in right:
+                    _require(part.right_degree(g, c) >= 1, "outward target {} has no right edge", c)
             if zi in mid and zi != w1:
                 rkids = [c for _, c in kid_edges if c in right]
                 if len(rkids) == 2:
                     total = sum(part.right_degree(g, c) for c in rkids)
-                    _partition_check(total >= 3,
-                                     f"double outward vertex {zi} has thin right side")
+                    _require(total >= 3, "double outward vertex {} has thin right side", zi)
     for c in _kids(g, labels.y, labels.x):
-        _partition_check(c in right, "free-branch child outside right block")
+        _require(c in right, "free-branch child outside right block")
 
 
 # -- the reduction solver -----------------------------------------------------------
@@ -588,6 +586,9 @@ class _Solver:
            cut avoid side one's colors there (neither is 1 or 2: each sees
            both stubs through the apex);
         4. splice, giving each cut edge its stubs' color, and verify.
+
+        Step 3 cannot fail: side two's at most six boundary colors need
+        distinct images in 3..21 off side one's at most six (Hall).
         """
         self.trace.record(depth, "small-cut", f"edges={cut.cut_edges}", g)
         sides = []
@@ -604,8 +605,7 @@ class _Solver:
         (g1, col1, _, boundary1), (g2, col2, stubs2, boundary2) = sides
         col2 = rename_colors(col2, {s: col2[s] for s in stubs2},
                              dict.fromkeys(boundary2, {col1[e] for e in boundary1}))
-        if col2 is None:
-            raise FallbackTriggered("cut boundary separation infeasible")
+        _require(col2 is not None, "cut boundary separation infeasible")
 
         working = {e: col1[e] for e in g1.edges() if g.has_edge_id(e)}
         working.update({e: col2[e] for e in g2.edges() if g.has_edge_id(e)})
@@ -647,12 +647,14 @@ class _Solver:
         return col
 
     def _k23(self, g: Graph, conf: Configuration, depth: int) -> dict:
+        """Reduce a K2,3 via its two-side v1, v2: g is simple and 4-regular, so
+        each has one more neighbor, and a shared one would be a K2,4."""
         u_side = conf.vertices[:3]
         v1, v2 = conf.vertices[3:]
         z1 = [p for p in g.neighbors(v1) if p not in u_side]
         z2 = [p for p in g.neighbors(v2) if p not in u_side]
-        if len(z1) != 1 or len(z2) != 1 or z1[0] == z2[0]:
-            raise FallbackTriggered("unexpected fourth neighbors at the two-side")
+        _require(len(z1) == 1 and len(z2) == 1 and z1[0] != z2[0],
+                 "unexpected fourth neighbors at the two-side")
         z1, z2 = z1[0], z2[0]
         if g.adjacent(z1, z2):
             return self._delete_and_complete(g, [v1, v2], depth)
@@ -715,7 +717,13 @@ class _Solver:
     # .. collaborative coloring of the two blocks ..
 
     def _collaborative(self, g: Graph, part: VertexPartition, depth: int) -> dict:
-        """Order the labels for the partition's case and run its recipe."""
+        """Order the labels for the partition's case and run its recipe.
+
+        Some designated vertex is mid: else each crossing edge joins a left
+        child to its parent, mixed-branch takes a branch with children on
+        both sides (w's included), and four crossing edges make x-u, x-v a
+        2-edge cut, which _dispatch has ruled out.
+        """
         labels = part.labels.copy()
         # structure with one child in each block fires the simplest recipe
         for z in sorted((labels.u, labels.v, labels.w)):
@@ -729,8 +737,7 @@ class _Solver:
                 return self._run_recipe(g, part, labels, depth, "mixed-branch", z)
 
         m_a = sorted(part.mid & part.designated)
-        if not m_a:
-            raise FallbackTriggered("mid block misses the designated ring entirely")
+        _require(bool(m_a), "mid block misses the designated ring entirely")
         marked = {zi: self._mark_children(g, part, labels, zi) for zi in m_a}
         for zi in m_a:
             labels.children[zi] = marked[zi]
@@ -763,10 +770,8 @@ class _Solver:
     # .. label utilities ..
 
     def _branch_of(self, labels: BranchLabels, zi: int) -> int:
-        for z in labels.branch:
-            if zi in labels.children[z]:
-                return z
-        raise FallbackTriggered(f"vertex {zi} is not a child of any branch")
+        """The branch above zi, a designated vertex and so a branch's child."""
+        return next(z for z in labels.branch if zi in labels.children[z])
 
     def _mark_children(self, g: Graph, part: VertexPartition,
                        labels: BranchLabels, zi: int) -> list[int]:
@@ -792,12 +797,12 @@ class _Solver:
     def _rich_anchor_cases(self, g: Graph, part: VertexPartition,
                        labels: BranchLabels, chosen: int, depth: int) -> dict:
         """Dispatch an outward-rich mid vertex by its siblings.  _collaborative
-        has already run r-sibling for any candidate with a right sibling."""
-        z = self._branch_of(labels, chosen)
-        if z == labels.v:
+        has already run r-sibling for any candidate with a right sibling, as
+        a rich w1 has in w2 and w3, so the chosen vertex is under u or v."""
+        if self._branch_of(labels, chosen) == labels.v:
             labels.swap_uv()
-        elif z != labels.u:
-            raise FallbackTriggered("chosen outward-rich vertex on the third branch")
+        _require(chosen in labels.children[labels.u],
+                 "chosen outward-rich vertex on the third branch")
         siblings = [c for c in labels.children[labels.u] if c != chosen]
         l_sib = sorted(c for c in siblings if c in part.left)
         if l_sib:
@@ -833,12 +838,17 @@ class _Solver:
         middle = sorted(set(kids) - {hub, lk})
         labels.children[partner] = [lk, middle[0], hub]
 
-    def _hub_partners(self, g: Graph, part: VertexPartition, hub: int,
-                      exclude: int, count: int, who: str = "hub") -> list[int]:
-        """The hub's mid neighbors other than `exclude`; there must be `count`."""
+    def _hub_partners(self, g: Graph, part: VertexPartition, labels: BranchLabels,
+                      hub: int, exclude: int, count: int) -> list[int]:
+        """The hub's mid neighbors but `exclude`, ascending.  The hub is right,
+        so count is 3 - its right degree; girth six keeps x, u, v and w off
+        it, and two children of one branch from sharing it."""
         partners = sorted(p for p in g.neighbors(hub) if p in part.mid and p != exclude)
-        if len(partners) != count:
-            raise FallbackTriggered(f"{who} has {len(partners)} partners, expected {count}")
+        branches = {z for z in labels.branch[:3] for p in partners + [exclude]
+                    if p in labels.children[z]}
+        _require(len(partners) == count and len(branches) == count + 1,
+                 "hub {} has partners {}, expected {} on distinct branches",
+                 hub, partners, count)
         return partners
 
     # .. the shared recipe skeleton ..
@@ -857,6 +867,9 @@ class _Solver:
         6. run the greedy shell passes, interleaved as the recipe's steps list;
         7. greedy-color the ordered tail and verify the result.
 
+        d is none of 1, 2, 3: each recipe's d_from edge has an end at norm or
+        at a left-block neighbor of norm, so it sees the three edges at norm.
+
         Colorings and traces depend on three orders that recipes must keep:
         the order of each block's helpers (their ids feed the block solve's
         sorted iteration), the solve order (left, rename, right, rename), and
@@ -870,8 +883,7 @@ class _Solver:
         col_l = self._solve_block(g, gl, depth, "left",
                                   lambda raw: dict(zip(norm, (1, 2, 3))))
         d = col_l[_edge(g, r.d_from, left)]
-        if r.guard and d in (1, 2, 3):
-            raise FallbackTriggered(r.guard)
+        _require(d not in (1, 2, 3), "shared seed color collided with the base colors")
         col_r = self._solve_block(g, gr, depth, "right", lambda raw: dict(
             zip([_edge(g, ref, right) for ref in r.fix(raw)], (1, 2, 3, d))))
 
@@ -894,8 +906,6 @@ class _Solver:
             elif e not in col:
                 _greedy_assign(g, col, e, f"{kind} pass")
         for e in [_edge(g, ref) for ref in order]:
-            if e in col:
-                raise FallbackTriggered(f"ordered edge {e} was already colored")
             _greedy_assign(g, col, e, "final order")
         missing = [e for e in g.edges() if e not in col]
         if missing:
@@ -907,7 +917,8 @@ class _Solver:
 
     def _block(self, g: Graph, side: set, helpers) -> tuple[Graph, dict]:
         """Induced block on `side` plus helpers (a, b, why) in order; a helper
-        with a reason must be a new adjacency.  Returns the block and the ids
+        with a reason must be a new adjacency, as girth six makes it (a path
+        of at most four edges joins its ends).  Returns the block and the ids
         of its helpers by vertex pair (and of its apex by _APEX)."""
         sub = g.induced_subgraph(side)
         ids: dict = {}
@@ -915,29 +926,32 @@ class _Solver:
             if _APEX in (a, b) and _APEX not in ids:
                 ids[_APEX] = sub.add_vertex()
             ends = (ids.get(a, a), ids.get(b, b))
-            if why and sub.adjacent(*ends):
-                raise FallbackTriggered(f"unexpected adjacency {a}-{b} while {why}")
+            _require(not (why and sub.adjacent(*ends)),
+                     "unexpected adjacency {}-{} while {}", a, b, why)
             ids[frozenset((a, b))] = sub.add_edge(*ends)
         return sub, ids
 
     def _solve_block(self, g: Graph, sub: Graph, depth: int, side: str, fixed) -> dict:
-        """Solve a block, then rename its colors so that fixed(raw coloring) holds."""
-        if sub.max_degree() > 4:
-            raise FallbackTriggered("block exceeded degree four")
+        """Solve a block, then rename its colors so that fixed(raw coloring) holds.
+
+        Each helper or stub end stands for an edge the block drops there, and
+        an apex takes at most four, so degrees stay at most four; the fixed
+        edges pairwise meet or are joined, so their raw colors differ.
+        """
+        _require(sub.max_degree() <= 4, "block exceeded degree four")
         col = self.solve(sub, depth + 1, g.measure())
         renamed = rename_colors(col, fixed(col))
-        if renamed is None:
-            raise FallbackTriggered(
-                f"renaming infeasible while normalizing the {side} block")
+        _require(renamed is not None, "renaming infeasible while normalizing the {} block", side)
         return renamed
 
     def _right_triple(self, g: Graph, part: VertexPartition,
                       primary: int, secondary=None) -> list[int]:
+        """Three right edges at primary, then secondary: a rich vertex's
+        outward children, which have three between them."""
         edges = _edges_in(g, part.right, primary)[:3]
         if len(edges) < 3 and secondary is not None:
             edges += _edges_in(g, part.right, secondary)[:3 - len(edges)]
-        if len(edges) != 3:
-            raise FallbackTriggered("fewer than three right edges for the helper triple")
+        _require(len(edges) == 3, "fewer than three right edges for the helper triple")
         return edges
 
     def _crossing_partner(self, g: Graph, part: VertexPartition,
@@ -973,12 +987,12 @@ class _Solver:
         o1, o2 = sorted(set(labels.branch[:3]) - {z})
 
         def fix(raw):
+            # z3's edges see z13's, one of which is in the triple
             triple = self._right_triple(g, part, z13, z12)
             sources = {raw[e] for e in triple}
             pick = next((e for e in _edges_in(g, part.right, z3)
                          if raw[e] not in sources), None)
-            if pick is None:
-                raise FallbackTriggered("right sibling edges all collide with the triple")
+            _require(pick is not None, "right sibling edges all collide with the triple")
             return triple + [pick]
 
         return _Recipe(
@@ -999,7 +1013,6 @@ class _Solver:
             left=[(u11, u2, "joining crossing target to left sibling")],
             right=pair + [(u13, y, "joining outward child to free branch")],
             norm=u11, d_from=(u2, _kids(g, u2, u)[0]),
-            guard="sibling seed color collided with the base colors",
             fix=lambda raw: self._right_triple(g, part, u13, u12) + [(u13, y)],
             steps=_shell(g, labels, [v, w], _down(g, u3, u))
             + [("try", (u1, u13), u12, "seeding the outward child edge")],
@@ -1018,7 +1031,6 @@ class _Solver:
             left=[(_APEX, c, None) for c in (u11, u12, u21, u31)],
             right=[(_APEX, c, None) for c in (u13, u22, u23, u33)],
             norm=_APEX, d_from=min(_edges_in(g, part.left, u31)),
-            guard="shared seed color collided with the base colors",
             fix=lambda raw: [(_APEX, u23), (_APEX, u22), (_APEX, u13),
                              min(_edges_in(g, part.right, u33))],
             steps=[("seed", e, c, "seeding the paired child edges") for e, c in seeds]
@@ -1032,8 +1044,6 @@ class _Solver:
         (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = (
             labels.children[c] for c in (u1, u2, u3))
         if crossing_mid:
-            if part.right_degree(g, u13) != 3:
-                raise FallbackTriggered("outward child lacks three right edges")
             left = [(_APEX, c, None) for c in (u11, u12, u21, u22)]
             right = [(u13, u23, "pairing the outward children")]
             d_from, d_to, secondary = (_APEX, u11), (u13, u23), None
@@ -1045,7 +1055,6 @@ class _Solver:
             d_from, d_to, secondary = (u11, u21), (_APEX, u23), u12
         return _Recipe(
             left=left, right=right, norm=u11, d_from=d_from,
-            guard="shared seed color collided with the base colors",
             fix=lambda raw: self._right_triple(g, part, u13, secondary) + [d_to],
             steps=[("seed", e, _D, "seeding the paired child edges")
                    for e in ((u1, u11), (u2, u23))] + _shell(g, labels, [v, w]),
@@ -1053,29 +1062,23 @@ class _Solver:
                    (u3, u33), (x, u), (u, u2), (u, u3), (u1, u12), (u1, u13), (u, u1)])
 
     def _hub_deg1(self, g, part, labels) -> _Recipe:
+        """As the hub joins w1 and u1, u11-w11 or u11-w12 closes a 5-cycle."""
         x, (u, v, w, y) = labels.x, labels.branch
         w1, w2, w3 = labels.children[w]
         w11, w12, hub = labels.children[w1]
-        partners = self._hub_partners(g, part, hub, w1, 2)
-        pu = [p for p in partners if p in labels.children[u]]
-        pv = [p for p in partners if p in labels.children[v]]
-        if len(pu) != 1 or len(pv) != 1:
-            raise FallbackTriggered("hub partners not spread over both branches")
-        self._relabel_partner(g, part, labels, pu[0], hub, u)
-        self._relabel_partner(g, part, labels, pv[0], hub, v)
+        for p in self._hub_partners(g, part, labels, hub, w1, 2):
+            self._relabel_partner(g, part, labels, p, hub, self._branch_of(labels, p))
         u1, u2, u3 = labels.children[u]
         v1, v2, v3 = labels.children[v]
         u11, u12 = labels.children[u1][:2]
         v11, v12 = labels.children[v1][:2]
         u_prime_edges = _edges_in(g, part.left, u11)
-        for e in u_prime_edges:
-            if set(g.endpoints(e)) & {w11, w12}:
-                raise FallbackTriggered("crossing target adjacent to the third branch pair")
+        _require(not any(set(g.endpoints(e)) & {w11, w12} for e in u_prime_edges),
+                 "crossing target adjacent to the third branch pair")
         return _Recipe(
             left=[(w11, u11, "joining the two crossing targets")],
             right=[(hub, c, "spreading the hub") for c in (w2, w3, y)],
             norm=w11, d_from=u_prime_edges[0],
-            guard="shared seed color collided with the base colors",
             fix=lambda raw: _edges_in(g, part.right, hub) + [(hub, c) for c in (w2, w3, y)],
             steps=[("seed", (x, y), _D, "seeding the free branch edge"),
                    ("seed", (w, w2), 2, "seeding the third branch edges"),
@@ -1087,16 +1090,15 @@ class _Solver:
                    (x, w), (w1, w11), (w1, w12), (w1, hub), (w, w1)])
 
     def _hub_deg2(self, g, part, labels) -> _Recipe:
+        """w1 is not rich, or r-sibling would have run on its right siblings,
+        so beside the hub's two right edges w12 is not right, nor mid: left."""
         x, w, y = labels.x, labels.w, labels.y
         w1, w2, w3 = labels.children[w]
         w11, w12, hub = labels.children[w1]
-        if w12 not in part.left:
-            raise FallbackTriggered("second child of the third-branch anchor not in left")
-        partner, = self._hub_partners(g, part, hub, w1, 1)
+        _require(w12 in part.left, "second child of the third-branch anchor not in left")
+        partner, = self._hub_partners(g, part, labels, hub, w1, 1)
         if partner in labels.children[labels.v]:
             labels.swap_uv()
-        if partner not in labels.children[labels.u]:
-            raise FallbackTriggered("hub partner on an unexpected branch")
         u, v = labels.u, labels.v
         self._relabel_partner(g, part, labels, partner, hub, u)
         u1 = labels.children[u][0]
@@ -1105,7 +1107,6 @@ class _Solver:
             left=[(w11, w12, "joining the two crossing targets")],
             right=[(hub, c, "spreading the hub") for c in (w2, w3)],
             norm=w11, d_from=min(_edges_in(g, part.left, w12)),
-            guard="shared seed color collided with the base colors",
             fix=lambda raw: _edges_in(g, part.right, hub) + [(hub, w2), (w3, w31)],
             # the hub edge of u1 waits for the ordered tail
             steps=[("seed", (w, w2), 3, "seeding the third branch edge")]
@@ -1114,10 +1115,13 @@ class _Solver:
                    (w1, w11), (w1, w12), (w1, hub), (w, w1)])
 
     def _twin_anchors(self, g, part, labels, m_a) -> _Recipe:
+        """w1 is right, as a left one fires mixed-branch on w.  No vertex of
+        m_a is rich, so each has two left kids and one right (the double-
+        outward check), u1's hub has under three right edges, and girth six
+        leaves it one more mid neighbor, v1 under v, mirroring u1."""
         x, y, w = labels.x, labels.y, labels.w
         w1, w2, w3 = labels.children[w]
-        if w1 not in part.right:
-            raise FallbackTriggered("third-branch anchor neither mid nor right")
+        _require(w1 in part.right, "third-branch anchor neither mid nor right")
         u1 = m_a[0]
         if u1 in labels.children[labels.v]:
             labels.swap_uv()
@@ -1125,19 +1129,14 @@ class _Solver:
         kids = _kids(g, u1, u)
         lk = sorted(c for c in kids if c in part.left)
         rk = [c for c in kids if c in part.right]
-        if len(lk) != 2 or len(rk) != 1:
-            raise FallbackTriggered("twin anchor does not carry two crossing children")
+        _require(len(lk) == 2 and len(rk) == 1, "twin anchor does not carry two crossing children")
         hub = rk[0]
         self._relabel_partner(g, part, labels, u1, hub, u)
-        if part.right_degree(g, hub) != 2:
-            raise FallbackTriggered("twin hub lacks exactly two right edges")
-        v1, = self._hub_partners(g, part, hub, u1, 1, "twin hub")
-        if v1 not in labels.children[v]:
-            raise FallbackTriggered("twin partner on an unexpected branch")
+        _require(part.right_degree(g, hub) == 2, "twin hub lacks exactly two right edges")
+        v1, = self._hub_partners(g, part, labels, hub, u1, 1)
         vkids = _kids(g, v1, v)
         vlk = sorted(c for c in vkids if c in part.left)
-        if len(vlk) != 2 or hub not in vkids:
-            raise FallbackTriggered("twin partner does not mirror the anchor")
+        _require(len(vlk) == 2 and hub in vkids, "twin partner does not mirror the anchor")
         self._relabel_partner(g, part, labels, v1, hub, v)
         (u11, u12), (v11, v12) = lk, vlk
         u2, u3 = labels.children[u][1:]
@@ -1214,7 +1213,6 @@ class _Recipe:
     norm: object  # vertex (or _APEX) whose first three left-block edges take 1, 2, 3
     d_from: object             # left-block ref whose color becomes the shared color d
     fix: Callable              # raw right coloring -> refs for colors 1, 2, 3 and d
-    guard: str = ""            # if set, d in (1, 2, 3) falls back with this reason
     steps: list = field(default_factory=list)  # seeds and shell passes
     order: list = field(default_factory=list)  # the ordered tail
     arm: Callable | None = None  # transferred coloring -> (steps, order) for branching arms
@@ -1233,11 +1231,11 @@ def _edges_in(g: Graph, side: set, v: int) -> list[int]:
 
 
 def _outward_pair(g: Graph, part: VertexPartition, outer: int, twin: int) -> list:
-    """The helper pairing outer with twin when outer has < 3 right edges."""
+    """The helper pairing outer with twin when outer has < 3 right edges.
+    They are a rich vertex's outward children, so a thin outer's twin is right."""
     if part.right_degree(g, outer) == 3:
         return []
-    if twin not in part.right:
-        raise FallbackTriggered("thin outward child without a right twin")
+    _require(twin in part.right, "thin outward child without a right twin")
     return [(outer, twin, "pairing the outward children")]
 
 

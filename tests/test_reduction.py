@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import re
 import sys
 from unittest import mock
 
@@ -590,6 +592,10 @@ class TestSequencePlan:
         with pytest.raises(ValueError):
             build_precolor_and_sequence(gen_incidence_pg(2), 0)
 
+    def test_plan_rejects_an_unknown_anchor(self):
+        with pytest.raises(ValueError, match="^unknown vertex 999$"):
+            build_precolor_and_sequence(gen_incidence_pg(3), 999)
+
     def test_plan_requires_girth_six(self):
         with pytest.raises(ValueError):
             build_precolor_and_sequence(girth5_graph(), 0)
@@ -951,9 +957,16 @@ class TestPartitionFixtures:
         assert bad[e1] == bad[e2]
         assert last_g is g and last == coloring.as_dict()
 
-    def test_partition_invariants(self):
-        g, info = build_pocket(SHAPES["r-sibling"])
-        plan = build_precolor_and_sequence(g, 0)
+    @pytest.mark.parametrize("name", sorted(SHAPES) + sorted(THIN_SHAPES))
+    def test_partition_invariants(self, name):
+        # build_partition checks no edge for joining left to right: an edge
+        # leaving left is crossing, so its far end is mid.  This test is
+        # what checks that property, on every fixture.  Each fixture reaches
+        # the partition in solve21, past the short-cycle scans, so its girth
+        # is at least six
+        shape = SHAPES[name] if name in SHAPES else THIN_SHAPES[name][0]
+        g, info = build_pocket(shape)
+        plan = build_precolor_and_sequence(g, 0, girth_known=True)
         assert not plan.covers_all(g)
         audit = audit_sequence(g, plan)
         assert audit["rule_behind_ok"] and audit["outside_max_seen"] <= 3
@@ -975,6 +988,35 @@ class TestPartitionFixtures:
         for v in part.left:
             assert sum(1 for e in part.crossing if v in g.endpoints(e)) <= 1
         assert len(part.crossing) >= 4
+
+    def test_hand_built_plans_fail_the_checks(self):
+        # build_partition is public, so a plan that no stalled sequence gives
+        # reaches its checks: one covering every edge, one leaving an anchor
+        # edge over, one leaving two core edges over around a sequence edge
+        # between them, and one leaving a single core edge far from left
+        g, _ = build_pocket(SHAPES["hub-deg2"])
+        plan = build_precolor_and_sequence(g, 0, girth_known=True)
+        order = set(plan.order)
+
+        def without(*drop):
+            return SequencePlan(plan.labels, plan.precolor, plan.tail,
+                                [e for e in plan.order if e not in drop])
+
+        a = max(g.vertices())  # a right-core vertex, built last
+        ab = g.incident(a)[0]
+        b = g.other_end(ab, a)
+        bc = next(f for f in g.incident(b) if f != ab)
+        c = g.other_end(bc, b)
+        cd = next(f for f in g.incident(c) if f != bc)
+        assert {ab, bc, cd} <= order
+        pg = gen_incidence_pg(3)
+        for g_, plan_, reason in [
+                (pg, build_precolor_and_sequence(pg, 0), "no leftover uncolored edges"),
+                (g, without(plan.tail[4]), "left block touches the anchor's protected vertices"),
+                (g, without(ab, cd), "left block spans more than the leftover edges"),
+                (g, without(ab), r"crossing edge \d+ misses the designated ring")]:
+            with pytest.raises(FallbackTriggered, match=f"^{reason}$"):
+                build_partition(g_, plan_)
 
     def test_collaborative_color_public_op(self):
         g, info = build_pocket(SHAPES["mixed-branch"])
@@ -1091,7 +1133,78 @@ class TestAssignmentHelpers:
         work = {**col, e: 1}
         with pytest.raises(FallbackTriggered, match=f"^edge {e} already colored during a draw$"):
             _checked_assign(g, work, e, 2, "a draw")
+        with pytest.raises(FallbackTriggered, match=f"^edge {e} already colored during a draw$"):
+            _greedy_assign(g, work, e, "a draw")
         assert work == {**col, e: 1}
+
+
+def plant_in_first_cut_side(solve_block):
+    """_solve_block that repeats a color at the first cut side's first
+    vertex away from the stubs, once."""
+    planted = []
+
+    def bad(solver, g, sub, depth, side, fixed):
+        col = solve_block(solver, g, sub, depth, side, fixed)
+        if side == "cut" and not planted:
+            v = next(v for v in sub.vertices() if all(map(g.has_edge_id, sub.incident(v))))
+            e1, e2 = sub.incident(v)[:2]
+            col[e2] = col[e1]
+            planted.append(v)
+        return col
+    return bad
+
+
+class TestForcedFallbacks:
+    """One forced failure for each group of guards that tests reach, through
+    solve21: the trace names the guard's reason, and the exact finish
+    returns a verified coloring with at most 21 colors."""
+
+    @pytest.mark.parametrize("case, reason", [pytest.param(*p, id=p[0]) for p in [
+        ("assignment", r"no color available for edge \d+ during parallel edge reinsertion"),
+        ("low-degree", r"no color available for edge 0 during low-degree extension"),
+        ("stall", r"sequence stalled at edge \d+"),
+        ("splice", r"cut splice produced conflict .+"),
+        ("partition", r"left block touches the anchor's protected vertices"),
+        ("uncolored", r"recipe left 1 edges uncolored"),
+    ]])
+    def test_exact_finish_recovers(self, case, reason, monkeypatch):
+        import strongedge.reduction as red
+        if case == "assignment":
+            g = multi_edge_fixture()
+            monkeypatch.setattr(red, "available_colors", lambda *args: frozenset())
+        elif case == "low-degree":
+            g = cycle(25)
+            monkeypatch.setattr(red, "_first_fit", lambda *args: 0)
+        elif case == "stall":
+            g = gen_incidence_pg(3)
+            monkeypatch.setattr(red, "_first_fit", lambda g, col, order, k: order[0])
+        elif case == "splice":
+            g = two_block_cut_fixture()
+            monkeypatch.setattr(red._Solver, "_solve_block",
+                                plant_in_first_cut_side(red._Solver._solve_block))
+        elif case == "partition":
+            g, _ = build_pocket(SHAPES["hub-deg2"])
+
+            def tampered(g, x, **kw):
+                plan = build_precolor_and_sequence(g, x, **kw)
+                return SequencePlan(plan.labels, plan.precolor, plan.tail,
+                                    [e for e in plan.order if e != plan.tail[4]])
+            monkeypatch.setattr(red, "build_precolor_and_sequence", tampered)
+        else:
+            g, _ = build_pocket(SHAPES["hub-deg2"])
+            build = red._Solver._RECIPES["hub-deg2"]
+
+            def short(*args):
+                recipe = build(*args)
+                return dataclasses.replace(recipe, order=recipe.order[:-1])
+            monkeypatch.setitem(red._Solver._RECIPES, "hub-deg2", short)
+        coloring, trace = solve21(g)
+        reasons = [s.params for s in trace.steps if s.tag == "fallback"]
+        assert reasons and all(re.fullmatch("reason=" + reason, r) for r in reasons), reasons
+        ok, witness = verify_strong_coloring(g, coloring)
+        assert ok, witness
+        assert set(coloring.colored()) == set(g.edges())
+        assert len(coloring.colors_used()) <= 21
 
 
 class TestCompletionStrategies:

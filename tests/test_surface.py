@@ -1,7 +1,11 @@
 """The package's public names, the README's library sketch and command
-lines, the layer names that perfbench's tracer patches, and unused imports."""
+lines, the layer names that perfbench's tracer patches, the tests that force
+reduction's fallback guards, and unused imports."""
 import ast
+import importlib
 import importlib.util
+import inspect
+import re
 import shlex
 import types
 from pathlib import Path
@@ -112,6 +116,86 @@ def test_tracer_targets_resolve_and_trace_a_solve():
         assert t.calls[layer] > 0, layer
     assert set(t.calls) <= set(tracer.LAYERS)
     assert [vars(owner)[attr] for owner, attr, _, _ in tracer.TARGETS] == originals
+
+
+# Every `raise FallbackTriggered` in reduction.py outside `_require`, by its
+# reason with each formatted field as {}, and the test that forces it.  Any
+# other guard is a `_require` call whose docstring argues it cannot fail.
+ASSIGNMENT = "tests/test_reduction.py::TestAssignmentHelpers::test_match_the_colors_on_seen_edges"
+TAIL = "tests/test_reduction.py::TestBlockedTailManeuver::"
+FORCED = "tests/test_reduction.py::TestForcedFallbacks::test_exact_finish_recovers"
+FORCED_GUARDS = {
+    "edge {} already colored during {}": ASSIGNMENT,
+    "no color available for edge {} during {}": ASSIGNMENT,
+    "color {} blocked on edge {} during {}": ASSIGNMENT,
+    "sequence stalled at edge {}": TAIL + "test_stall_off_the_tail_falls_back",
+    "sequence stalled twice; donor edge already moved": TAIL + "test_stalled_twice",
+    "donor color still blocked after removal": TAIL + "test_donor_color_still_blocked",
+    "no color available for edge {} during low-degree extension": FORCED,
+    "cut splice produced conflict {}": FORCED,
+    "completion exhausted for {} target edges":
+        "tests/test_reduction.py::TestCompletionStrategies::test_forced_fallback_recovers_via_exact",
+    "recipe left {} edges uncolored": FORCED,
+    "recipe produced conflict {}":
+        "tests/test_reduction.py::TestPartitionFixtures::test_final_verify_catches_a_bad_block",
+}
+
+
+def fallback_guards(source: str) -> tuple[list, list]:
+    """The reasons of the `raise FallbackTriggered` statements outside
+    `_require`, each formatted field as {}, and of the `_require` calls; a
+    reason that is not a string literal reads None."""
+    def reason(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.JoinedStr):
+            return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        return None
+
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "_require" for n in ast.walk(f)}
+    raised, required = [], []
+    for node in sorted((n for n in ast.walk(tree) if hasattr(n, "lineno")),
+                       key=lambda n: (n.lineno, n.col_offset)):
+        if (isinstance(node, ast.Raise) and node.exc is not None and id(node) not in inside
+                and "FallbackTriggered" in {n.id for n in ast.walk(node.exc)
+                                            if isinstance(n, ast.Name)}):
+            call = node.exc
+            raised.append(reason(call.args[0]) if isinstance(call, ast.Call)
+                          and len(call.args) == 1 else None)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_require"):
+            required.append(reason(node.args[1]) if len(node.args) > 1 else None)
+    return raised, required
+
+
+def test_every_fallback_guard_is_forced_or_required():
+    raised, required = fallback_guards(
+        (ROOT / "src" / "strongedge" / "reduction.py").read_text(encoding="utf-8"))
+    assert None not in raised and None not in required
+    assert sorted(raised) == sorted(FORCED_GUARDS)
+    for why, node_id in FORCED_GUARDS.items():
+        path, *names = node_id.split("::")
+        test = importlib.import_module(Path(path).stem)
+        for name in names:
+            test = getattr(test, name)
+        # the forcing test spells out the reason's longest literal part
+        assert max(re.split(r"\{\}", why), key=len).strip() in inspect.getsource(test), why
+
+
+def test_guard_scan_flags_an_unlisted_raise():
+    source = (
+        "def _require(cond, why, *args):\n"
+        "    if not cond:\n"
+        "        raise FallbackTriggered(why.format(*args))\n"
+        "def f(e, r):\n"
+        "    _require(e, 'argued')\n"
+        "    if e:\n"
+        "        raise FallbackTriggered(f'edge {e} stuck')\n"
+        "    raise FallbackTriggered(r)\n")
+    assert fallback_guards(source) == (["edge {} stuck", None], ["argued"])
 
 
 def unused_imports(source: str) -> list[str]:
