@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -22,11 +21,12 @@ C5 = "c5"
 #: kind before the 2-edge-cut detector and for the rest after it.
 CONFIGURATION_KINDS = (MULTI_EDGE, TRIANGLE, K33, K24, K23, C4, C5)
 
-INFINITE = math.inf
-
 #: Largest vertex count a graph file may declare or a generator may build, and
 #: half the edge count a generator may build; both are checked before allocating.
 MAX_VERTICES = 1_000_000
+
+#: Pairings gen_random_regular draws before it gives up.
+PAIRING_TRIES = 2000
 
 
 class Graph:
@@ -216,45 +216,43 @@ class EdgeCut:
 # -- girth ------------------------------------------------------------------
 
 
-def _dist_avoiding(g: Graph, src: int, dst: int, skip_edge: int, limit=INFINITE):
-    """BFS distance from src to dst not using edge `skip_edge`.
-
-    Paths longer than `limit` are not explored; INFINITE means none within it.
-    """
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= limit:
-            continue
-        for e in g.incident(u):
-            if e == skip_edge:
-                continue
-            w = g.other_end(e, u)
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == dst:
-                    return dist[w]
-                queue.append(w)
-    return INFINITE
-
-
 def girth(g: Graph):
     """Length of the shortest cycle; a parallel pair counts as a 2-cycle.
 
-    Returns math.inf for forests.
+    One breadth-first search per root.  An edge met from u that joins it to
+    a visited w, other than the tree edge into u, closes a walk of length
+    depth(u) + depth(w) + 1 through the root, which holds a cycle no longer;
+    the search rooted on a shortest cycle meets that cycle's length.  A
+    search stops at the first vertex u with 2 * depth(u) + 1 >= best, since
+    every closing edge it could still meet is at least that long.  Once a
+    closing edge is met its far end is still queued, so that stop fires: a
+    search that empties its queue spanned a tree, and its vertices are not
+    used as roots again.  Returns math.inf for forests.
     """
-    best = INFINITE
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        limit = best - 2 if best != INFINITE else INFINITE
-        d = _dist_avoiding(g, u, v, e, limit)
-        if d + 1 < best:
-            best = d + 1
-            if best == 2:
+    adj, ends = g._adj, g._edges
+    best = math.inf
+    done: set[int] = set()
+    for root in sorted(adj):
+        if root in done:
+            continue
+        seen = {root: (0, None)}  # vertex -> (depth, tree edge into it)
+        queue = [root]
+        for u in queue:
+            d, via = seen[u]
+            if 2 * d + 1 >= best:
                 break
+            for e in adj[u]:
+                if e == via:
+                    continue
+                a, b = ends[e]
+                w = b if a == u else a
+                if w not in seen:
+                    seen[w] = (d + 1, e)
+                    queue.append(w)
+                elif d + seen[w][0] + 1 < best:
+                    best = d + seen[w][0] + 1
+        else:
+            done.update(queue)
     return best
 
 
@@ -590,10 +588,11 @@ def gen_incidence_pg(q: int) -> Graph:
     return g
 
 
-def gen_random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Graph:
+def gen_random_regular(d: int, n: int, seed: int) -> Graph:
     """Random simple d-regular graph via the pairing model with rejection.
 
-    Deterministic for a fixed seed.  Raises after max_tries rejected pairings.
+    Deterministic for a fixed seed.  Raises after PAIRING_TRIES rejected
+    pairings.
     """
     if (d * n) % 2 != 0:
         raise ValueError("d * n must be even")
@@ -601,7 +600,7 @@ def gen_random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Grap
         raise ValueError("need 0 <= d < n")
     _check_generated_size(n, n * d // 2)
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
@@ -621,7 +620,7 @@ def gen_random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Grap
             for u, v in sorted(edges):
                 g.add_edge(u, v)
             return g
-    raise RuntimeError(f"pairing model failed after {max_tries} tries "
+    raise RuntimeError(f"pairing model failed after {PAIRING_TRIES} tries "
                        f"(d={d}, n={n}, seed={seed})")
 
 

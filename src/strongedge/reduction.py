@@ -664,19 +664,15 @@ class _Solver:
         g2, ids = self._block(g, set(g.vertices()) - {v1, v2}, [(z1, z2, None)])
         col = self.solve(g2, depth + 1, g.measure())
         shared = col.pop(ids[frozenset((z1, z2))])
-        try:
-            _checked_assign(g, col, e_v1z1, shared, "bridged spoke transfer")
-            _checked_assign(g, col, e_v2z2, shared, "bridged spoke transfer")
-            remaining = [e for e in targets if e not in (e_v1z1, e_v2z2)]
-        except FallbackTriggered:
-            # The forced transfer can collide with an edge at a three-side
-            # vertex: that edge sees both spokes here but not the bridge in
-            # the reduced graph, so nothing steered it off the shared color.
-            # Matching all eight targets to distinct colors then closes it.
-            col.pop(e_v1z1, None)
-            col.pop(e_v2z2, None)
-            remaining = targets
-        self._complete_targets(g, col, remaining, depth)
+        # The transfer can collide with an edge at a three-side vertex: that
+        # edge sees both spokes here but not the bridge in the reduced graph,
+        # so nothing steered it off the shared color.  The spokes do not see
+        # each other (z1z2 took the branch above, v1v2 would close a triangle
+        # and v1z2 or v2z1 would make z1 = z2), so each is checked alone, and
+        # when either is blocked the matching colors all eight targets.
+        if all(shared in available_colors(g, col, e, PALETTE) for e in (e_v1z1, e_v2z2)):
+            col[e_v1z1] = col[e_v2z2] = shared
+        self._complete_targets(g, col, targets, depth)
         return col
 
     # .. short-cycle completion ..
@@ -690,8 +686,6 @@ class _Solver:
         and no such matching exists, the call falls back.
         """
         targets = sorted(t for t in targets if t not in col)
-        if not targets:
-            return
         avail = {t: available_colors(g, col, t, PALETTE) for t in targets}
         assigned = _match_distinct(targets, avail)
         if assigned is None:

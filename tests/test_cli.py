@@ -119,6 +119,17 @@ class TestColor:
         colors = json.loads(huge.read_text())["colors"]
         assert colors == json.loads(small.read_text())["colors"]
 
+    def test_greedy_seed_is_deterministic(self, tmp_path):
+        gpath = write_graph(tmp_path, gen_incidence_pg(3))
+        outs = [tmp_path / f"{name}.json" for name in ("a", "b", "plain")]
+        for out, seed in zip(outs, (["--seed", "5"], ["--seed", "5"], [])):
+            assert main(["color", gpath, "--alg", "greedy", "--k", "25",
+                         *seed, "--out", str(out)]) == 0
+            assert main(["verify", gpath, str(out)]) == 0
+        a, b, plain = (out.read_bytes() for out in outs)
+        # the seed shuffles the order, and the same seed the same way
+        assert a == b != plain
+
     def test_reduce21_rejects_degree_five(self, tmp_path):
         gpath = write_graph(tmp_path, gen_blowup_c5(3))  # 6-regular
         assert main(["color", gpath, "--alg", "reduce21",

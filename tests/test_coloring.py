@@ -674,6 +674,16 @@ class TestExact:
         full = exact_strong_index(g)
         assert full.value == 4
 
+    def test_stop_at_halts_mid_search(self):
+        # the greedy seed uses 8 colors and the clique bound is 6, so the
+        # search runs until it meets a 7-coloring and stops there, short of
+        # proving 7 optimal (17 nodes without stop_at)
+        g = gen_random_regular(3, 10, 47)
+        res = exact_strong_index(g, stop_at=7)
+        assert (res.upper, res.exact, res.nodes) == (7, False, 10)
+        ok, _ = verify_strong_coloring(g, res.coloring)
+        assert ok and len(res.coloring.colored()) == g.num_edges()
+
     def test_negative_budget_raises(self):
         # checked before any search, even on a graph with no edges
         for g in (cycle(7), Graph(3)):

@@ -48,6 +48,7 @@ from helpers import (
     min_cut_size_oracle,
     path,
     petersen,
+    pg_lift,
     random_graph,
     random_graph_max_deg,
     shuffled,
@@ -127,6 +128,77 @@ class TestGirth:
         for seed in range(30):
             g = random_graph(8, 10, seed)
             assert girth(g) == girth_oracle(g), f"seed {seed}"
+
+    @pytest.mark.parametrize("edges, expected", [
+        # a path 0-1 into a triangle: the search from 0 meets a closing edge
+        # (length 5) only at its last vertex, and 1 must still be a root
+        ([(0, 1), (1, 2), (2, 3), (3, 1)], 3),
+        # a hexagon on the low ids, then a pentagon, whose closing edge joins
+        # its two vertices at depth two: 2 * 2 + 1 < 6 keeps them searched
+        ([(i, (i + 1) % 6) for i in range(6)]
+         + [(6 + i, 6 + (i + 1) % 5) for i in range(5)], 5),
+    ], ids=["lollipop", "hexagon-then-pentagon"])
+    def test_depth_stop_and_tree_skip_are_exact(self, edges, expected):
+        g = Graph(1 + max(map(max, edges)))
+        for u, v in edges:
+            g.add_edge(u, v)
+        assert girth(g) == expected
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_simple_graphs_match_networkx(self, data):
+        # networkx.girth shares no code with the library; up to 2n edges on
+        # n vertices give trees, cycles with trees hanging off them and
+        # denser graphs, and a removed vertex leaves a gap in the ids
+        nx = pytest.importorskip("networkx")
+        n = data.draw(st.integers(1, 12))
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n)
+        for u, v in sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+                           if pairs else []):
+            g.add_edge(u, v)
+        if data.draw(st.booleans()):
+            g.remove_vertex(data.draw(st.integers(0, n - 1)))
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from(g.endpoints(e) for e in g.edges())
+        assert girth(g) == nx.girth(h)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_multigraphs_unions_and_lifts_match_the_oracle(self, data):
+        # girth_oracle finds parallel pairs by counting them; a union of
+        # trees and cycles has the girth of its shortest cycle by construction
+        kind = data.draw(st.sampled_from(["multigraph", "trees-and-cycles", "lift"]))
+        expected = None
+        if kind == "multigraph":
+            n = data.draw(st.integers(2, 10))
+            g = Graph(n)
+            for u, v in data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2,
+                                                    max_size=2, unique=True),
+                                           max_size=2 * n)):
+                g.add_edge(u, v)
+        elif kind == "trees-and-cycles":
+            # each part a cycle of 3-8 vertices, or none, with up to six more
+            # vertices hung off it as trees, the ids spread at random
+            parts = data.draw(st.lists(st.tuples(st.sampled_from([0, 3, 4, 5, 6, 7, 8]),
+                                                 st.integers(0, 6)).filter(any),
+                                       min_size=1, max_size=4))
+            label = data.draw(st.permutations(range(sum(map(sum, parts)))))
+            g = Graph(len(label))
+            start = 0
+            for ring, hung in parts:
+                ids = label[start:start + ring + hung]
+                start += ring + hung
+                for i in range(1, len(ids)):
+                    g.add_edge(ids[i - 1 if i < ring else data.draw(st.integers(0, i - 1))],
+                               ids[i])
+                if ring:
+                    g.add_edge(ids[ring - 1], ids[0])
+            expected = min((ring for ring, _ in parts if ring), default=math.inf)
+        else:
+            g = pg_lift(data.draw(st.integers(1, 2)), random.Random(data.draw(st.integers())))
+        assert girth(g) == (girth_oracle(g) if expected is None else expected)
 
 
 class TestEdgeCut:
@@ -596,9 +668,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_random_regular(3, 5, 0)
 
-    def test_random_regular_retry_exhaustion(self):
+    def test_random_regular_retry_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "PAIRING_TRIES", 0)
         with pytest.raises(RuntimeError, match="after 0 tries"):
-            gen_random_regular(4, 10, 0, max_tries=0)
+            gen_random_regular(4, 10, 0)
 
     def test_regularity_property_sweep(self):
         for seed, (d, n) in enumerate([(3, 8), (4, 10), (4, 13), (2, 9)]):
@@ -648,12 +721,17 @@ class TestFormats:
                            ("c x\np 12 1\ne 0 \uff11\n", 3)]:
             with pytest.raises(ValueError, match=f"^line {line}: .* is not a canonical"):
                 parse_edge_list(text)
-        # the graph's own checks name the line too
-        for text, line, message in [("p 2 1\ne 0 5\n", 2, "unknown endpoint"),
-                                    ("p 2 1\n\n# x\ne 1 1\n", 4, "self-loop"),
-                                    ("p 1000001 0\n", 1, "declared vertex count"),
-                                    ("p 2 2\ne 0 1\ne 2 1\n", 3, "unknown endpoint")]:
-            with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+        # the graph's own checks name the line too; only a file with no p
+        # line at all has no line to name
+        for text, message in [("p 2 1\ne 0 5\n", "line 2: unknown endpoint"),
+                              ("p 2 1\n\n# x\ne 1 1\n", "line 4: self-loop"),
+                              ("p 1000001 0\n", "line 1: declared vertex count"),
+                              ("p 2 2\ne 0 1\ne 2 1\n", "line 3: unknown endpoint"),
+                              ("p 2 0\np 2 0\n", "line 2: duplicate p line"),
+                              ("p 2\n", "line 1: expected 'p <n> <m>'"),
+                              ("p 2 1\ne 0 1 1\n", "line 2: expected 'e <u> <v>'"),
+                              ("# x\nc y\n", "missing p line")]:
+            with pytest.raises(ValueError, match=f"^{message}"):
                 parse_edge_list(text)
 
     def test_json_roundtrip(self):

@@ -198,6 +198,57 @@ def test_guard_scan_flags_an_unlisted_raise():
     assert fallback_guards(source) == (["edge {} stuck", None], ["argued"])
 
 
+def fallback_catchers(source: str) -> list[str]:
+    """The qualified name of the function around each except clause in
+    `source` that would catch FallbackTriggered: one naming it, alone or in a
+    tuple, or Exception or BaseException, or a bare except."""
+    catching = {"FallbackTriggered", "Exception", "BaseException"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.ExceptHandler) and (
+                    child.type is None or catching & {n.id for n in ast.walk(child.type)
+                                                      if isinstance(n, ast.Name)}):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_solver_catches_a_fallback():
+    # a step that catches a fallback itself hides it from the trace and from
+    # the exact finish, so every guard's failure goes through _Solver.solve
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        names = fallback_catchers(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {"reduction.py": ["_Solver.solve"]}
+
+
+def test_catcher_scan_flags_each_catching_clause():
+    source = (
+        "class S:\n"
+        "    def f(self):\n"
+        "        try:\n"
+        "            g()\n"
+        "        except (KeyError, FallbackTriggered):\n"
+        "            pass\n"
+        "def h():\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n")
+    assert fallback_catchers(source) == ["S.f", "h"]
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import in `source` and never read."""
     tree = ast.parse(source)
