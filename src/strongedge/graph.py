@@ -226,8 +226,12 @@ def girth(g: Graph):
     search stops at the first vertex u with 2 * depth(u) + 1 >= best, since
     every closing edge it could still meet is at least that long.  Once a
     closing edge is met its far end is still queued, so that stop fires: a
-    search that empties its queue spanned a tree, and its vertices are not
-    used as roots again.  Returns math.inf for forests.
+    search that empties its queue spanned a tree, whose vertices lie on no
+    cycle.  Each root, and each spanned tree, is deleted after its search,
+    and later searches skip edges into deleted vertices.  That keeps the
+    answer: a shortest cycle through the root has been met by the root's
+    search, and when there is none, the graph without the root keeps a
+    shortest cycle.  Returns math.inf for forests.
     """
     adj, ends = g._adj, g._edges
     best = math.inf
@@ -246,13 +250,15 @@ def girth(g: Graph):
                     continue
                 a, b = ends[e]
                 w = b if a == u else a
-                if w not in seen:
+                if w in seen:
+                    if d + seen[w][0] + 1 < best:
+                        best = d + seen[w][0] + 1
+                elif w not in done:
                     seen[w] = (d + 1, e)
                     queue.append(w)
-                elif d + seen[w][0] + 1 < best:
-                    best = d + seen[w][0] + 1
         else:
             done.update(queue)
+        done.add(root)
     return best
 
 
@@ -288,72 +294,58 @@ def find_edge_cut_at_most(g: Graph):
     returned before the label classes are built.  Otherwise the pairs with
     equal labels are tried in lexicographic order, and the first one whose
     removal disconnects g is returned.  A collision can only add candidates
-    with no cut behind them, which the check rejects: one breadth-first
-    search from the lowest vertex that avoids the candidate's edges, whose
-    reach is side1.  This costs O(n + m) unless labels collide.
+    with no cut behind them, which the check rejects: Graph.components on a
+    copy without the candidate's edges.  An even-degree graph has no bridge,
+    so a cut leaves exactly two parts, and the first holds the lowest vertex.
+    This costs O(n + m) unless labels collide.
     """
-    verts = g.vertices()
-    n = len(verts)
-    if n <= 1:
+    adj, ends = g._adj, g._edges
+    if len(adj) <= 1:
         return None
-    index = {v: i for i, v in enumerate(verts)}
-    eids = g.edges()
-    m = len(eids)
-    head = [0] * (2 * m)            # head[a]: the vertex index arc a enters
-    out = [[] for _ in range(n)]    # out[i]: (arc, head) for each arc leaving i
-    for j, e in enumerate(eids):
-        a, b = g._edges[e]
-        ia, ib = index[a], index[b]
-        head[2 * j], head[2 * j + 1] = ib, ia
-        out[ia].append((2 * j, ib))
-        out[ib].append((2 * j + 1, ia))
-    if any(len(arcs) % 2 for arcs in out):
+    if any(len(es) % 2 for es in adj.values()):
         raise ValueError("graph has a vertex of odd degree")
 
-    up = [-1] * n       # up[i]: the arc the spanning tree enters i by; up[0]
-    up[0] = 2 * m       # is no arc, only a mark that vertex 0 is in the tree
-    order = [0]
+    root = min(adj)
+    up = {root: None}   # vertex -> the tree edge that reached it
+    order = [root]
     for u in order:
-        for a, w in out[u]:
-            if up[w] < 0:
-                up[w] = a
+        for e in adj[u]:
+            a, b = ends[e]
+            w = b if a == u else a
+            if w not in up:
+                up[w] = e
                 order.append(w)
-    if len(order) < n:
+    if len(up) < len(adj):
         raise ValueError("graph is disconnected; handle components separately")
-    tree = [False] * m
-    for i in order[1:]:
-        tree[up[i] >> 1] = True
+    eids = g.edges()
+    tree = set(up.values())
     rng = random.Random(0)
-    label = [0] * m
-    fold = [0] * n      # fold[i]: XOR of the labels of the non-tree edges at i,
-    for j in range(m):  # then, leaves first, of those leaving i's subtree
-        if not tree[j]:
-            x = label[j] = rng.getrandbits(64)
-            fold[head[2 * j]] ^= x
-            fold[head[2 * j + 1]] ^= x
-    for i in reversed(order[1:]):
-        a = up[i]
-        label[a >> 1] = fold[i]
-        fold[head[a ^ 1]] ^= fold[i]
-    if len(set(label)) == m:
+    label = {e: rng.getrandbits(64) for e in eids if e not in tree}
+    fold = dict.fromkeys(adj, 0)    # vertex -> XOR of the labels of the non-tree
+    for e, x in label.items():      # edges at it, then, leaves first, of those
+        a, b = ends[e]              # leaving its subtree
+        fold[a] ^= x
+        fold[b] ^= x
+    for v in reversed(order[1:]):
+        e = up[v]
+        label[e] = fold[v]
+        a, b = ends[e]
+        fold[b if a == v else a] ^= fold[v]
+    if len(set(label.values())) == len(eids):
         return None     # no pair candidate
-    holding: dict[int, list[int]] = {}  # label -> its edges' indices, ascending
-    for j in range(m):
-        holding.setdefault(label[j], []).append(j)
+    holding: dict[int, list[int]] = {}  # label -> its edges, ascending
+    for e in eids:
+        holding.setdefault(label[e], []).append(e)
 
-    for cut in ((i, j) for i in range(m) for j in holding[label[i]] if j > i):
-        inside = [False] * n
-        inside[0] = True
-        reach = [0]
-        for u in reach:
-            for a, w in out[u]:
-                if not inside[w] and a >> 1 not in cut:
-                    inside[w] = True
-                    reach.append(w)
-        if len(reach) < n:
-            return EdgeCut([verts[i] for i in range(n) if inside[i]],
-                           [verts[i] for i in range(n) if not inside[i]],
-                           [eids[j] for j in cut])
+    for e in eids:
+        for f in holding[label[e]]:
+            if f > e:
+                h = g.copy()
+                h.remove_edge(e)
+                h.remove_edge(f)
+                parts = h.components()
+                if len(parts) > 1:
+                    return EdgeCut(*parts, [e, f])
     return None
 
 

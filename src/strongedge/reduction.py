@@ -732,9 +732,8 @@ class _Solver:
 
         m_a = sorted(part.mid & part.designated)
         _require(bool(m_a), "mid block misses the designated ring entirely")
-        marked = {zi: self._mark_children(g, part, labels, zi) for zi in m_a}
         for zi in m_a:
-            labels.children[zi] = marked[zi]
+            labels.children[zi] = self._mark_children(g, part, labels, zi)
 
         def rich(zi):
             k2, k3 = labels.children[zi][1], labels.children[zi][2]
@@ -803,9 +802,9 @@ class _Solver:
             u3 = [c for c in siblings if c != l_sib[0]][0]
             labels.children[labels.u] = [chosen, l_sib[0], u3]
             return self._run_recipe(g, part, labels, depth, "l-sibling")
-        m_sib = sorted(siblings)  # neither right nor left, so both are mid
-        for sib in m_sib:
-            labels.children[sib] = self._mark_children(g, part, labels, sib)
+        # neither right nor left, so both are mid; as children of u they are
+        # designated, so _collaborative has marked their children already
+        m_sib = sorted(siblings)
         trio = [chosen] + m_sib
         crossing = [zi for zi in trio if labels.children[zi][1] in part.left]
         outward = [zi for zi in trio if zi not in crossing]

@@ -1,9 +1,10 @@
 """Independent brute-force oracles and instance builders for the test suite.
 
 Everything here deliberately avoids the library's own algorithms: girth via
-per-root BFS, cuts via bipartition enumeration or networkx's Stoer-Wagner
-minimum cut, patterns via itertools over vertex tuples, chromatic numbers via
-plain backtracking in id order, and distinct-representative checks via
+per-root BFS, cuts via bipartition enumeration, networkx's Stoer-Wagner
+minimum cut or a scan of every edge pair split by components_oracle,
+patterns via itertools over vertex tuples, chromatic numbers via plain
+backtracking in id order, and distinct-representative checks via
 exhaustive assignment search.  The sequence-plan audit, the 2K2 test and the
 trace's case list were library exports used only by tests; they live here
 now, beside `complete_with_palette`, which drives the solver's short-cycle
@@ -246,6 +247,21 @@ def brute_min_cut(g: Graph):
     """Minimum edge cut size by enumerating all bipartitions; None if disconnected."""
     cuts = brute_min_cuts(g)
     return len(cuts[0][2]) if cuts else None
+
+
+def first_two_edge_cut_oracle(g: Graph):
+    """The first pair of edges, in lexicographic order of ascending ids,
+    whose removal disconnects g, as (side of the lowest vertex, the rest,
+    the pair), or None: every pair is removed from a copy in turn and split
+    by components_oracle."""
+    for pair in combinations(g.edges(), 2):
+        h = g.copy()
+        for e in pair:
+            h.remove_edge(e)
+        parts = components_oracle(h)
+        if len(parts) > 1:
+            return parts[0], sorted(v for part in parts[1:] for v in part), list(pair)
+    return None
 
 
 def min_cut_size_oracle(g: Graph) -> int:

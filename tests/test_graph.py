@@ -42,6 +42,7 @@ from helpers import (
     doubled,
     even_closure,
     first_configuration_oracle,
+    first_two_edge_cut_oracle,
     girth_oracle,
     is_2k2_free,
     k5e_ring,
@@ -143,6 +144,11 @@ class TestGirth:
         for u, v in edges:
             g.add_edge(u, v)
         assert girth(g) == expected
+
+    def test_long_cycles_delete_their_roots(self):
+        # 2-regular on 8,000 vertices: its cycles are long, and each root's
+        # search would run half a cycle deep if earlier roots were kept
+        assert girth(gen_random_regular(2, 8000, 1)) == 886
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.data())
@@ -389,6 +395,33 @@ class TestEdgeCut:
         cut = find_edge_cut_at_most(g)
         assert cut is not None
         assert (cut.side1, cut.side2, cut.cut_edges) == (side1, side2, joins[:2])
+
+    def test_first_cut_on_larger_graphs(self):
+        # graphs of 11-40 vertices, beyond bipartition enumeration, against
+        # a scan of every edge pair: every ring edge of a K5-e ring shares
+        # one label, so the pair order inside a label class decides the
+        # answer; a pairing-model multigraph with its loops dropped has
+        # degree-2 vertices and parallel edges, so cuts of every shape
+        rng = random.Random(29)
+        graphs = [k5e_ring(blobs, rng) for blobs in range(3, 9)]
+        while len(graphs) < 30:
+            n = rng.randint(11, 16)
+            stubs = [v for v in range(n) for _ in range(4)]
+            rng.shuffle(stubs)
+            g = Graph(n)
+            for u, v in zip(stubs[::2], stubs[1::2]):
+                if u != v:
+                    g.add_edge(u, v)
+            g = even_closure(g)
+            if len(g.components()) == 1:
+                graphs.append(g)
+        found = 0
+        for g in graphs:
+            cut = find_edge_cut_at_most(g)
+            got = None if cut is None else (cut.side1, cut.side2, cut.cut_edges)
+            assert got == first_two_edge_cut_oracle(g), g
+            found += cut is not None
+        assert 20 <= found < len(graphs), found
 
     def test_two_joined_expanders(self):
         # two random 4-regular graphs of 1,280 vertices joined by two edges,
