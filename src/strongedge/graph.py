@@ -232,10 +232,22 @@ def girth(g: Graph):
     answer: a shortest cycle through the root has been met by the root's
     search, and when there is none, the graph without the root keeps a
     shortest cycle.  Returns math.inf for forests.
+
+    A connected 2-regular component is one cycle, so its girth is its vertex
+    count (a doubled edge gives 2); those components are answered before
+    the searches and deleted, since a long cycle would cost each of its roots
+    a search half the cycle deep.  They are the components of the subgraph
+    on the degree-2 vertices in which every vertex keeps both its edges, so
+    a graph with few such vertices pays little to find them.
     """
     adj, ends = g._adj, g._edges
     best = math.inf
     done: set[int] = set()
+    two = g.induced_subgraph([v for v, es in adj.items() if len(es) == 2])
+    for comp in two.components():
+        if all(len(two._adj[v]) == 2 for v in comp):
+            best = min(best, len(comp))
+            done.update(comp)
     for root in sorted(adj):
         if root in done:
             continue
@@ -260,6 +272,47 @@ def girth(g: Graph):
             done.update(queue)
         done.add(root)
     return best
+
+
+def _girth_at_least_six(g: Graph) -> bool:
+    """True iff g has no cycle of length at most five, a parallel pair
+    counting as a 2-cycle: one pass that builds each vertex's closed 2-ball
+    S2(v), the vertices at distance at most two, and returns False at the
+    first failed test.
+
+    Vertex test: the non-backtracking walks of length 0-2 from v number
+    1 + the sum of d(x) over the edges vx, and S2(v) holds their ends.  Two
+    walks that end at one vertex close a cycle of length at most four, and
+    such a cycle through v (a parallel pair, a triangle or a 4-cycle) ends
+    two walks at one vertex.  So the walks outnumber the vertices of S2(v)
+    only if g has such a cycle, and they do at every vertex on one.
+
+    Edge test, for an edge yz whose ends passed the vertex test: S2(y) and
+    S2(z) share y, z and the other neighbours of each, which are d(y) + d(z)
+    distinct vertices.  Any further shared vertex w lies at distance two
+    from both, on paths y-a-w and z-b-w with a != b (else a triangle), so
+    y-a-w-b-z is a 5-cycle; and a 5-cycle through yz puts its far vertex in
+    both balls.  So the count is exact iff no 5-cycle runs through yz.
+    Each edge is tested when its later end has its ball.
+    """
+    nb: dict[int, list[int]] = {v: [] for v in g._adj}  # one entry per edge
+    for a, b in g._edges.values():
+        nb[a].append(b)
+        nb[b].append(a)
+    ball: dict[int, set[int]] = {}
+    for v, xs in nb.items():
+        s = {v, *xs}
+        walks = 1
+        for x in xs:
+            s.update(nb[x])
+            walks += len(nb[x])
+        if len(s) < walks:
+            return False
+        for x in xs:
+            if x in ball and len(s & ball[x]) != len(xs) + len(nb[x]):
+                return False
+        ball[v] = s
+    return True
 
 
 # -- minimum edge cut ---------------------------------------------------------

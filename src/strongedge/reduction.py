@@ -35,6 +35,7 @@ from .graph import (
     K33,
     MULTI_EDGE,
     TRIANGLE,
+    _girth_at_least_six,
     find_configuration,
     find_edge_cut_at_most,
     girth,
@@ -514,9 +515,13 @@ class _Solver:
         if cut is not None:
             return self._small_cut(g, cut, depth)
 
-        conf = find_configuration(g, *CONFIGURATION_KINDS[1:])
-        if conf is not None:
-            return self._short_cycle(g, conf, depth)
+        # a graph with no cycle of length <= 5 holds none of the other kinds,
+        # so the scan runs only when the certificate fails, and then finds
+        # the first kind present
+        if not _girth_at_least_six(g):
+            conf = find_configuration(g, *CONFIGURATION_KINDS[1:])
+            if conf is not None:
+                return self._short_cycle(g, conf, depth)
 
         return self._anchored(g, depth)
 
@@ -696,8 +701,8 @@ class _Solver:
     # .. the anchored decomposition ..
 
     def _anchored(self, g: Graph, depth: int) -> dict:
-        # _dispatch gets here only after ruling out multi-edges, triangles,
-        # C4 and C5, so the girth is at least six.
+        # _dispatch gets here only after the certificate or the scans ruled
+        # out every cycle of length <= 5, so the girth is at least six.
         x = g.vertices()[0]
         plan = build_precolor_and_sequence(g, x, girth_known=True)
         if plan.covers_all(g):

@@ -19,6 +19,7 @@ from strongedge.graph import (
     K33,
     MULTI_EDGE,
     TRIANGLE,
+    _girth_at_least_six,
     find_configuration,
     find_edge_cut_at_most,
     format_edge_list,
@@ -54,6 +55,21 @@ from helpers import (
     random_graph_max_deg,
     shuffled,
 )
+from test_coloring import pairing_model_multigraph
+
+
+class LookupLimit(dict):
+    """An adjacency dict that fails the test once `limit` lookups by key
+    have been made: a deterministic bound on a search's work."""
+
+    def __init__(self, adj: dict, limit: int):
+        super().__init__(adj)
+        self.left = limit
+
+    def __getitem__(self, v):
+        self.left -= 1
+        assert self.left >= 0, "adjacency lookup limit exceeded"
+        return super().__getitem__(v)
 
 
 class TestGraphBasics:
@@ -136,8 +152,9 @@ class TestGirth:
         ([(0, 1), (1, 2), (2, 3), (3, 1)], 3),
         # a hexagon on the low ids, then a pentagon, whose closing edge joins
         # its two vertices at depth two: 2 * 2 + 1 < 6 keeps them searched
+        # (a pendant edge on each keeps them from being answered by size)
         ([(i, (i + 1) % 6) for i in range(6)]
-         + [(6 + i, 6 + (i + 1) % 5) for i in range(5)], 5),
+         + [(6 + i, 6 + (i + 1) % 5) for i in range(5)] + [(0, 11), (6, 12)], 5),
     ], ids=["lollipop", "hexagon-then-pentagon"])
     def test_depth_stop_and_tree_skip_are_exact(self, edges, expected):
         g = Graph(1 + max(map(max, edges)))
@@ -146,9 +163,22 @@ class TestGirth:
         assert girth(g) == expected
 
     def test_long_cycles_delete_their_roots(self):
-        # 2-regular on 8,000 vertices: its cycles are long, and each root's
+        # the long cycles of a 2-regular graph on 8,000 vertices, each with
+        # a pendant edge so that the per-root searches run: each root's
         # search would run half a cycle deep if earlier roots were kept
-        assert girth(gen_random_regular(2, 8000, 1)) == 886
+        g = gen_random_regular(2, 8000, 1)
+        for comp in g.components():
+            g.add_edge(comp[0], g.add_vertex())
+        g._adj = LookupLimit(g._adj, 10 * g.num_vertices())
+        assert girth(g) == 886
+
+    def test_a_cycle_is_answered_by_its_length(self):
+        # a 2-regular component is one cycle; a per-root search over it
+        # would read the adjacency about n * n / 4 times
+        g = cycle(20000)
+        g._adj = LookupLimit(g._adj, 4 * g.num_vertices())
+        assert girth(g) == 20000
+        assert girth(doubled(path(1))) == 2
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.data())
@@ -205,6 +235,56 @@ class TestGirth:
         else:
             g = pg_lift(data.draw(st.integers(1, 2)), random.Random(data.draw(st.integers())))
         assert girth(g) == (girth_oracle(g) if expected is None else expected)
+
+
+class TestGirthCertificate:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_oracle(self, data):
+        # simple graphs of maximum degree four, from sparse (m about n, where
+        # girth six with uneven degrees is common) to dense; pairing
+        # multigraphs, where a doubled edge is a 2-cycle; PG(2,3) lifts
+        kind = data.draw(st.sampled_from(["max-degree-four", "pairing", "lift"]))
+        if kind == "max-degree-four":
+            n = data.draw(st.integers(2, 30))
+            g = random_graph_max_deg(n, data.draw(st.integers(n // 2, 2 * n)), 4,
+                                     data.draw(st.integers(0, 2 ** 32)))
+        elif kind == "pairing":
+            g = pairing_model_multigraph(data.draw)
+        else:
+            g = pg_lift(data.draw(st.integers(1, 4)), random.Random(data.draw(st.integers())))
+        certified = _girth_at_least_six(g)
+        assert certified == (girth_oracle(g) >= 6)
+        if kind == "pairing" and find_configuration(g, MULTI_EDGE):
+            assert not certified
+        if kind == "lift":
+            assert certified
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_simple_four_regular_graphs_match_the_scan(self, data):
+        # on the graphs the solver asks about, the certificate holds exactly
+        # when the negative scan misses
+        if data.draw(st.booleans()):
+            g = gen_random_regular(4, data.draw(st.integers(5, 80)),
+                                   data.draw(st.integers(0, 10 ** 6)))
+        else:
+            g = pg_lift(data.draw(st.integers(1, 4)), random.Random(data.draw(st.integers())))
+        assert _girth_at_least_six(g) == (find_configuration(g, *CONFIGURATION_KINDS[1:]) is None)
+
+    @pytest.mark.parametrize("ring, certified", [(4, False), (5, False), (6, True)])
+    def test_a_ring_on_the_highest_ids(self, ring, certified):
+        # PG(2,3), of girth six, and a ring on the next ids joined to vertex
+        # 0 by one edge: every edge test counts a 4-cycle right, so only the
+        # vertex test sees it, and every vertex test passes on a 5-cycle, so
+        # only the edge test sees it
+        g = gen_incidence_pg(3)
+        ids = [g.add_vertex() for _ in range(ring)]
+        for i in range(ring):
+            g.add_edge(ids[i - 1], ids[i])
+        g.add_edge(0, ids[0])
+        assert girth(g) == min(ring, 6)
+        assert _girth_at_least_six(g) is certified
 
 
 class TestEdgeCut:

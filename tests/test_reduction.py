@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from strongedge.graph import (
+    CONFIGURATION_KINDS,
+    MULTI_EDGE,
     Graph,
     find_configuration,
     find_edge_cut_at_most,
@@ -354,6 +356,34 @@ class TestDispatchPaths:
     def test_girth5_fixture_is_what_it_claims(self):
         g = girth5_graph()
         assert girth(g) == 5
+
+    @staticmethod
+    def scans_of(g):
+        """solve21(g) with reduction.find_configuration wrapped: the coloring,
+        the trace and the kinds of each scan, in call order."""
+        import strongedge.reduction as red
+        with mock.patch.object(red, "find_configuration",
+                               wraps=red.find_configuration) as scan:
+            coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        return trace, [c.args[1:] for c in scan.call_args_list]
+
+    @pytest.mark.parametrize("builder", [
+        lambda: gen_incidence_pg(3),
+        lambda: pg_lift(20, random.Random(1)),
+    ], ids=["pg3", "pg3-lift20"])
+    def test_girth_six_skips_the_short_cycle_scan(self, builder):
+        # the certificate stands in for the negative scan: only the
+        # multi-edge scan before the cut detector runs
+        trace, scans = self.scans_of(builder())
+        assert scans == [(MULTI_EDGE,)]
+        assert trace.tags() == ["sequence-complete"]
+
+    def test_girth_five_is_still_scanned(self):
+        trace, scans = self.scans_of(girth5_graph())
+        assert scans[:2] == [(MULTI_EDGE,), CONFIGURATION_KINDS[1:]]
+        assert trace.steps[0].tag == "short-cycle"
+        assert trace.steps[0].params.startswith("kind=c5 ")
 
     def test_bridged_k23_transfer_collision_regression(self):
         # On this instance the bridged completion's forced same-color
