@@ -274,47 +274,6 @@ def girth(g: Graph):
     return best
 
 
-def _girth_at_least_six(g: Graph) -> bool:
-    """True iff g has no cycle of length at most five, a parallel pair
-    counting as a 2-cycle: one pass that builds each vertex's closed 2-ball
-    S2(v), the vertices at distance at most two, and returns False at the
-    first failed test.
-
-    Vertex test: the non-backtracking walks of length 0-2 from v number
-    1 + the sum of d(x) over the edges vx, and S2(v) holds their ends.  Two
-    walks that end at one vertex close a cycle of length at most four, and
-    such a cycle through v (a parallel pair, a triangle or a 4-cycle) ends
-    two walks at one vertex.  So the walks outnumber the vertices of S2(v)
-    only if g has such a cycle, and they do at every vertex on one.
-
-    Edge test, for an edge yz whose ends passed the vertex test: S2(y) and
-    S2(z) share y, z and the other neighbours of each, which are d(y) + d(z)
-    distinct vertices.  Any further shared vertex w lies at distance two
-    from both, on paths y-a-w and z-b-w with a != b (else a triangle), so
-    y-a-w-b-z is a 5-cycle; and a 5-cycle through yz puts its far vertex in
-    both balls.  So the count is exact iff no 5-cycle runs through yz.
-    Each edge is tested when its later end has its ball.
-    """
-    nb: dict[int, list[int]] = {v: [] for v in g._adj}  # one entry per edge
-    for a, b in g._edges.values():
-        nb[a].append(b)
-        nb[b].append(a)
-    ball: dict[int, set[int]] = {}
-    for v, xs in nb.items():
-        s = {v, *xs}
-        walks = 1
-        for x in xs:
-            s.update(nb[x])
-            walks += len(nb[x])
-        if len(s) < walks:
-            return False
-        for x in xs:
-            if x in ball and len(s & ball[x]) != len(xs) + len(nb[x]):
-                return False
-        ball[v] = s
-    return True
-
-
 # -- minimum edge cut ---------------------------------------------------------
 
 
@@ -413,8 +372,10 @@ _COMMON_TOP = 4
 class _Census:
     """State one find_configuration call shares between its scans.
 
-    Neighbour sets and sorted neighbour lists are built for every vertex on
-    the first scan that needs them, and the 2-path pass runs at most once.
+    `lists` holds each vertex's neighbours, one entry per edge, from one pass
+    over the edge table: the certificate reads them, and the neighbour sets
+    and sorted lists are made from them.  Each is built on first use, and the
+    2-path pass runs at most once.
     """
 
     def __init__(self, g: Graph):
@@ -422,18 +383,59 @@ class _Census:
         self._first = None  # count -> (a, b, common) from the 2-path pass
 
     @cached_property
+    def lists(self):
+        lists: dict[int, list[int]] = {v: [] for v in self.g._adj}
+        for a, b in self.g._edges.values():
+            lists[a].append(b)
+            lists[b].append(a)
+        return lists
+
+    @cached_property
     def nb(self):
-        adj, ends = self.g._adj, self.g._edges
-        nb = {}
-        for v, es in adj.items():
-            s = {x for e in es for x in ends[e]}
-            s.discard(v)
-            nb[v] = s
-        return nb
+        return {v: set(xs) for v, xs in self.lists.items()}
 
     @cached_property
     def srt(self):
         return {v: sorted(s) for v, s in self.nb.items()}
+
+    def girth_at_least_six(self) -> bool:
+        """True iff g has no cycle of length at most five, a parallel pair
+        counting as a 2-cycle: one pass that builds each vertex's closed
+        2-ball S2(v), the vertices at distance at most two, and returns False
+        at the first failed test.
+
+        Vertex test: the non-backtracking walks of length 0-2 from v number
+        1 + the sum of d(x) over the edges vx, and S2(v) holds their ends.
+        Two walks that end at one vertex close a cycle of length at most
+        four, and such a cycle through v (a parallel pair, a triangle or a
+        4-cycle) ends two walks at one vertex.  So the walks outnumber the
+        vertices of S2(v) only if g has such a cycle, and they do at every
+        vertex on one.
+
+        Edge test, for an edge yz whose ends passed the vertex test: S2(y)
+        and S2(z) share y, z and the other neighbours of each, which are
+        d(y) + d(z) distinct vertices.  Any further shared vertex w lies at
+        distance two from both, on paths y-a-w and z-b-w with a != b (else a
+        triangle), so y-a-w-b-z is a 5-cycle; and a 5-cycle through yz puts
+        its far vertex in both balls.  So the count is exact iff no 5-cycle
+        runs through yz.  Each edge is tested when its later end has its
+        ball.
+        """
+        lists = self.lists
+        ball: dict[int, set[int]] = {}
+        for v, xs in lists.items():
+            s = {v, *xs}
+            walks = 1
+            for x in xs:
+                s.update(lists[x])
+                walks += len(lists[x])
+            if len(s) < walks:
+                return False
+            for x in xs:
+                if x in ball and len(s & ball[x]) != len(xs) + len(lists[x]):
+                    return False
+            ball[v] = s
+        return True
 
     def multi_edge(self):
         ends = self.g._edges
@@ -560,6 +562,10 @@ def find_configuration(g: Graph, *kinds: str):
       depth-first search over ascending neighbour lists meets, with b, c
       and d above a and e above b, as [a, b, c, d, e].
 
+    Unless only multi-edge is asked, None is returned before any scan when
+    _Census.girth_at_least_six certifies that g has no cycle of length at
+    most five: every kind holds one, a parallel pair counting as a 2-cycle.
+
     Raises ValueError when no kind is given or a kind is unknown.
     """
     if not kinds:
@@ -568,6 +574,8 @@ def find_configuration(g: Graph, *kinds: str):
         if kind not in _SCANS:
             raise ValueError(f"unknown configuration kind {kind!r}")
     census = _Census(g)
+    if any(kind != MULTI_EDGE for kind in kinds) and census.girth_at_least_six():
+        return None
     for kind in kinds:
         conf = _SCANS[kind](census)
         if conf is not None:

@@ -35,7 +35,6 @@ from .graph import (
     K33,
     MULTI_EDGE,
     TRIANGLE,
-    _girth_at_least_six,
     find_configuration,
     find_edge_cut_at_most,
     girth,
@@ -313,13 +312,14 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
 def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     """Greedy-color the sequence in order on top of the seed coloring.
 
-    One _first_fit pass colors the order.  The only edges allowed to stall
-    are the two grandchild edges at the head of the tail; a stall there means
-    their whole colored neighborhood shows all 21 colors, so the seed color 1
-    on the third branch's first child edge is moved onto the stalled edge,
-    and the pass resumes after it.  That child edge is recolored once its
-    slack returns, after the second grandchild edge (or the order's last
-    edge).  A stall anywhere else raises FallbackTriggered.
+    The order is cut just after the second grandchild edge, and _first_fit
+    colors each part in turn.  The only edges allowed to stall are the two
+    grandchild edges at the head of the tail; a stall there means their whole
+    colored neighborhood shows all 21 colors, so the seed color 1 on the
+    third branch's first child edge is moved onto the stalled edge, and the
+    pass resumes after it.  That child edge is recolored, once its slack
+    returns, at the end of the part that moved it.  A stall anywhere else
+    raises FallbackTriggered.
 
     On a plan from build_precolor_and_sequence two of the guards are implied:
     the six tail edges at w and at the anchor are uncolored until the donor
@@ -331,10 +331,10 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
     order, tail = plan.order, plan.tail
     w = plan.labels.w
     e_ww1 = _eid(g, w, plan.labels.children[w][0])
-    start, stop, pending = 0, len(order), False
-    while True:
-        e = _first_fit(g, col, order[start:stop], PALETTE)
-        if e is not None:
+    cut = order.index(tail[1]) + 1 if tail[1] in order else len(order)
+    for segment in (order[:cut], order[cut:]):
+        moved = None
+        while (e := _first_fit(g, col, segment, PALETTE)) is not None:
             if e not in tail[:2]:
                 raise FallbackTriggered(f"sequence stalled at edge {e}")
             moved = col.pop(e_ww1, None)
@@ -343,16 +343,10 @@ def extend_sequence(g: Graph, plan: SequencePlan) -> PartialColoring:
             if moved not in available_colors(g, col, e, PALETTE):
                 raise FallbackTriggered("donor color still blocked after removal")
             col[e] = moved
-            at = order.index(e, start)
-            start, pending = at + 1, True
-            stop = order.index(tail[1], at) + 1 if tail[1] in order[at:] else len(order)
-            continue
-        if pending:
+            segment = segment[segment.index(e) + 1:]
+        if moved is not None:
             _greedy_assign(g, col, e_ww1, "recolor of moved seed edge")
-            pending = False
-        if stop == len(order):
-            return PartialColoring(PALETTE, col)
-        start, stop = stop, len(order)
+    return PartialColoring(PALETTE, col)
 
 
 # -- the left/mid/right partition -------------------------------------------------
@@ -515,13 +509,10 @@ class _Solver:
         if cut is not None:
             return self._small_cut(g, cut, depth)
 
-        # a graph with no cycle of length <= 5 holds none of the other kinds,
-        # so the scan runs only when the certificate fails, and then finds
-        # the first kind present
-        if not _girth_at_least_six(g):
-            conf = find_configuration(g, *CONFIGURATION_KINDS[1:])
-            if conf is not None:
-                return self._short_cycle(g, conf, depth)
+        # a miss here rules out every cycle of length <= 5
+        conf = find_configuration(g, *CONFIGURATION_KINDS[1:])
+        if conf is not None:
+            return self._short_cycle(g, conf, depth)
 
         return self._anchored(g, depth)
 
@@ -701,8 +692,8 @@ class _Solver:
     # .. the anchored decomposition ..
 
     def _anchored(self, g: Graph, depth: int) -> dict:
-        # _dispatch gets here only after the certificate or the scans ruled
-        # out every cycle of length <= 5, so the girth is at least six.
+        # _dispatch gets here only after find_configuration ruled out every
+        # cycle of length <= 5, so the girth is at least six.
         x = g.vertices()[0]
         plan = build_precolor_and_sequence(g, x, girth_known=True)
         if plan.covers_all(g):

@@ -19,7 +19,7 @@ from strongedge.graph import (
     K33,
     MULTI_EDGE,
     TRIANGLE,
-    _girth_at_least_six,
+    _Census,
     find_configuration,
     find_edge_cut_at_most,
     format_edge_list,
@@ -253,7 +253,7 @@ class TestGirthCertificate:
             g = pairing_model_multigraph(data.draw)
         else:
             g = pg_lift(data.draw(st.integers(1, 4)), random.Random(data.draw(st.integers())))
-        certified = _girth_at_least_six(g)
+        certified = _Census(g).girth_at_least_six()
         assert certified == (girth_oracle(g) >= 6)
         if kind == "pairing" and find_configuration(g, MULTI_EDGE):
             assert not certified
@@ -264,13 +264,16 @@ class TestGirthCertificate:
     @given(st.data())
     def test_simple_four_regular_graphs_match_the_scan(self, data):
         # on the graphs the solver asks about, the certificate holds exactly
-        # when the negative scan misses
+        # when the replaced finders miss, and the six-kind call that runs it
+        # returns their first hit
         if data.draw(st.booleans()):
             g = gen_random_regular(4, data.draw(st.integers(5, 80)),
                                    data.draw(st.integers(0, 10 ** 6)))
         else:
             g = pg_lift(data.draw(st.integers(1, 4)), random.Random(data.draw(st.integers())))
-        assert _girth_at_least_six(g) == (find_configuration(g, *CONFIGURATION_KINDS[1:]) is None)
+        first = first_configuration_oracle(g, *CONFIGURATION_KINDS[1:])
+        assert _Census(g).girth_at_least_six() == (first is None)
+        assert find_configuration(g, *CONFIGURATION_KINDS[1:]) == first
 
     @pytest.mark.parametrize("ring, certified", [(4, False), (5, False), (6, True)])
     def test_a_ring_on_the_highest_ids(self, ring, certified):
@@ -284,7 +287,18 @@ class TestGirthCertificate:
             g.add_edge(ids[i - 1], ids[i])
         g.add_edge(0, ids[0])
         assert girth(g) == min(ring, 6)
-        assert _girth_at_least_six(g) is certified
+        assert _Census(g).girth_at_least_six() is certified
+
+    def test_a_multi_edge_only_call_skips_it(self):
+        # that call stays one pass over the edge table
+        with mock.patch.object(_Census, "girth_at_least_six", side_effect=AssertionError):
+            assert find_configuration(gen_incidence_pg(3), MULTI_EDGE) is None
+
+    @pytest.mark.parametrize("kinds", [("heptagon",), (TRIANGLE, "heptagon")])
+    def test_unknown_kinds_are_refused_before_it(self, kinds):
+        with mock.patch.object(_Census, "girth_at_least_six", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="unknown configuration kind"):
+                find_configuration(gen_incidence_pg(3), *kinds)
 
 
 class TestEdgeCut:

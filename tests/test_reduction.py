@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import random
@@ -12,6 +13,7 @@ from strongedge.graph import (
     CONFIGURATION_KINDS,
     MULTI_EDGE,
     Graph,
+    _Census,
     find_configuration,
     find_edge_cut_at_most,
     gen_incidence_pg,
@@ -373,10 +375,17 @@ class TestDispatchPaths:
         lambda: pg_lift(20, random.Random(1)),
     ], ids=["pg3", "pg3-lift20"])
     def test_girth_six_skips_the_short_cycle_scan(self, builder):
-        # the certificate stands in for the negative scan: only the
-        # multi-edge scan before the cut detector runs
-        trace, scans = self.scans_of(builder())
-        assert scans == [(MULTI_EDGE,)]
+        # find_configuration's certificate answers for the negative kinds,
+        # so none of the scans that look for a short cycle runs
+        scans = ("triangle", "common_pair", "k33", "c5")
+        g = builder()
+        with contextlib.ExitStack() as stack:
+            wrapped = [stack.enter_context(mock.patch.object(
+                _Census, name, autospec=True, side_effect=getattr(_Census, name)))
+                for name in scans]
+            coloring, trace = solve21(g)
+        assert_solved(g, coloring, trace)
+        assert [w.call_count for w in wrapped] == [0] * len(scans)
         assert trace.tags() == ["sequence-complete"]
 
     def test_girth_five_is_still_scanned(self):
@@ -754,6 +763,18 @@ class TestBlockedTailManeuver:
         for e in plan.tail:
             assert out.color(e) is not None
         assert out.as_dict() == extend_sequence_oracle(g, tail_plan)
+
+    @pytest.mark.parametrize("head", [[1, 0], [0]],
+                             ids=["second-before-first", "second-left-out"])
+    def test_tail_orders_off_the_plan(self, head):
+        # the order is cut just after the second grandchild edge wherever it
+        # stands, and not at all without it; the first one stalls after the
+        # cut, so the donor is recolored at the end of the order
+        g, plan, seeded, blocked = self.blocked_state()
+        order = [plan.tail[i] for i in head] + plan.tail[2:]
+        new, old = extension_outcomes(g, SequencePlan(plan.labels, seeded, plan.tail, order))
+        assert isinstance(new, dict) and new == old
+        assert new[blocked] == 1
 
     def test_stall_off_the_tail_falls_back(self):
         g, plan, seeded, blocked = self.blocked_state()
