@@ -350,6 +350,24 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     will do).  The search keeps its own stack, so its depth, one level per
     colored edge, has no limit from Python's recursion limit.  A negative
     budget raises ValueError.
+
+    No search node loops over an edge's neighbours: the state is int bit
+    masks over ranks.  Each vertex of the squared line graph has a rank in
+    (-degree, index) order.  The saturation of each uncolored rank, the
+    number of distinct colors it sees, is held in (m + 1).bit_length()
+    bit-sliced counters (slice j holds bit j of every rank's count), raised
+    and lowered by ripple carry with one mask.  The branching edge, most
+    saturated, then of highest degree, then of lowest index, is the lowest
+    set bit of the uncolored ranks at the highest saturation.  by[c] is the
+    mask of ranks that see color c, kept current for the uncolored ones, so
+    an edge's next color is the smallest c above its current one whose
+    by[c] has its bit clear.  Coloring a rank with c adds to by[c], and
+    raises the counters of, `touched`: its uncolored neighbours not yet in
+    by[c], which its stack frame keeps as one int.  Undoing the color clears
+    `touched` from by[c] and lowers those counters, and popping the frame
+    puts the rank back among the uncolored.  A rank's neighbour mask is
+    built the first time it is branched on, since masks for all m ranks
+    would take O(m^2) bits.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
@@ -372,25 +390,33 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
         return ExactResult(lower, upper, PartialColoring(upper, dict(zip(eids, best))),
                            lower == upper, 0)
 
-    # seen[v]: bit c set when a colored neighbour of v has color c.  score[v]:
-    # saturation * (m + 1) + degree while v is uncolored, -1 once colored, so
-    # the first maximum is the branching edge of largest (saturation, degree)
-    # and lowest index.
-    colors = [0] * m
-    seen = [0] * m
-    for pos, v in enumerate(clique):
-        colors[v] = pos + 1
-        for w in adj[v]:
-            seen[w] |= 1 << (pos + 1)
-    step = m + 1
-    score = [-1 if colors[v] else seen[v].bit_count() * step + len(adj[v])
-             for v in range(m)]
+    # rank r is order[r], the r-th edge of the incumbent's order; all masks
+    # below are over ranks.  fixed: the clique's colors, 1..len(clique).
+    rank = [0] * m
+    for r, v in enumerate(order):
+        rank[v] = r
+    nbits = [None] * m
+    by = [0] * (m + 1)
+    sat = [0] * (m + 1).bit_length()
+    uncolored = (1 << m) - 1
+    fixed = [0] * m
+    for c, v in enumerate(clique, 1):
+        fixed[v] = c
+        uncolored ^= 1 << rank[v]
+    for c, v in enumerate(clique, 1):
+        carry = by[c] = sum(1 << rank[w] for w in adj[v]) & uncolored
+        j = 0
+        while carry:
+            s = sat[j]
+            sat[j] = s ^ carry
+            carry &= s
+            j += 1
 
     # The search tree is walked with an explicit stack, one frame per edge
-    # being branched on: [edge, its score, colors in use above it, the color
-    # it has now, the neighbours that color saturated].  A frame's cap is read
-    # from the current upper on every retry, so once a better coloring is
-    # found no frame tries a color that cannot beat it.
+    # being branched on: [its rank's bit, its neighbour mask, colors in use
+    # above it, the color it has now, the ranks that color saturated].  A
+    # frame's cap is read from the current upper on every retry, so once a
+    # better coloring is found no frame tries a color that cannot beat it.
     nodes = 0
     complete = True
     stack = []
@@ -400,15 +426,27 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
             complete = False
             break
         nodes += 1
-        top = max(score)
-        if top >= 0:
-            v = score.index(top)
-            score[v] = -1
-            stack.append([v, top, used, 0, ()])
+        if uncolored:
+            # keep, slice by slice from the top, the ranks whose saturation
+            # is highest; the lowest of them is the branching edge
+            cand = uncolored
+            for s in reversed(sat):
+                s &= cand
+                if s:
+                    cand = s
+            low = cand & -cand
+            uncolored ^= low
+            r = low.bit_length() - 1
+            nb = nbits[r]
+            if nb is None:
+                nb = nbits[r] = sum(1 << rank[w] for w in adj[order[r]])
+            stack.append([low, nb, used, 0, 0])
         else:
             # every color on the path is below upper, so each leaf beats it
             upper = used
-            best = list(colors)
+            best = list(fixed)
+            for bit, _, _, c, _ in stack:
+                best[order[bit.bit_length() - 1]] = c
             if upper == lower:
                 break
             if stop_at is not None and upper <= stop_at:
@@ -419,29 +457,38 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
         # upper, is popped, and an empty stack ends the search.
         while stack:
             frame = stack[-1]
-            v, _, used, c, touched = frame
+            bit, nb, used, c, touched = frame
             if c:
-                colors[v] = 0
-                bit = 1 << c
-                for w in touched:
-                    seen[w] ^= bit
-                    score[w] -= step
-            cap = min(used + 1, upper - 1) if used < upper else 0
-            # the lowest color above c that no colored neighbour has
-            free = ~seen[v] >> (c + 1)
-            c += (free & -free).bit_length()
+                by[c] ^= touched
+                j = 0
+                while touched:
+                    s = sat[j]
+                    sat[j] = s ^ touched
+                    touched &= ~s
+                    j += 1
+            # one past the colors in use above, below upper; nothing once
+            # those colors reach upper
+            cap = used + 1
+            if cap >= upper:
+                cap = upper - 1 if used < upper else 0
+            c += 1
+            while c <= cap and by[c] & bit:
+                c += 1
             if c > cap:
-                score[v] = frame[1]
+                uncolored |= bit
                 stack.pop()
                 continue
-            colors[v] = c
-            bit = 1 << c
-            touched = [w for w in adj[v] if not colors[w] and not seen[w] & bit]
-            for w in touched:
-                seen[w] |= bit
-                score[w] += step
+            touched = nb & uncolored & ~by[c]
+            by[c] |= touched
             frame[3], frame[4] = c, touched
-            used = max(used, c)
+            j = 0
+            while touched:
+                s = sat[j]
+                sat[j] = s ^ touched
+                touched &= s
+                j += 1
+            if c > used:
+                used = c
             break
         else:
             break

@@ -11,13 +11,21 @@ now, beside `complete_with_palette`, which drives the solver's short-cycle
 completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
 verifier, of the edge-scan subgraph and components split, of the exact
-solver's greedy clique and greedy seed and of the sequence closure and
-extension, kept verbatim as differential oracles for their successors.
+solver's greedy clique, greedy seed and set-and-score search and of the
+sequence closure and extension, kept verbatim as differential oracles for
+their successors.
 """
 import random
 from collections import deque
 from itertools import combinations, permutations
 
+from strongedge.coloring import (
+    ExactResult,
+    PartialColoring,
+    _first_fit,
+    _greedy_clique,
+    line_graph_square,
+)
 from strongedge.graph import (
     C4,
     C5,
@@ -790,3 +798,109 @@ def extend_sequence_oracle(g: Graph, plan) -> dict:
             col[pending_recolor] = c
             pending_recolor = None
     return col
+
+
+def exact_search_oracle(g: Graph, budget=None, stop_at=None) -> ExactResult:
+    """coloring.exact_strong_index as it was: the same set-up, then a search
+    that keeps, per vertex of the squared line graph, a set of seen colors as
+    an int and a score, saturation * (m + 1) + degree, and branches on the
+    first maximum score; each frame lists the neighbours its color saturated.
+    Returns the same ExactResult, node for node."""
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
+    eids = g.edges()
+    m = len(eids)
+    if m == 0:
+        return ExactResult(0, 0, PartialColoring(0), True, 0)
+    adj = line_graph_square(g)
+    clique = _greedy_clique(adj)
+    lower = max(len(clique), 1)
+    # the incumbent: one _first_fit pass, most seen edges first, ties to the
+    # lower id; an edge sees at most m - 1 others, so m colors always suffice
+    seed: dict[int, int] = {}
+    order = sorted(range(m), key=lambda i: (-len(adj[i]), i))
+    _first_fit(g, seed, [eids[i] for i in order], m)
+    best = [seed[e] for e in eids]
+    upper = max(best)
+
+    if lower == upper or (stop_at is not None and upper <= stop_at):
+        return ExactResult(lower, upper, PartialColoring(upper, dict(zip(eids, best))),
+                           lower == upper, 0)
+
+    # seen[v]: bit c set when a colored neighbour of v has color c.  score[v]:
+    # saturation * (m + 1) + degree while v is uncolored, -1 once colored, so
+    # the first maximum is the branching edge of largest (saturation, degree)
+    # and lowest index.
+    colors = [0] * m
+    seen = [0] * m
+    for pos, v in enumerate(clique):
+        colors[v] = pos + 1
+        for w in adj[v]:
+            seen[w] |= 1 << (pos + 1)
+    step = m + 1
+    score = [-1 if colors[v] else seen[v].bit_count() * step + len(adj[v])
+             for v in range(m)]
+
+    # The search tree is walked with an explicit stack, one frame per edge
+    # being branched on: [edge, its score, colors in use above it, the color
+    # it has now, the neighbours that color saturated].  A frame's cap is read
+    # from the current upper on every retry, so once a better coloring is
+    # found no frame tries a color that cannot beat it.
+    nodes = 0
+    complete = True
+    stack = []
+    used = len(clique)
+    while True:
+        if budget is not None and nodes >= budget:
+            complete = False
+            break
+        nodes += 1
+        top = max(score)
+        if top >= 0:
+            v = score.index(top)
+            score[v] = -1
+            stack.append([v, top, used, 0, ()])
+        else:
+            # every color on the path is below upper, so each leaf beats it
+            upper = used
+            best = list(colors)
+            if upper == lower:
+                break
+            if stop_at is not None and upper <= stop_at:
+                complete = False
+                break
+        # Undo the color of the deepest frame and try its next one below the
+        # cap; a frame with no color left, or whose colors above already reach
+        # upper, is popped, and an empty stack ends the search.
+        while stack:
+            frame = stack[-1]
+            v, _, used, c, touched = frame
+            if c:
+                colors[v] = 0
+                bit = 1 << c
+                for w in touched:
+                    seen[w] ^= bit
+                    score[w] -= step
+            cap = min(used + 1, upper - 1) if used < upper else 0
+            # the lowest color above c that no colored neighbour has
+            free = ~seen[v] >> (c + 1)
+            c += (free & -free).bit_length()
+            if c > cap:
+                score[v] = frame[1]
+                stack.pop()
+                continue
+            colors[v] = c
+            bit = 1 << c
+            touched = [w for w in adj[v] if not colors[w] and not seen[w] & bit]
+            for w in touched:
+                seen[w] |= bit
+                score[w] += step
+            frame[3], frame[4] = c, touched
+            used = max(used, c)
+            break
+        else:
+            break
+
+    exact = complete or lower == upper
+    witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})
+    return ExactResult(lower if not exact else upper, upper, witness, exact, nodes)

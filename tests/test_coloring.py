@@ -35,6 +35,7 @@ from helpers import (
     complete_bipartite,
     complete_with_palette,
     cycle,
+    exact_search_oracle,
     greedy_clique_oracle,
     greedy_seed_oracle,
     path,
@@ -596,6 +597,8 @@ EXACT_DIGESTS = {
     "pg2": (lambda: gen_incidence_pg(2), "5b84140aa24f11ed", 548),
     "c5": (lambda: cycle(5), "b0c37195c3c73bf8", 0),
     "cubic-14": (lambda: gen_random_regular(3, 14, 0), "70830e5118435217", 55),
+    # value 7; the most nodes of any input of perfbench's exact workload
+    "cubic-14-55": (lambda: gen_random_regular(3, 14, 55), "33b6494a5ef3e3bf", 7172),
 }
 
 
@@ -619,6 +622,35 @@ class TestExact:
         # whose colors already reach it costs 975,007 on seed 134.
         res = exact_strong_index(gen_random_regular(3, 18, seed), budget=100_000)
         assert res.exact and res.value == 8
+        assert res.nodes == {31: 40_298, 134: 21}[seed]
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_set_and_score_search(self, data):
+        # the bit-mask search branches on the same edge and tries the same
+        # colors at every node; stop_at one above the clique bound halts
+        # mid-search wherever a coloring that small exists
+        g = gapped_multigraph(data.draw)
+        clique_bound = exact_search_oracle(g, budget=0).lower
+        for budget in (None, 0, 1, 7, 50):
+            for stop_at in (None, clique_bound + 1):
+                # ExactResult equality: lower, upper, witness, exact and nodes
+                assert (exact_strong_index(g, budget, stop_at)
+                        == exact_search_oracle(g, budget, stop_at)), (budget, stop_at)
+
+    def test_memory_stays_linear_in_the_edges(self):
+        # 8,000 edges: the squared line graph's neighbour sets dominate (about
+        # 14.4 MB); a neighbour mask per edge built up front would peak at
+        # about 20.5 MB, so the masks are built for branched edges only
+        g = gen_random_regular(4, 4000, 1)
+        tracemalloc.start()
+        try:
+            res = exact_strong_index(g, budget=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.nodes == 50
+        assert peak < 16 * 10 ** 6, peak
 
     def test_c5(self):
         assert exact_strong_index(cycle(5)).value == 5
