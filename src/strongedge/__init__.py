@@ -32,7 +32,6 @@ from .coloring import (
     edge_neighborhood,
     exact_strong_index,
     greedy_color,
-    line_graph_square,
     verify_strong_coloring,
 )
 from .reduction import (

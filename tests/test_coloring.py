@@ -22,7 +22,6 @@ from strongedge.coloring import (
     edge_neighborhood,
     exact_strong_index,
     greedy_color,
-    line_graph_square,
     verify_strong_coloring,
 )
 from strongedge.reduction import BASE_CASE_EDGES, _colors_at, solve21
@@ -415,6 +414,15 @@ class TestFirstFit:
         assert _first_fit(g, col, [0, 1, 3], 3) == 3
         assert col == {2: 1, 0: 2, 1: 3}
 
+    def test_skips_colored_ids_that_are_not_edges_of_g(self):
+        # the input's coloring may carry colors of edges a subgraph lacks: a
+        # removed edge at the path's end and an id g never had block nothing
+        g = path(3)
+        g.remove_edge(2)
+        col = {2: 1, 99: 2}
+        assert _first_fit(g, col, [1, 0], 5) is None
+        assert col == {2: 1, 99: 2, 1: 1, 0: 2}
+
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(st.data())
     def test_base_case_and_exact_incumbent_match_the_greedy_seed(self, data):
@@ -533,33 +541,50 @@ class TestSdr:
                 assert ok
 
 
-class TestLineGraphSquare:
-    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(st.data())
-    def test_matches_the_seen_edges_oracle(self, data):
-        g = gapped_multigraph(data.draw)
-        assert line_graph_square(g) == [set(s) for s in strong_adjacency(g)]
+class TestStrongAdjacency:
+    """The squared line graph that exact_search_oracle and the brute-force
+    chromatic checks start from."""
 
     def test_c5_gives_k5(self):
-        adj = line_graph_square(cycle(5))
-        assert adj == [set(range(5)) - {i} for i in range(5)]
+        assert strong_adjacency(cycle(5)) == [sorted(set(range(5)) - {i}) for i in range(5)]
 
     def test_star_gives_k4(self):
-        adj = line_graph_square(star(4))
-        assert adj == [set(range(4)) - {i} for i in range(4)]
+        assert strong_adjacency(star(4)) == [sorted(set(range(4)) - {i}) for i in range(4)]
 
     def test_path_ends_non_adjacent(self):
-        adj = line_graph_square(path(4))
+        adj = strong_adjacency(path(4))
         assert sum(len(nb) for nb in adj) == 2 * 5
         assert 3 not in adj[0] and 0 not in adj[3]
+
+
+def clique_input(adj: list[set[int]]):
+    """_greedy_clique's input for the graph with neighbour sets adj: the
+    vertices in (-degree, index) order, and a cached neighbour mask over those
+    ranks, as exact_strong_index builds them for the edges of g."""
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    rank = {v: r for r, v in enumerate(order)}
+
+    @lru_cache(maxsize=None)
+    def nb(r):
+        return sum(1 << rank[w] for w in adj[order[r]])
+
+    return nb, order
+
+
+def check_greedy_clique(adj: list[set[int]]):
+    # capped by a greedy coloring's color count, or uncapped: the cuts leave
+    # the clique as it is
+    nb, order = clique_input(adj)
+    expected = greedy_clique_oracle(adj)
+    assert _greedy_clique(nb, order, max(greedy_seed_oracle(adj), default=0)) == expected
+    assert _greedy_clique(nb, order, len(adj)) == expected
 
 
 class TestGreedyClique:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.data())
     def test_matches_the_set_based_clique_on_edge_graphs(self, data):
-        adj = line_graph_square(gapped_multigraph(data.draw))
-        assert _greedy_clique(adj) == greedy_clique_oracle(adj)
+        check_greedy_clique([set(s) for s in strong_adjacency(gapped_multigraph(data.draw))])
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.integers(0, 40), st.floats(0.05, 0.9), st.integers(0, 10 ** 6))
@@ -573,15 +598,17 @@ class TestGreedyClique:
                 if rng.random() < p:
                     adj[u].add(v)
                     adj[v].add(u)
-        assert _greedy_clique(adj) == greedy_clique_oracle(adj)
+        check_greedy_clique(adj)
 
     def test_memory_does_not_grow_with_the_graph(self):
-        # the masks are indexed over the eight starts' neighbourhoods; masks
-        # over all 20,000 edges would peak at about 53 MB here
-        adj = line_graph_square(gen_random_regular(4, 10000, 1))
+        # masks are built for the starts and their candidates only, about 100
+        # of 2.2 KB each here (0.3 MB peak); masks for all 20,000 edges would
+        # take about 53 MB.  Uncapped, so all eight starts run.
+        adj = [set(s) for s in strong_adjacency(gen_random_regular(4, 10000, 1))]
+        nb, order = clique_input(adj)
         tracemalloc.start()
         try:
-            clique = _greedy_clique(adj)
+            clique = _greedy_clique(nb, order, len(adj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -639,9 +666,11 @@ class TestExact:
                         == exact_search_oracle(g, budget, stop_at)), (budget, stop_at)
 
     def test_memory_stays_linear_in_the_edges(self):
-        # 8,000 edges: the squared line graph's neighbour sets dominate (about
-        # 14.4 MB); a neighbour mask per edge built up front would peak at
-        # about 20.5 MB, so the masks are built for branched edges only
+        # 8,000 edges: the per-vertex balls, degrees, ranks and the
+        # incumbent dominate (about 5.5 MB); the squared line graph's
+        # neighbour sets peaked at 14.4 MB, and a neighbour mask per edge
+        # built up front would take about 20.5 MB more, so the masks are
+        # built for the edges the clique and the search touch only
         g = gen_random_regular(4, 4000, 1)
         tracemalloc.start()
         try:
@@ -650,7 +679,7 @@ class TestExact:
         finally:
             tracemalloc.stop()
         assert res.nodes == 50
-        assert peak < 16 * 10 ** 6, peak
+        assert peak < 8 * 10 ** 6, peak
 
     def test_c5(self):
         assert exact_strong_index(cycle(5)).value == 5

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "edge_neighborhood", "exact_strong_index", "extend_sequence", "find_configuration",
     "find_edge_cut_at_most", "format_edge_list", "gen_blowup_c5", "gen_incidence_pg",
     "gen_random_regular", "girth", "graph_from_json", "graph_to_json", "greedy_color",
-    "line_graph_square", "parse_edge_list", "rename_colors", "solve21",
+    "parse_edge_list", "rename_colors", "solve21",
     "verify_strong_coloring",
 ]
 
