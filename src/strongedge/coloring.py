@@ -93,9 +93,7 @@ def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
     with an end in N[u] | N[v], the ends of the edges at u and at v, so the
     OR of both ends' masks over those edges holds exactly the colors e sees
     while e is uncolored, and its lowest clear bit is e's color.  Coloring e
-    sets that bit at u and at v.  Building no neighbourhood cut the traced
-    `reduction.dispatch` self time of a perfbench `sweep` pass, where this
-    call is charged, from 91 to 77-80 ms.
+    sets that bit at u and at v, so the pass builds no neighbourhood.
     """
     adj, ends = g._adj, g._edges
     mask = dict.fromkeys(adj, 1)
@@ -337,11 +335,9 @@ def exact_strong_index(g: Graph, budget=None, stop_at=None) -> ExactResult:
     ball becomes a mask of ranks the first time an edge at it is needed, and
     rank r's neighbour mask is R(u) | R(v) without r, also built on first
     use, since masks for all m ranks would take O(m^2) bits.  So a large
-    input with a small budget holds the balls and the masks it touched:
-    8,000 edges with budget=50 peak at 5.5 MB under tracemalloc, where the
-    squared line graph's neighbour sets took 14.4 MB, and a perfbench
-    `exact` pass takes 12 % less time.  The greedy clique runs on the same
-    masks after the incumbent, whose color count bounds it.
+    input with a small budget holds only the balls and the masks it touched.
+    The greedy clique runs on the same masks after the incumbent, whose
+    color count bounds it.
 
     No search node loops over an edge's neighbours: the state is int bit
     masks over ranks.  The saturation of each uncolored rank, the number of

@@ -186,6 +186,11 @@ def _kids(g: Graph, v: int, parent: int) -> list[int]:
     return sorted(set(g.neighbors(v)) - {parent})
 
 
+def _arrange(children: list[int], first: int, last: int) -> list[int]:
+    """children with first in front, last at the back, the rest between in order."""
+    return [first] + [c for c in children if c not in (first, last)] + [last]
+
+
 def _eid(g: Graph, a: int, b: int) -> int:
     """The one edge between a and b: callers name adjacent pairs in graphs
     that the multi-edge step has made simple."""
@@ -720,16 +725,14 @@ class _Solver:
             ks = labels.children[z]
             lk = [c for c in ks if c in part.left]
             rk = [c for c in ks if c in part.right]
-            mk = [c for c in ks if c in part.mid]
-            if lk and rk and not mk:
-                z2 = [c for c in ks if c != lk[0] and c != rk[0]]
-                labels.children[z] = [lk[0], z2[0], rk[0]]
+            if lk and rk and not part.mid.intersection(ks):
+                labels.children[z] = _arrange(ks, lk[0], rk[0])
                 return self._run_recipe(g, part, labels, depth, "mixed-branch", z)
 
         m_a = sorted(part.mid & part.designated)
         _require(bool(m_a), "mid block misses the designated ring entirely")
         for zi in m_a:
-            labels.children[zi] = self._mark_children(g, part, labels, zi)
+            self._mark_children(g, part, labels, zi)
 
         def rich(zi):
             k2, k3 = labels.children[zi][1], labels.children[zi][2]
@@ -741,11 +744,9 @@ class _Solver:
         candidates = [zi for zi in m_a if rich(zi)]
         for zi in candidates:
             z = self._branch_of(labels, zi)
-            siblings = [c for c in labels.children[z] if c != zi]
-            r_sib = sorted(c for c in siblings if c in part.right)
+            r_sib = [c for c in labels.children[z] if c in part.right]  # zi itself is mid
             if r_sib:
-                other = [c for c in siblings if c != r_sib[0]]
-                labels.children[z] = [zi, other[0], r_sib[0]]
+                labels.children[z] = _arrange(labels.children[z], zi, min(r_sib))
                 return self._run_recipe(g, part, labels, depth, "r-sibling", z)
         if candidates:
             return self._rich_anchor_cases(g, part, labels, candidates[0], depth)
@@ -762,26 +763,20 @@ class _Solver:
         """The branch above zi, a designated vertex and so a branch's child."""
         return next(z for z in labels.branch if zi in labels.children[z])
 
-    def _mark_children(self, g: Graph, part: VertexPartition,
-                       labels: BranchLabels, zi: int) -> list[int]:
-        """Order zi's children: crossing child first, outward child last.
+    def _mark_children(self, g: Graph, part: VertexPartition, labels: BranchLabels,
+                       zi: int, outward: int | None = None) -> None:
+        """Order zi's children: lowest crossing child first, outward child last.
 
-        When two children sit in the right block, the one with three right
-        edges (if any) becomes the outward child so the recipes can route the
-        right-side helper through it.  Callers pass a mid vertex of the
-        designated ring, which _check_partition_structure gives a left and a
-        right child; girth six keeps every child out of mid.
-        """
-        parent = self._branch_of(labels, zi)
-        ks = _kids(g, zi, parent)
-        lk = sorted(c for c in ks if c in part.left)
-        rk = sorted(c for c in ks if c in part.right)
-        if len(lk) == 2:
-            return [lk[0], lk[1], rk[0]]
-        full = [c for c in rk if part.right_degree(g, c) == 3]
-        k3 = full[0] if full else rk[0]
-        k2 = [c for c in rk if c != k3][0]
-        return [lk[0], k2, k3]
+        Unless forced, the outward child is the right child with three right
+        edges, else the lowest, so the recipes can route the right-side helper
+        through it.  Callers pass a mid vertex of the designated ring, which
+        _check_partition_structure gives a left and a right child; girth six
+        keeps every child out of mid."""
+        ks = _kids(g, zi, self._branch_of(labels, zi))
+        if outward is None:
+            rk = [c for c in ks if c in part.right]
+            outward = next((c for c in rk if part.right_degree(g, c) == 3), rk[0])
+        labels.children[zi] = _arrange(ks, min(c for c in ks if c in part.left), outward)
 
     def _rich_anchor_cases(self, g: Graph, part: VertexPartition,
                        labels: BranchLabels, chosen: int, depth: int) -> dict:
@@ -795,8 +790,8 @@ class _Solver:
         siblings = [c for c in labels.children[labels.u] if c != chosen]
         l_sib = sorted(c for c in siblings if c in part.left)
         if l_sib:
-            u3 = [c for c in siblings if c != l_sib[0]][0]
-            labels.children[labels.u] = [chosen, l_sib[0], u3]
+            u3 = next(c for c in siblings if c != l_sib[0])
+            labels.children[labels.u] = _arrange(labels.children[labels.u], chosen, u3)
             return self._run_recipe(g, part, labels, depth, "l-sibling")
         # neither right nor left, so both are mid; as children of u they are
         # designated, so _collaborative has marked their children already
@@ -814,18 +809,13 @@ class _Solver:
         return self._run_recipe(g, part, labels, depth, case)
 
     def _relabel_partner(self, g: Graph, part: VertexPartition,
-                         labels: BranchLabels, partner: int, hub: int,
-                         branch_vertex: int) -> None:
-        """Put `partner` first among its branch's children and mark its kids
-        with the hub forced into the outward slot.  Callers have checked that
-        `partner` is a mid child of `branch_vertex` with `hub` among its kids;
+                         labels: BranchLabels, partner: int, hub: int) -> None:
+        """Put `partner`, a mid child of a branch with `hub` among its kids,
+        first in its branch, and mark its kids with the hub forced outward;
         _check_partition_structure gives it a crossing child in left."""
-        ks = labels.children[branch_vertex]
-        labels.children[branch_vertex] = [partner] + [c for c in ks if c != partner]
-        kids = _kids(g, partner, branch_vertex)
-        lk = min(c for c in kids if c in part.left)
-        middle = sorted(set(kids) - {hub, lk})
-        labels.children[partner] = [lk, middle[0], hub]
+        z = self._branch_of(labels, partner)
+        labels.children[z] = [partner] + [c for c in labels.children[z] if c != partner]
+        self._mark_children(g, part, labels, partner, outward=hub)
 
     def _hub_partners(self, g: Graph, part: VertexPartition, labels: BranchLabels,
                       hub: int, exclude: int, count: int) -> list[int]:
@@ -1056,7 +1046,7 @@ class _Solver:
         w1, w2, w3 = labels.children[w]
         w11, w12, hub = labels.children[w1]
         for p in self._hub_partners(g, part, labels, hub, w1, 2):
-            self._relabel_partner(g, part, labels, p, hub, self._branch_of(labels, p))
+            self._relabel_partner(g, part, labels, p, hub)
         u1, u2, u3 = labels.children[u]
         v1, v2, v3 = labels.children[v]
         u11, u12 = labels.children[u1][:2]
@@ -1089,7 +1079,7 @@ class _Solver:
         if partner in labels.children[labels.v]:
             labels.swap_uv()
         u, v = labels.u, labels.v
-        self._relabel_partner(g, part, labels, partner, hub, u)
+        self._relabel_partner(g, part, labels, partner, hub)
         u1 = labels.children[u][0]
         w31 = _kids(g, w3, w)[0]
         return _Recipe(
@@ -1107,7 +1097,13 @@ class _Solver:
         """w1 is right, as a left one fires mixed-branch on w.  No vertex of
         m_a is rich, so each has two left kids and one right (the double-
         outward check), u1's hub has under three right edges, and girth six
-        leaves it one more mid neighbor, v1 under v, mirroring u1."""
+        leaves it one more mid neighbor, v1 under v, mirroring u1.
+
+        By a line trace, of the 2,133 tests/corpus_digest.py runs only the
+        twin-anchors fixture gets here, to the second arm with neither swap;
+        in a whole-suite run three TestPocketDraws draws (which vary with the
+        modules loaded) do, two swapping u and v and two swapping 3 with the
+        missing color.  Only test_forced_arms' patch reaches the first arm."""
         x, y, w = labels.x, labels.y, labels.w
         w1, w2, w3 = labels.children[w]
         _require(w1 in part.right, "third-branch anchor neither mid nor right")
@@ -1116,18 +1112,18 @@ class _Solver:
             labels.swap_uv()
         u, v = labels.u, labels.v
         kids = _kids(g, u1, u)
-        lk = sorted(c for c in kids if c in part.left)
+        lk = [c for c in kids if c in part.left]
         rk = [c for c in kids if c in part.right]
         _require(len(lk) == 2 and len(rk) == 1, "twin anchor does not carry two crossing children")
         hub = rk[0]
-        self._relabel_partner(g, part, labels, u1, hub, u)
+        self._relabel_partner(g, part, labels, u1, hub)
         _require(part.right_degree(g, hub) == 2, "twin hub lacks exactly two right edges")
         v1, = self._hub_partners(g, part, labels, hub, u1, 1)
         vkids = _kids(g, v1, v)
-        vlk = sorted(c for c in vkids if c in part.left)
+        vlk = [c for c in vkids if c in part.left]
         _require(len(vlk) == 2 and hub in vkids, "twin partner does not mirror the anchor")
-        self._relabel_partner(g, part, labels, v1, hub, v)
-        (u11, u12), (v11, v12) = lk, vlk
+        self._relabel_partner(g, part, labels, v1, hub)
+        (u11, u12, _), (v11, v12, _) = labels.children[u1], labels.children[v1]
         u2, u3 = labels.children[u][1:]
         v2, v3 = labels.children[v][1:]
         # the right apex stands in for w: w's edges take the colors of its edges

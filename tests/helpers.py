@@ -12,8 +12,9 @@ completion under a small palette.  The exceptions, at the end, are the
 library's replaced implementations of the configuration finders, of the
 verifier, of the edge-scan subgraph and components split, of the exact
 solver's greedy clique, greedy seed and set-and-score search (the last on
-a set-up of its own, from the first two) and of the sequence closure and
-extension, kept verbatim as differential oracles for their successors.
+a set-up of its own, from the first two), of the sequence closure and
+extension and of the collaborative layer's child orders, kept verbatim as
+differential oracles for their successors.
 """
 import random
 from collections import deque
@@ -895,3 +896,36 @@ def exact_search_oracle(g: Graph, budget=None, stop_at=None) -> ExactResult:
     exact = complete or lower == upper
     witness = PartialColoring(upper, {eids[i]: best[i] for i in range(m)})
     return ExactResult(lower if not exact else upper, upper, witness, exact, nodes)
+
+
+def _kids(g: Graph, v: int, parent: int) -> list[int]:
+    return sorted(set(g.neighbors(v)) - {parent})
+
+
+def mark_children_oracle(solver, g: Graph, part, labels, zi: int) -> list[int]:
+    """_Solver._mark_children as it was before it took an outward child:
+    zi's children, crossing child first, outward child last, returned rather
+    than set.  `solver` is a _Solver, for its _branch_of."""
+    parent = solver._branch_of(labels, zi)
+    ks = _kids(g, zi, parent)
+    lk = sorted(c for c in ks if c in part.left)
+    rk = sorted(c for c in ks if c in part.right)
+    if len(lk) == 2:
+        return [lk[0], lk[1], rk[0]]
+    full = [c for c in rk if part.right_degree(g, c) == 3]
+    k3 = full[0] if full else rk[0]
+    k2 = [c for c in rk if c != k3][0]
+    return [lk[0], k2, k3]
+
+
+def relabel_partner_oracle(g: Graph, part, labels, partner: int, hub: int,
+                           branch_vertex: int) -> None:
+    """_Solver._relabel_partner as it was, with the branch passed in: partner
+    first among branch_vertex's children, and partner's kids ordered with
+    the lowest crossing child first and hub last."""
+    ks = labels.children[branch_vertex]
+    labels.children[branch_vertex] = [partner] + [c for c in ks if c != partner]
+    kids = _kids(g, partner, branch_vertex)
+    lk = min(c for c in kids if c in part.left)
+    middle = sorted(set(kids) - {hub, lk})
+    labels.children[partner] = [lk, middle[0], hub]

@@ -58,10 +58,12 @@ from helpers import (
     extend_sequence_oracle,
     induced_subgraph_oracle,
     k5e_ring,
+    mark_children_oracle,
     path,
     peel_order_oracle,
     pg_lift,
     random_graph_max_deg,
+    relabel_partner_oracle,
     seen_edges,
     sequence_plan_oracle,
     verify_oracle,
@@ -1136,6 +1138,58 @@ class TestPocketDraws:
         g = relabeled(g0, random.Random(f"{seed} {shape}"))
         coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
+
+
+class TestChildOrders:
+    """The one ordering rule of _mark_children against the orders it
+    replaced, helpers' oracles, at every mid designated vertex: with the
+    default outward child, and through _relabel_partner with each right
+    child forced into the outward slot."""
+
+    @staticmethod
+    def partition(g):
+        return build_partition(g, build_precolor_and_sequence(g, 0))
+
+    @staticmethod
+    def compare(g, part) -> int:
+        """Check every mid designated vertex; count the forced outward
+        children that differ from the default one."""
+        solver, differ = _Solver(), 0
+        for zi in sorted(part.mid & part.designated):
+            labels = part.labels.copy()
+            marked = labels.copy()
+            solver._mark_children(g, part, marked, zi)
+            order = mark_children_oracle(solver, g, part, labels, zi)
+            assert marked.children == {**labels.children, zi: order}, zi
+            for hub in [c for c in order if c in part.right]:
+                new, old = labels.copy(), labels.copy()
+                solver._relabel_partner(g, part, new, zi, hub)
+                relabel_partner_oracle(g, part, old, zi, hub, solver._branch_of(labels, zi))
+                assert new.children == old.children, (zi, hub)
+                differ += hub != order[2]
+        return differ
+
+    def test_fixtures(self):
+        # a mid vertex with one left and two right kids, as l-sibling's u3
+        # has, forces its non-default right kid, which no fixture's own
+        # _relabel_partner call does
+        differ = 0
+        for name in sorted(POCKET_BASES):
+            g, _ = build_pocket(POCKET_BASES[name])
+            differ += self.compare(g, self.partition(g))
+        assert differ > 0
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(shape=pocket_shapes())
+    def test_pocket_draws(self, shape):
+        # not relabeled as in TestPocketDraws: a relabeled pocket's sequence
+        # mostly covers every edge, leaving no partition to check
+        try:
+            g, _ = build_pocket(shape)
+            part = self.partition(g)
+        except (ValueError, RuntimeError, FallbackTriggered):
+            reject()
+        self.compare(g, part)
 
 
 class TestAssignmentHelpers:

@@ -185,6 +185,22 @@ def test_every_fallback_guard_is_forced_or_required():
         assert max(re.split(r"\{\}", why), key=len).strip() in inspect.getsource(test), why
 
 
+NUMBER_WORDS = ("zero one two three four five six seven eight nine ten eleven twelve "
+                "thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty").split()
+
+
+def test_readme_states_the_guard_counts():
+    # the README counts both forms of guard, so a new guard fails here until
+    # the README says so
+    raised, required = fallback_guards(
+        (ROOT / "src" / "strongedge" / "reduction.py").read_text(encoding="utf-8"))
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    stated = [re.search(pattern, text)[1] for pattern in (
+        r"(\w+) raise `FallbackTriggered` themselves", r"The other (\w+) are `_require")]
+    counts = [int(w) if w.isdigit() else NUMBER_WORDS.index(w.lower()) for w in stated]
+    assert counts == [len(raised), len(required)]
+
+
 def test_guard_scan_flags_an_unlisted_raise():
     source = (
         "def _require(cond, why, *args):\n"
