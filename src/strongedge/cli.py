@@ -30,7 +30,7 @@ from .coloring import (
     greedy_color,
     verify_strong_coloring,
 )
-from .reduction import ExactFinishBudgetError, solve21
+from .reduction import PALETTE, ExactFinishBudgetError, solve21
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -115,7 +115,7 @@ def cmd_color(args) -> int:
             else:
                 _write_text(args.trace, trace.format_text())
     else:
-        k = 21 if args.k is None else args.k
+        k = PALETTE if args.k is None else args.k
         if k < 0:
             raise _Exit(EXIT_USAGE, "error: --k must be non-negative")
         order = None
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph file (edge list or JSON)")
     p.add_argument("--alg", choices=("reduce21", "greedy"), default="reduce21")
     p.add_argument("--k", type=int, default=None,
-                   help="palette size for greedy (default 21)")
+                   help=f"palette size for greedy (default {PALETTE})")
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle the greedy edge order with this seed")
     p.add_argument("--out", default="-", help="coloring JSON output path")

@@ -618,25 +618,15 @@ def gen_incidence_pg(q: int) -> Graph:
     if q not in (2, 3):
         raise ValueError(f"unsupported projective plane order {q}")
 
-    def normalized_triples():
-        triples = []
-        for x in range(q * q * q):
-            a, b, c = x // (q * q), (x // q) % q, x % q
-            if (a, b, c) == (0, 0, 0):
-                continue
-            # keep triples whose first nonzero coordinate is 1
-            lead = a if a else (b if b else c)
-            if lead == 1:
-                triples.append((a, b, c))
-        return triples
-
-    points = normalized_triples()
-    lines = normalized_triples()
-    n = len(points)
+    # the nonzero triples whose first nonzero coordinate is 1 name both the
+    # points and the lines
+    triples = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)
+               if (a or b or c) == 1]
+    n = len(triples)
     g = Graph(2 * n)
-    for i, p in enumerate(points):
-        for j, line in enumerate(lines):
-            if sum(p[k] * line[k] for k in range(3)) % q == 0:
+    for i, p in enumerate(triples):
+        for j, line in enumerate(triples):
+            if sum(x * y for x, y in zip(p, line)) % q == 0:
                 g.add_edge(i, n + j)
     return g
 

@@ -143,8 +143,16 @@ def _colors_at(g: Graph, col: dict, v: int) -> set[int]:
     return {col[e] for e in g.incident(v) if e in col}
 
 
-def _verify_dict(g: Graph, col: dict):
-    return verify_strong_coloring(g, PartialColoring(PALETTE, col))
+def _spliced(g: Graph, col: dict, why: str) -> dict:
+    """col, once it colors every edge of g and passes the verifier: the last
+    step of the cut splice and of each collaborative recipe."""
+    missing = sum(e not in col for e in g.edges())
+    if missing:
+        raise FallbackTriggered(f"{why} left {missing} edges uncolored")
+    ok, witness = verify_strong_coloring(g, PartialColoring(PALETTE, col))
+    if not ok:
+        raise FallbackTriggered(f"{why} produced conflict {witness}")
+    return col
 
 
 # -- color permutations ----------------------------------------------------------
@@ -602,19 +610,15 @@ class _Solver:
                                     lambda raw: dict(zip(stubs, (1, 2))))
             boundary = [e for s in stubs for e in sub.incident(sub.other_end(s, apex))
                         if e not in stubs]
-            sides.append((sub, col, stubs, boundary))
-        (g1, col1, _, boundary1), (g2, col2, stubs2, boundary2) = sides
+            sides.append((col, stubs, boundary))
+        (col1, _, boundary1), (col2, stubs2, boundary2) = sides
         col2 = rename_colors(col2, {s: col2[s] for s in stubs2},
                              dict.fromkeys(boundary2, {col1[e] for e in boundary1}))
         _require(col2 is not None, "cut boundary separation infeasible")
 
-        working = {e: col1[e] for e in g1.edges() if g.has_edge_id(e)}
-        working.update({e: col2[e] for e in g2.edges() if g.has_edge_id(e)})
+        working = {e: c for block in (col1, col2) for e, c in block.items() if g.has_edge_id(e)}
         working.update(zip(cut.cut_edges, (1, 2)))
-        ok, witness = _verify_dict(g, working)
-        if not ok:
-            raise FallbackTriggered(f"cut splice produced conflict {witness}")
-        return working
+        return _spliced(g, working, "cut splice")
 
     # .. short-cycle reductions ..
 
@@ -866,8 +870,7 @@ class _Solver:
         col_r = self._solve_block(g, gr, depth, "right", lambda raw: dict(
             zip([_edge(g, ref, right) for ref in r.fix(raw)], (1, 2, 3, d))))
 
-        col = {e: col_l[e] for e in gl.edges() if g.has_edge_id(e)}
-        col.update((e, col_r[e]) for e in gr.edges() if g.has_edge_id(e))
+        col = {e: c for block in (col_l, col_r) for e, c in block.items() if g.has_edge_id(e)}
         steps, order = r.arm(col) if r.arm else (r.steps, r.order)
         order = list(order)
         for kind, ref, *rest in steps:
@@ -886,13 +889,7 @@ class _Solver:
                 _greedy_assign(g, col, e, f"{kind} pass")
         for e in [_edge(g, ref) for ref in order]:
             _greedy_assign(g, col, e, "final order")
-        missing = [e for e in g.edges() if e not in col]
-        if missing:
-            raise FallbackTriggered(f"recipe left {len(missing)} edges uncolored")
-        ok, witness = _verify_dict(g, col)
-        if not ok:
-            raise FallbackTriggered(f"recipe produced conflict {witness}")
-        return col
+        return _spliced(g, col, "recipe")
 
     def _block(self, g: Graph, side: set, helpers) -> tuple[Graph, dict]:
         """Induced block on `side` plus helpers (a, b, why) in order; a helper

@@ -14,8 +14,11 @@ verifier, of the edge-scan subgraph and components split, of the exact
 solver's greedy clique, greedy seed and set-and-score search (the last on
 a set-up of its own, from the first two), of the sequence closure and
 extension and of the collaborative layer's child orders, kept verbatim as
-differential oracles for their successors.
+differential oracles for their successors.  `LookupLimit` and
+`count_graph_lookups` count lookups into a graph's dicts, a deterministic
+measure of work.
 """
+import math
 import random
 from collections import deque
 from itertools import combinations, permutations
@@ -187,6 +190,49 @@ def k5e_ring(blobs: int, rng: random.Random) -> Graph:
                 g.add_edge(5 * b + i, 5 * b + j)
         g.add_edge(5 * b + 4, 5 * ((b + 1) % blobs))
     return shuffled(g, rng)
+
+
+# -- work counts ----------------------------------------------------------------
+
+
+class LookupLimit(dict):
+    """A dict that counts its lookups by key in `tally`, a one-item list that
+    other LookupLimit dicts may share, and fails the test once the count
+    passes `limit`: a deterministic bound on a search's work."""
+
+    def __init__(self, items: dict, limit=math.inf, tally=None):
+        super().__init__(items)
+        self.limit = limit
+        self.tally = [0] if tally is None else tally
+
+    def __getitem__(self, key):
+        self.tally[0] += 1
+        assert self.tally[0] <= self.limit, "lookup limit exceeded"
+        return super().__getitem__(key)
+
+
+def count_graph_lookups(monkeypatch) -> list:
+    """Count, in the returned one-item list, the lookups by key into `_adj`
+    and `_edges` of every Graph that `Graph.__init__`, `copy` or
+    `induced_subgraph` makes while monkeypatch's patches hold."""
+    tally = [0]
+
+    def counted(g: Graph) -> Graph:
+        g._adj = LookupLimit(g._adj, tally=tally)
+        g._edges = LookupLimit(g._edges, tally=tally)
+        return g
+
+    init, copy, induced = Graph.__init__, Graph.copy, Graph.induced_subgraph
+
+    def __init__(self, n=0):
+        init(self, n)
+        counted(self)
+
+    monkeypatch.setattr(Graph, "__init__", __init__)
+    monkeypatch.setattr(Graph, "copy", lambda self: counted(copy(self)))
+    monkeypatch.setattr(Graph, "induced_subgraph",
+                        lambda self, vertices: counted(induced(self, vertices)))
+    return tally
 
 
 # -- oracles ------------------------------------------------------------------

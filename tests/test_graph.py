@@ -47,6 +47,7 @@ from helpers import (
     girth_oracle,
     is_2k2_free,
     k5e_ring,
+    LookupLimit,
     min_cut_size_oracle,
     path,
     petersen,
@@ -56,20 +57,6 @@ from helpers import (
     shuffled,
 )
 from test_coloring import pairing_model_multigraph
-
-
-class LookupLimit(dict):
-    """An adjacency dict that fails the test once `limit` lookups by key
-    have been made: a deterministic bound on a search's work."""
-
-    def __init__(self, adj: dict, limit: int):
-        super().__init__(adj)
-        self.left = limit
-
-    def __getitem__(self, v):
-        self.left -= 1
-        assert self.left >= 0, "adjacency lookup limit exceeded"
-        return super().__getitem__(v)
 
 
 class TestGraphBasics:

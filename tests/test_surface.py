@@ -132,11 +132,11 @@ FORCED_GUARDS = {
     "sequence stalled twice; donor edge already moved": TAIL + "test_stalled_twice",
     "donor color still blocked after removal": TAIL + "test_donor_color_still_blocked",
     "no color available for edge {} during low-degree extension": FORCED,
-    "cut splice produced conflict {}": FORCED,
     "completion exhausted for {} target edges":
         "tests/test_reduction.py::TestCompletionStrategies::test_forced_fallback_recovers_via_exact",
-    "recipe left {} edges uncolored": FORCED,
-    "recipe produced conflict {}":
+    # _spliced, the last step of the cut splice and of each recipe
+    "{} left {} edges uncolored": FORCED,
+    "{} produced conflict {}":
         "tests/test_reduction.py::TestPartitionFixtures::test_final_verify_catches_a_bad_block",
 }
 
