@@ -28,6 +28,11 @@ MAX_VERTICES = 1_000_000
 #: Pairings gen_random_regular draws before it gives up.
 PAIRING_TRIES = 2000
 
+#: Largest degree gen_random_regular accepts.  A pairing is simple with
+#: probability about e^{-(d^2-1)/4}, so a simple graph takes about 403
+#: pairings at d = 5 but 6,300 at d = 6, more than PAIRING_TRIES allow.
+MAX_PAIRING_DEGREE = 5
+
 
 class Graph:
     """Undirected loopless multigraph.
@@ -635,17 +640,35 @@ def gen_random_regular(d: int, n: int, seed: int) -> Graph:
     """Random simple d-regular graph via the pairing model with rejection.
 
     Deterministic for a fixed seed.  Raises after PAIRING_TRIES rejected
-    pairings.
+    pairings, and up front for d above MAX_PAIRING_DEGREE.
+
+    Each try shuffles the stub list with an inline Fisher-Yates loop that
+    makes exactly the draws `random.Random(seed).shuffle` would make: for i
+    from the last position down to 1, j is `getrandbits(k)` with k the bit
+    length of i + 1, redrawn while j > i, as CPython's
+    `Random._randbelow_with_getrandbits` does (the same in 3.10 through
+    3.13).  So every seed gives the graph, or the exhaustion, that the
+    stdlib shuffle gives, without a Python-level `_randbelow` frame per
+    draw.
     """
     if (d * n) % 2 != 0:
         raise ValueError("d * n must be even")
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
+    if d > MAX_PAIRING_DEGREE:
+        raise ValueError(f"the pairing model needs d at most {MAX_PAIRING_DEGREE}, "
+                         f"got d={d}")
     _check_generated_size(n, n * d // 2)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    base = [v for v in range(n) for _ in range(d)]
     for _ in range(PAIRING_TRIES):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
+        stubs = base[:]
+        for i in range(len(stubs) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         edges = set()
         ok = True
         for i in range(0, len(stubs), 2):

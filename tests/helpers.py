@@ -13,10 +13,10 @@ library's replaced implementations of the configuration finders, of the
 verifier, of the edge-scan subgraph and components split, of the exact
 solver's greedy clique, greedy seed and set-and-score search (the last on
 a set-up of its own, from the first two), of the sequence closure and
-extension and of the collaborative layer's child orders, kept verbatim as
-differential oracles for their successors.  `LookupLimit` and
-`count_graph_lookups` count lookups into a graph's dicts, a deterministic
-measure of work.
+extension, of the collaborative layer's child orders and of the pairing
+model's stdlib shuffle, kept verbatim as differential oracles for their
+successors.  `LookupLimit` and `count_graph_lookups` count lookups into a
+graph's dicts, a deterministic measure of work.
 """
 import math
 import random
@@ -31,9 +31,11 @@ from strongedge.graph import (
     K24,
     K33,
     MULTI_EDGE,
+    PAIRING_TRIES,
     TRIANGLE,
     Configuration,
     Graph,
+    _check_generated_size,
 )
 
 
@@ -975,3 +977,36 @@ def relabel_partner_oracle(g: Graph, part, labels, partner: int, hub: int,
     lk = min(c for c in kids if c in part.left)
     middle = sorted(set(kids) - {hub, lk})
     labels.children[partner] = [lk, middle[0], hub]
+
+
+def pairing_model_oracle(d: int, n: int, seed: int) -> Graph:
+    """gen_random_regular as it was: a fresh stub list and `rng.shuffle` on
+    every try, and no degree bound beyond what PAIRING_TRIES gives up on."""
+    if (d * n) % 2 != 0:
+        raise ValueError("d * n must be even")
+    if not 0 <= d < n:
+        raise ValueError("need 0 <= d < n")
+    _check_generated_size(n, n * d // 2)
+    rng = random.Random(seed)
+    for _ in range(PAIRING_TRIES):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v:
+                ok = False
+                break
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                ok = False
+                break
+            edges.add(key)
+        if ok:
+            g = Graph(n)
+            for u, v in sorted(edges):
+                g.add_edge(u, v)
+            return g
+    raise RuntimeError(f"pairing model failed after {PAIRING_TRIES} tries "
+                       f"(d={d}, n={n}, seed={seed})")

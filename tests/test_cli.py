@@ -408,6 +408,13 @@ class TestGen:
         assert_one_line_error(capsys)
 
 
+    def test_regular_degree_six_exits_two(self, tmp_path, capsys):
+        # refused before any pairing is drawn, whatever n is
+        assert main(["gen", "regular", "--d", "6", "--n", "50000",
+                     "--out", str(tmp_path / "g.txt")]) == 2
+        assert_one_line_error(capsys)
+
+
 class TestHunt:
     def test_small_sweep_report(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -463,6 +470,11 @@ class TestHunt:
     def test_degree_five_exits_two(self, tmp_path, capsys):
         assert main(["hunt", "--d", "5", "--n", "12", "--count", "1",
                      "--out", str(tmp_path / "r.txt")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_exact_degree_six_exits_two(self, tmp_path, capsys):
+        assert main(["hunt", "--alg", "exact", "--d", "6", "--n", "50000",
+                     "--count", "1", "--out", str(tmp_path / "r.txt")]) == 2
         assert_one_line_error(capsys)
 
     def test_negative_n_exits_two(self, tmp_path, capsys):

@@ -49,6 +49,7 @@ from helpers import (
     k5e_ring,
     LookupLimit,
     min_cut_size_oracle,
+    pairing_model_oracle,
     path,
     petersen,
     pg_lift,
@@ -786,6 +787,32 @@ class TestGenerators:
         monkeypatch.setattr(graph_module, "PAIRING_TRIES", 0)
         with pytest.raises(RuntimeError, match="after 0 tries"):
             gen_random_regular(4, 10, 0)
+
+    def test_random_regular_refuses_degree_six(self):
+        # a simple pairing would take about 6,300 tries at d = 6
+        for d, n in [(6, 10), (20, 1000), (40, 50_000)]:
+            with pytest.raises(ValueError, match="d at most 5"):
+                gen_random_regular(d, n, 0)
+        assert gen_random_regular(5, 12, 0).num_edges() == 30
+
+    def test_random_regular_matches_stdlib_shuffle(self):
+        # the inline shuffle makes exactly the draws of rng.shuffle, so every
+        # seed gives the same pairing, graph and exhaustion as the old body
+        def edge_list(g):
+            return [g.endpoints(e) for e in g.edges()]
+
+        cases = [(d, n, seed) for d in range(5) for n in range(d + 1, 30)
+                 for seed in range(3) if d * n % 2 == 0]
+        assert len(cases) == 324
+        for d, n, seed in cases + [(4, 2560, 1)]:
+            assert (edge_list(gen_random_regular(d, n, seed))
+                    == edge_list(pairing_model_oracle(d, n, seed))), (d, n, seed)
+        messages = []
+        for build in (gen_random_regular, pairing_model_oracle):
+            with pytest.raises(RuntimeError, match="after 2000 tries") as info:
+                build(5, 6, 0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_regularity_property_sweep(self):
         for seed, (d, n) in enumerate([(3, 8), (4, 10), (4, 13), (2, 9)]):
