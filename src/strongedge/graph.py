@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -28,9 +29,12 @@ MAX_VERTICES = 1_000_000
 #: Pairings gen_random_regular draws before it gives up.
 PAIRING_TRIES = 2000
 
-#: Largest degree gen_random_regular accepts.  A pairing is simple with
-#: probability about e^{-(d^2-1)/4}, so a simple graph takes about 403
-#: pairings at d = 5 but 6,300 at d = 6, more than PAIRING_TRIES allow.
+#: Largest degree gen_random_regular accepts.  For large n a pairing is
+#: simple with probability about e^{-(d^2-1)/4}, so a simple graph takes
+#: about 403 pairings at d = 5 but 6,300 at d = 6, more than PAIRING_TRIES
+#: allow.  Small n needs more: K6 takes about 2,070 pairings, since a pairing
+#: of its 30 stubs is simple with probability (5!)^6 / 29!! ~ 4.8e-4, so some
+#: d = 5 seeds on few vertices still exhaust the tries.
 MAX_PAIRING_DEGREE = 5
 
 
@@ -636,6 +640,55 @@ def gen_incidence_pg(q: int) -> Graph:
     return g
 
 
+def _simple_pairing(stubs: list[int], runs: list[tuple[int, int, int]],
+                    getrandbits: Callable[[int], int]) -> set[tuple[int, int]] | None:
+    """Shuffle stubs in place with the draws of `random.Random.shuffle` and
+    return the pairs (0, 1), (2, 3), ... as an edge set, or None at the first
+    loop or repeated pair.
+
+    runs lists the shuffle's positions i, from the last down to 1, as
+    (k, first, last) runs whose i + 1 share the bit length k.  The step at
+    position i makes positions i and up final, so the pair at an even i >= 2
+    is checked right after its step and the pair at 0-1 after the loop.  A
+    rejected try still makes the rest of its draws, without swapping, so the
+    next try starts where `Random.shuffle` leaves the stream.
+    """
+    edges = set()
+    rest = iter(runs)
+    for k, first, last in rest:
+        for i in range(first, last - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+            if i & 1:
+                continue
+            u = stubs[i]
+            v = stubs[i + 1]
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in edges:
+                break
+            edges.add(key)
+        else:
+            continue
+        # rejected at i: draw for the positions below it, without swapping
+        for i in range(i - 1, last - 1, -1):
+            while getrandbits(k) > i:
+                pass
+        for k, first, last in rest:
+            for i in range(first, last - 1, -1):
+                while getrandbits(k) > i:
+                    pass
+        return None
+    if stubs:
+        u, v = stubs[0], stubs[1]
+        key = (u, v) if u < v else (v, u)
+        if u == v or key in edges:
+            return None
+        edges.add(key)
+    return edges
+
+
 def gen_random_regular(d: int, n: int, seed: int) -> Graph:
     """Random simple d-regular graph via the pairing model with rejection.
 
@@ -647,9 +700,10 @@ def gen_random_regular(d: int, n: int, seed: int) -> Graph:
     from the last position down to 1, j is `getrandbits(k)` with k the bit
     length of i + 1, redrawn while j > i, as CPython's
     `Random._randbelow_with_getrandbits` does (the same in 3.10 through
-    3.13).  So every seed gives the graph, or the exhaustion, that the
-    stdlib shuffle gives, without a Python-level `_randbelow` frame per
-    draw.
+    3.13).  A try stops swapping at its first loop or repeated pair but
+    still makes the rest of its draws.  So every seed gives the graph, or
+    the exhaustion, that the stdlib shuffle gives, without a Python-level
+    `_randbelow` frame per draw.
     """
     if (d * n) % 2 != 0:
         raise ValueError("d * n must be even")
@@ -661,27 +715,16 @@ def gen_random_regular(d: int, n: int, seed: int) -> Graph:
     _check_generated_size(n, n * d // 2)
     getrandbits = random.Random(seed).getrandbits
     base = [v for v in range(n) for _ in range(d)]
+    runs = []
+    first = len(base) - 1
+    while first >= 1:
+        k = (first + 1).bit_length()
+        last = (1 << (k - 1)) - 1
+        runs.append((k, first, last))
+        first = last - 1
     for _ in range(PAIRING_TRIES):
-        stubs = base[:]
-        for i in range(len(stubs) - 1, 0, -1):
-            k = (i + 1).bit_length()
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            stubs[i], stubs[j] = stubs[j], stubs[i]
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
+        edges = _simple_pairing(base[:], runs, getrandbits)
+        if edges is not None:
             g = Graph(n)
             for u, v in sorted(edges):
                 g.add_edge(u, v)

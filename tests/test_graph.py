@@ -814,6 +814,25 @@ class TestGenerators:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
+        # at d = 5 most tries stop at an early bad pair and draw the rest of
+        # their shuffle without swapping; a slip in those draws shifts every
+        # later try, so both graphs and exhaustions must still match
+        def outcome(build, d, n, seed):
+            try:
+                return edge_list(build(d, n, seed))
+            except RuntimeError as error:
+                return str(error)
+
+        exhausted = []
+        for n in range(6, 13, 2):
+            for seed in range(6):
+                got = outcome(gen_random_regular, 5, n, seed)
+                assert got == outcome(pairing_model_oracle, 5, n, seed), (n, seed)
+                if isinstance(got, str):
+                    exhausted.append((n, seed))
+        assert exhausted == [(6, 0), (6, 4), (8, 0), (8, 1), (8, 3), (8, 5),
+                             (10, 0), (10, 1)]
+
     def test_regularity_property_sweep(self):
         for seed, (d, n) in enumerate([(3, 8), (4, 10), (4, 13), (2, 9)]):
             g = gen_random_regular(d, n, seed)
