@@ -233,31 +233,32 @@ def girth(g: Graph):
     depth(u) + depth(w) + 1 through the root, which holds a cycle no longer;
     the search rooted on a shortest cycle meets that cycle's length.  A
     search stops at the first vertex u with 2 * depth(u) + 1 >= best, since
-    every closing edge it could still meet is at least that long.  Once a
-    closing edge is met its far end is still queued, so that stop fires: a
-    search that empties its queue spanned a tree, whose vertices lie on no
-    cycle.  Each root, and each spanned tree, is deleted after its search,
-    and later searches skip edges into deleted vertices.  That keeps the
-    answer: a shortest cycle through the root has been met by the root's
-    search, and when there is none, the graph without the root keeps a
-    shortest cycle.  Returns math.inf for forests.
+    every closing edge it could still meet is at least that long.
 
-    A connected 2-regular component is one cycle, so its girth is its vertex
-    count (a doubled edge gives 2); those components are answered before
-    the searches and deleted, since a long cycle would cost each of its roots
-    a search half the cycle deep.  They are the components of the subgraph
-    on the degree-2 vertices in which every vertex keeps both its edges, so
-    a graph with few such vertices pays little to find them.
+    One deletion rule: a root goes after its search, then, with a stack, every
+    vertex left with at most one live edge (those with at most one edge go
+    first, unsearched); later searches skip deleted vertices.  The answer
+    stays: a shortest cycle through the root was met by its search, else the
+    graph without the root keeps one, and a vertex with at most one live
+    edge lies on no cycle.  So a long cycle, alone or with trees on it, is
+    searched once and deleted whole.  Returns math.inf for forests.
     """
     adj, ends = g._adj, g._edges
     best = math.inf
+    live = {v: len(es) for v, es in adj.items()}  # edges to undeleted ends
+    stack = [v for v, k in live.items() if k <= 1]
     done: set[int] = set()
-    two = g.induced_subgraph([v for v, es in adj.items() if len(es) == 2])
-    for comp in two.components():
-        if all(len(two._adj[v]) == 2 for v in comp):
-            best = min(best, len(comp))
-            done.update(comp)
     for root in sorted(adj):
+        while stack:
+            v = stack.pop()
+            done.add(v)
+            for e in adj[v]:
+                a, b = ends[e]
+                w = b if a == v else a
+                if w not in done:
+                    live[w] -= 1
+                    if live[w] == 1:
+                        stack.append(w)
         if root in done:
             continue
         seen = {root: (0, None)}  # vertex -> (depth, tree edge into it)
@@ -277,9 +278,7 @@ def girth(g: Graph):
                 elif w not in done:
                     seen[w] = (d + 1, e)
                     queue.append(w)
-        else:
-            done.update(queue)
-        done.add(root)
+        stack.append(root)
     return best
 
 

@@ -1097,10 +1097,14 @@ class _Solver:
         leaves it one more mid neighbor, v1 under v, mirroring u1.
 
         By a line trace, of the 2,133 tests/corpus_digest.py runs only the
-        twin-anchors fixture gets here, to the second arm with neither swap;
-        in a whole-suite run three TestPocketDraws draws (which vary with the
-        modules loaded) do, two swapping u and v and two swapping 3 with the
-        missing color.  Only test_forced_arms' patch reaches the first arm."""
+        twin-anchors fixture gets here, to the second arm with neither swap.
+        Under `python -m pytest tests`, in TestPartitionFixtures,
+        test_case_is_reached_and_solved[twin-anchors] does the same,
+        test_twin_anchors_swapped_branches swaps u and v and swaps 3 with the
+        missing color, test_forced_arms[twin-anchors-three] swaps 3 alone,
+        and only test_forced_arms[twin-anchors-all] reaches the first arm.
+        TestPocketDraws' draws get here too, but how often varies with the
+        modules loaded."""
         x, y, w = labels.x, labels.y, labels.w
         w1, w2, w3 = labels.children[w]
         _require(w1 in part.right, "third-branch anchor neither mid nor right")

@@ -396,9 +396,12 @@ class TestGen:
         main(["gen", "regular", "--d", "4", "--n", "16", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_generator_params_exit_two(self, tmp_path):
+    def test_invalid_generator_params_exit_two(self, tmp_path, capsys):
         assert main(["gen", "regular", "--d", "3", "--n", "5",
                      "--out", str(tmp_path / "g.txt")]) == 2
+        capsys.readouterr()
+        assert main(["gen", "blowup", "--t", "0", "--out", str(tmp_path / "g.txt")]) == 2
+        assert capsys.readouterr().err == "error: t must be at least 1\n"
 
     # one past MAX_VERTICES vertices, and 5*633*633 edges past 2*MAX_VERTICES
     @pytest.mark.parametrize("params", [["regular", "--d", "4", "--n", "1000001"],

@@ -341,6 +341,8 @@ class TestVerify:
         assert verify_strong_coloring(g, c) == verify_oracle(g, c)
 
     def test_color_range_enforced(self):
+        with pytest.raises(ValueError, match="palette size must be non-negative"):
+            PartialColoring(-1)
         c = PartialColoring(3)
         with pytest.raises(ValueError):
             c.assign(0, 4)

@@ -71,6 +71,10 @@ class TestGraphBasics:
         assert g.vertices() == [1, 2, 3, 4]
         # survivors keep their ids and endpoints
         assert g.endpoints(eids[1]) == (1, 2)
+        with pytest.raises(ValueError, match="unknown vertex 0"):
+            g.remove_vertex(0)
+        with pytest.raises(ValueError, match="vertex 3 is not an endpoint"):
+            g.other_end(eids[1], 3)
 
     def test_parallel_edges_get_distinct_ids(self):
         g = Graph(2)
@@ -135,12 +139,12 @@ class TestGirth:
             assert girth(g) == girth_oracle(g), f"seed {seed}"
 
     @pytest.mark.parametrize("edges, expected", [
-        # a path 0-1 into a triangle: the search from 0 meets a closing edge
-        # (length 5) only at its last vertex, and 1 must still be a root
+        # a path 0-1 into a triangle: 0, with one edge, is deleted unsearched,
+        # and that deletion leaves 1 two live edges, so 1 must still be a root
         ([(0, 1), (1, 2), (2, 3), (3, 1)], 3),
         # a hexagon on the low ids, then a pentagon, whose closing edge joins
         # its two vertices at depth two: 2 * 2 + 1 < 6 keeps them searched
-        # (a pendant edge on each keeps them from being answered by size)
+        # (the pendant edges are deleted first and leave both rings whole)
         ([(i, (i + 1) % 6) for i in range(6)]
          + [(6 + i, 6 + (i + 1) % 5) for i in range(5)] + [(0, 11), (6, 12)], 5),
     ], ids=["lollipop", "hexagon-then-pentagon"])
@@ -152,17 +156,30 @@ class TestGirth:
 
     def test_long_cycles_delete_their_roots(self):
         # the long cycles of a 2-regular graph on 8,000 vertices, each with
-        # a pendant edge so that the per-root searches run: each root's
-        # search would run half a cycle deep if earlier roots were kept
+        # a pendant edge: each cycle is searched from one root and deleted
+        # whole, where keeping it would cost each of its roots a search half
+        # a cycle deep
         g = gen_random_regular(2, 8000, 1)
         for comp in g.components():
             g.add_edge(comp[0], g.add_vertex())
         g._adj = LookupLimit(g._adj, 10 * g.num_vertices())
         assert girth(g) == 886
+        # a cycle with a pendant vertex on each of its 8,000 vertices, in id
+        # order and relabelled: the pendants go first, the first root's
+        # search runs half the cycle deep, and its deletion leaves its two
+        # neighbours one live edge each, so the cascade deletes the cycle
+        # whole (about 1.5 lookups per vertex)
+        ring = cycle(8000)
+        for v in range(8000):
+            ring.add_edge(v, ring.add_vertex())
+        for g in (ring, shuffled(ring, random.Random(0))):
+            g._adj = LookupLimit(g._adj, 4 * g.num_vertices())
+            assert girth(g) == 8000
 
     def test_a_cycle_is_answered_by_its_length(self):
-        # a 2-regular component is one cycle; a per-root search over it
-        # would read the adjacency about n * n / 4 times
+        # one search over a cycle meets its length, and deleting that root
+        # deletes the whole cycle; a search from every root would read the
+        # adjacency about n * n / 4 times
         g = cycle(20000)
         g._adj = LookupLimit(g._adj, 4 * g.num_vertices())
         assert girth(g) == 20000
@@ -326,6 +343,9 @@ class TestEdgeCut:
         g.add_edge(2, 3)
         with pytest.raises(ValueError, match="disconnected"):
             find_edge_cut_at_most(doubled(g))
+        # no vertex or one vertex: connected, with nothing to cut
+        assert find_edge_cut_at_most(Graph(0)) is None
+        assert find_edge_cut_at_most(Graph(1)) is None
 
     def test_minimum_against_bipartition_oracle(self):
         for seed in range(40):
@@ -725,6 +745,8 @@ class TestGenerators:
         g = gen_blowup_c5(1)
         assert g.num_vertices() == 5 and g.num_edges() == 5
         assert girth(g) == 5
+        with pytest.raises(ValueError, match="t must be at least 1"):
+            gen_blowup_c5(0)
 
     def test_blowup_t2(self):
         g = gen_blowup_c5(2)

@@ -240,6 +240,21 @@ class TestSolveSmall:
         with pytest.raises(ValueError):
             solve21(g)
 
+    def test_recursion_measure_must_decrease(self):
+        g = cycle(5)
+        with pytest.raises(RuntimeError, match="recursion measure did not decrease"):
+            _Solver().solve(g, 0, g.measure())
+
+    @pytest.mark.parametrize("colors, why", [
+        ({}, "solver left 5 edges uncolored"),
+        ({e: 1 for e in range(5)}, "solver produced an invalid coloring"),
+    ], ids=["incomplete", "conflicting"])
+    def test_final_checks_catch_a_bad_solve(self, colors, why):
+        # solve21 checks what the solver returns before handing it out
+        with mock.patch.object(_Solver, "solve", return_value=colors):
+            with pytest.raises(RuntimeError, match=why):
+                solve21(cycle(5))
+
 
 class TestBaseCase:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -677,6 +692,10 @@ class TestSequencePlan:
     def test_plan_requires_girth_six(self):
         with pytest.raises(ValueError):
             build_precolor_and_sequence(girth5_graph(), 0)
+        # a caller that vouches for girth six wrongly is caught by the
+        # two-ball check
+        with pytest.raises(ValueError, match="two-ball around anchor is not a tree"):
+            build_precolor_and_sequence(complete(5), 0, girth_known=True)
 
     @pytest.mark.parametrize("name", ["pg3", *sorted(SHAPES), *sorted(THIN_SHAPES),
                                       "lift2-0", "lift3-1", "lift5-2"])
