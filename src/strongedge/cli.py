@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .graph import (
     Graph,
@@ -222,9 +223,7 @@ def cmd_hunt(args) -> int:
         raise _Exit(EXIT_INTERNAL, f"verification failed at seed {bad[0]['seed']}")
     key = "colors" if args.alg in ("reduce21", "both") else "exact"
     values = [r[key] for r in records]
-    hist: dict[int, int] = {}
-    for v in values:
-        hist[v] = hist.get(v, 0) + 1
+    hist = Counter(values)
     lines = [f"instances={len(records)} d={args.d} n={args.n} "
              f"seeds={args.seed}..{args.seed + args.count - 1}",
              f"max {key} = {max(values)}",

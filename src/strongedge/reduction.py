@@ -176,10 +176,8 @@ def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None):
     forbid: dict[int, set] = {}
     for e, bad in (forbid_edges or {}).items():
         forbid.setdefault(col[e], set()).update(bad)
-    if any(t in forbid.get(s, ()) for s, t in fixed.items()):
-        return None
     palette = range(1, PALETTE + 1)
-    allowed = {s: {fixed[s]} if s in fixed else set(palette) - forbid.get(s, set())
+    allowed = {s: ({fixed[s]} if s in fixed else set(palette)) - forbid.get(s, set())
                for s in palette}
     perm = _match_distinct(sorted(allowed), allowed)
     if perm is None:
@@ -191,7 +189,7 @@ def rename_colors(col: dict, fixed_edges: dict, forbid_edges=None):
 
 
 def _kids(g: Graph, v: int, parent: int) -> list[int]:
-    return sorted(set(g.neighbors(v)) - {parent})
+    return [c for c in g.neighbors(v) if c != parent]
 
 
 def _arrange(children: list[int], first: int, last: int) -> list[int]:
@@ -275,7 +273,7 @@ def build_precolor_and_sequence(g: Graph, x: int, *, girth_known: bool = False
         raise ValueError("anchored decomposition needs a 4-regular graph")
     if not girth_known and girth(g) < 6:
         raise ValueError("anchored decomposition needs girth at least six")
-    nx = sorted(g.neighbors(x))
+    nx = g.neighbors(x)
     labels = BranchLabels(x, nx)
     for z in nx:
         labels.children[z] = _kids(g, z, x)
@@ -397,9 +395,7 @@ def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
     """
     labels = plan.labels
     x, (u, v, w, y) = labels.x, labels.branch
-    psi_edges = set(plan.precolor.colored())
-    seq = set(plan.order)
-    h = {e for e in g.edges() if e not in psi_edges and e not in seq}
+    h = set(g._edges).difference(plan.precolor.colored(), plan.order)
     _require(bool(h), "no leftover uncolored edges")
 
     left = {p for e in h for p in g.endpoints(e)}
@@ -407,12 +403,11 @@ def build_partition(g: Graph, plan: SequencePlan) -> VertexPartition:
     protected = {x, u, v, w, y, w2, w3}
     _require(not (left & protected), "left block touches the anchor's protected vertices")
 
-    inner = {e for e in g.edges()
-             if g.endpoints(e)[0] in left and g.endpoints(e)[1] in left}
+    touching = {e for p in left for e in g._adj[p]}
+    inner = {e for e in touching if set(g.endpoints(e)) <= left}
     _require(inner == h, "left block spans more than the leftover edges")
 
-    crossing = sorted(e for e in g.edges()
-                      if (g.endpoints(e)[0] in left) != (g.endpoints(e)[1] in left))
+    crossing = sorted(touching - h)
     designated = set(labels.children[u] + labels.children[v] + [w1])
     for e in crossing:
         ends = set(g.endpoints(e))
@@ -488,7 +483,7 @@ class _Solver:
             return self._dispatch(g, depth)
         except FallbackTriggered as exc:
             self.trace.record(depth, "fallback", f"reason={exc}", g)
-            return self._exact_finish(g, depth)
+            return self._exact_finish(g)
 
     def _dispatch(self, g: Graph, depth: int) -> dict:
         if g.num_edges() <= BASE_CASE_EDGES:
@@ -529,7 +524,7 @@ class _Solver:
 
         return self._anchored(g, depth)
 
-    def _exact_finish(self, g: Graph, depth: int) -> dict:
+    def _exact_finish(self, g: Graph) -> dict:
         res = exact_strong_index(g, budget=EXACT_FINISH_BUDGET, stop_at=PALETTE)
         if res.upper > PALETTE and not res.exact:
             raise ExactFinishBudgetError(

@@ -189,6 +189,8 @@ class TestRenameColors:
     def test_fixed_target_forbidden_infeasible(self):
         g, c = self.base()
         assert rename_colors(c, {0: 5}, {0: {5}}) is None
+        # the ban reaches color 1 through edge 2, which shares edge 0's color
+        assert rename_colors({0: 1, 1: 2, 2: 1}, {0: 5}, {2: {5}}) is None
 
     def test_large_separation(self):
         # mirror of the cut splice: force nine colors away from nine others
@@ -1087,9 +1089,13 @@ class TestPartitionFixtures:
             a, b = g.endpoints(e)
             assert not ((a in part.left and b in part.right)
                         or (a in part.right and b in part.left))
+        # an independent full scan of g: build_partition reads only the
+        # left vertices' own edges
         inner = {e for e in g.edges()
                  if g.endpoints(e)[0] in part.left and g.endpoints(e)[1] in part.left}
         assert inner == part.left_edges
+        assert part.crossing == [e for e in g.edges()
+                                 if len(set(g.endpoints(e)) & part.left) == 1]
         for e in part.crossing:
             assert len(set(g.endpoints(e)) & part.designated) == 1
         for a in part.designated:
@@ -1471,10 +1477,10 @@ class TestCompletionStrategies:
         monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", 1)
         with pytest.raises(RuntimeError,
                            match="7 vertices and 7 edges .* 1-node budget"):
-            red._Solver()._exact_finish(cycle(7), 0)
+            red._Solver()._exact_finish(cycle(7))
         monkeypatch.setattr(red, "EXACT_FINISH_BUDGET", 1000)
         with pytest.raises(RuntimeError, match="needed 4 colors"):
-            red._Solver()._exact_finish(cycle(7), 0)
+            red._Solver()._exact_finish(cycle(7))
 
 
 class TestSharedEndpointCut:
