@@ -28,10 +28,10 @@ class PartialColoring:
         if k < 0:
             raise ValueError("palette size must be non-negative")
         self.k = k
-        self._assign: dict[int, int] = {}
-        if assignment:
-            for e, c in assignment.items():
-                self.assign(e, c)
+        self._assign: dict[int, int] = dict(assignment) if assignment else {}
+        for c in self._assign.values():
+            if not 1 <= c <= k:
+                raise ValueError(f"color {c} outside palette 1..{k}")
 
     def assign(self, e: int, color: int) -> None:
         if not 1 <= color <= self.k:
@@ -71,9 +71,10 @@ def edge_neighborhood(g: Graph, e: int) -> frozenset:
     """Edges seen by e = uv: B(u) | B(v) without e.
 
     With maximum degree four there are at most 24.  An unknown edge id raises
-    ValueError.  Callers that need many neighbourhoods of one graph build
-    one _ball per vertex, or color through _first_fit's per-vertex masks;
-    verify_strong_coloring uses none of these.
+    ValueError.  Only the base case's edge order reads it; available_colors
+    reads _ball directly, callers that need many neighbourhoods of one graph
+    build one _ball per vertex or color through _first_fit's per-vertex
+    masks, and verify_strong_coloring uses none of these.
     """
     adj, ends = g._adj, g._edges
     if e not in ends:
@@ -94,9 +95,16 @@ def _first_fit(g: Graph, assign: dict[int, int], order, k: int):
     OR of both ends' masks over those edges holds exactly the colors e sees
     while e is uncolored, and its lowest clear bit is e's color.  Coloring e
     sets that bit at u and at v, so the pass builds no neighbourhood.
+
+    While g's ids are dense, at most four per vertex, the masks sit in a
+    list indexed by vertex id, one slot per id below g._next_vertex, so a
+    lookup is a list index.  A component or block cut out of a larger graph
+    keeps its parent's id range; there a dict keyed by g's own vertices
+    keeps the set-up linear in g.
     """
     adj, ends = g._adj, g._edges
-    mask = dict.fromkeys(adj, 1)
+    ids = g._next_vertex
+    mask = [1] * ids if ids <= 4 * len(adj) else dict.fromkeys(adj, 1)
     for f, c in assign.items():
         if f in ends:
             u, v = ends[f]
@@ -128,24 +136,35 @@ def _palette(k: int) -> frozenset:
 
 def available_colors(g: Graph, assignment: dict[int, int], e: int, k: int) -> frozenset:
     """Colors of 1..k on no edge that e sees, under a raw edge->color dict:
-    the solver's one query for a single edge, as _first_fit is for orders."""
-    return _palette(k) - {assignment[f] for f in edge_neighborhood(g, e)
-                          if f in assignment}
+    the solver's one query for a single edge, as _first_fit is for orders.
+
+    It reads e = uv's ball B(u) | B(v) once, skipping e itself, and builds
+    no edge_neighborhood set; an uncolored edge adds None, which is no
+    color.  An unknown edge id raises ValueError.
+    """
+    adj, ends = g._adj, g._edges
+    if e not in ends:
+        raise ValueError(f"unknown edge id {e}")
+    u, v = ends[e]
+    get = assignment.get
+    return _palette(k) - {get(f) for f in _ball(g, adj[u] + adj[v]) if f != e}
 
 
 def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     """Check that every color class is an induced matching.
 
-    The decision reads one set per vertex, S(x): the colors of the colored
-    edges at x.  Two same-colored edges conflict when they share an endpoint
-    or some edge of g, colored or not, joins an endpoint of one to an
-    endpoint of the other.  So the coloring is valid exactly when no vertex
-    repeats a color, that is the sizes of the S(x) sum to twice the number of
-    colored edges, and S(u) & S(v) holds, for each edge uv, only the colors
-    of the colored u-v edges.  In a simple graph that is uv's own color, or
-    nothing when uv is uncolored; the parallel u-v edges are counted only
-    when a set intersection is larger than that.  The decision costs
-    O(sum of degrees + sum over edges uv of min(|S(u)|, |S(v)|)), and
+    The decision reads one color set per vertex, S(x): the colors of the
+    colored edges at x, held as an int bit mask (bit c for color c).  Two
+    same-colored edges conflict when they share an endpoint or some edge of
+    g, colored or not, joins an endpoint of one to an endpoint of the other.
+    So the coloring is valid exactly when no vertex repeats a color, that is
+    the popcounts of the S(x) sum to twice the number of colored edges, and
+    S(u) & S(v) holds, for each edge uv, only the colors of the colored u-v
+    edges.  In a simple graph that is uv's own color, or nothing when uv is
+    uncolored; the parallel u-v edges are counted only when an intersection
+    is larger than that.  One pass over the colored edges sets their bits at
+    both ends, and one pass over g's edges ANDs two masks per edge: the
+    decision costs O(n + m) mask operations on ints of k + 1 bits, and
     O(deg u) more for each edge uv whose intersection is larger.
 
     Only a coloring that fails is handed to _smallest_conflict for its
@@ -159,16 +178,22 @@ def verify_strong_coloring(g: Graph, coloring: PartialColoring):
     """
     assign = coloring._assign
     adj, ends = g._adj, g._edges
-    at = {x: set(map(assign.get, es)) for x, es in adj.items()}
-    for colors in at.values():
-        colors.discard(None)
-    # each S(x) has at most as many colors as x has colored edges, so the sum
-    # falls short exactly when a vertex repeats a color or a colored id is not
-    # in g, for which the witness search raises ValueError from g.endpoints
-    ok = sum(map(len, at.values())) == 2 * len(assign)
+    # a colored id not in g fails here, and the witness search raises
+    # ValueError for it from g.endpoints
+    ok = assign.keys() <= ends.keys()
+    if ok:
+        at = dict.fromkeys(adj, 0)
+        for e, c in assign.items():
+            u, v = ends[e]
+            bit = 1 << c
+            at[u] |= bit
+            at[v] |= bit
+        # each S(x) has at most as many colors as x has colored edges, so the
+        # sum falls short exactly when a vertex repeats a color
+        ok = sum(map(int.bit_count, at.values())) == 2 * len(assign)
     if ok:
         for e, (u, v) in ends.items():
-            shared = len(at[u] & at[v])
+            shared = (at[u] & at[v]).bit_count()
             if (shared > (e in assign)
                     and shared > sum(f in assign and v in ends[f] for f in adj[u])):
                 ok = False

@@ -241,7 +241,10 @@ def girth(g: Graph):
     stays: a shortest cycle through the root was met by its search, else the
     graph without the root keeps one, and a vertex with at most one live
     edge lies on no cycle.  So a long cycle, alone or with trees on it, is
-    searched once and deleted whole.  Returns math.inf for forests.
+    searched once and deleted whole.  The search's depth-0 step, which reads
+    every live edge of the root, also lowers the live counts of the root's
+    neighbours, so deleting the root reads its edges no second time.
+    Returns math.inf for forests.
     """
     adj, ends = g._adj, g._edges
     best = math.inf
@@ -272,13 +275,21 @@ def girth(g: Graph):
                     continue
                 a, b = ends[e]
                 w = b if a == u else a
+                if w in done:
+                    continue
+                if not d:
+                    # a root edge: best >= 2 never stops depth 0, so every
+                    # live edge of the root passes here once
+                    live[w] -= 1
+                    if live[w] == 1:
+                        stack.append(w)
                 if w in seen:
                     if d + seen[w][0] + 1 < best:
                         best = d + seen[w][0] + 1
-                elif w not in done:
+                else:
                     seen[w] = (d + 1, e)
                     queue.append(w)
-        stack.append(root)
+        done.add(root)
     return best
 
 

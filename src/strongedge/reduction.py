@@ -503,7 +503,8 @@ class _Solver:
                 col.update(self.solve(g.induced_subgraph(comp), depth + 1, g.measure()))
             return col
 
-        low = [v for v in g.vertices() if g.degree(v) <= 3]
+        # the adjacency keeps ascending vertex ids, so low is a heap
+        low = [v for v, es in g._adj.items() if len(es) <= 3]
         if low:
             return self._low_degree_batch(g, low, depth)
 
@@ -541,9 +542,9 @@ class _Solver:
         """Peel low-degree vertices, lowest id first, recurse once, extend back.
 
         `low` holds every vertex of degree at most three, ascending (so
-        already a heap).  The peel records each peeled vertex's edge ids;
-        after the recursion one _first_fit pass over the unmutated input g
-        colors them in reverse peel order, each with the smallest color its
+        already a heap).  The peel records each peeled vertex's live edge
+        ids; after the recursion one _first_fit pass over the unmutated input
+        g colors them in reverse peel order, each with the smallest color its
         neighbourhood in g leaves free.  Let v be peeled from g_t, the graph
         just before its removal, and e = va.  When e is colored back every
         colored edge lies in g_t, and an edge of g joining an end of e to an
@@ -552,29 +553,45 @@ class _Solver:
         three, so e sees at most 20 other edges there, and one of the 21
         colors is free.
 
-        Removal only lowers degrees, so a vertex stays peelable once its
-        degree reaches three: a heap of those ids, fed by the neighbours of
-        each removed vertex, pops the lowest peelable id, as a rescan of the
-        vertex list would.  A neighbour is pushed once (a double edge lowers
-        its degree by two).  The peel costs O(n + m log n), not O(n^2).
+        Nothing is copied or removed while peeling: a degree map over g's
+        adjacency and the set of peeled vertices stand for the shrinking
+        graph, a peeled vertex's live edges are those of g whose other end is
+        not yet peeled, and the residue is built once, as the subgraph that g
+        induces on the vertices left.  Peeling only lowers degrees, so a
+        vertex stays peelable once its degree reaches three: a heap of those
+        ids, fed by the neighbours of each peeled vertex, pops the lowest
+        peelable id, as a rescan of the vertex list would.  A neighbour is
+        pushed once (a double edge lowers its degree by two).  The peel
+        costs O(n + m log n), not O(n^2).
         """
-        g2, first, peeled = g.copy(), low[0], []
+        adj, ends = g._adj, g._edges
+        degree = {v: len(es) for v, es in adj.items()}
+        gone: set[int] = set()
+        first, peeled, left = low[0], [], len(ends)
         queued = set(low)
         while low:
             v = heappop(low)
-            incident = g2.incident(v)
-            peeled.append(incident)
-            near = {g2.other_end(e, v) for e in incident}
-            g2.remove_vertex(v)
-            if g2.num_edges() <= BASE_CASE_EDGES:
+            gone.add(v)
+            live, near = [], set()
+            for e in adj[v]:
+                a, b = ends[e]
+                w = b if a == v else a
+                if w not in gone:
+                    live.append(e)
+                    near.add(w)
+                    degree[w] -= 1
+            peeled.append(live)
+            left -= len(live)
+            if left <= BASE_CASE_EDGES:
                 break
             for w in near:
-                if w not in queued and g2.degree(w) <= 3:
+                if w not in queued and degree[w] <= 3:
                     queued.add(w)
                     heappush(low, w)
         self.trace.record(depth, "low-degree",
                           f"v={first} count={len(peeled)}", g)
-        col = self.solve(g2, depth + 1, g.measure())
+        residue = g.induced_subgraph(adj.keys() - gone)
+        col = self.solve(residue, depth + 1, g.measure())
         failed = _first_fit(g, col, [e for es in reversed(peeled) for e in es], PALETTE)
         if failed is not None:
             raise FallbackTriggered(

@@ -331,6 +331,32 @@ class TestVerify:
         assert verify_strong_coloring(g, c) == verify_oracle(g, c)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_sorted_scan_with_a_hundred_colors(self, data):
+        # colors up to 100 put S(x) bits above bit 62: a greedy coloring,
+        # its colors renamed by a drawn permutation of 1..100 and some edges
+        # left uncolored, is valid; then a planted conflict, the color of an
+        # edge copied onto one it sees, across a parallel pair when the draw
+        # has one
+        g = pairing_model_multigraph(data.draw)
+        eids = g.edges()
+        greedy, failed = greedy_color(g, 100)
+        assert failed is None
+        rename = data.draw(st.permutations(range(1, 101)))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(eids), max_size=len(eids)))
+        c = PartialColoring(100, {e: rename[greedy.color(e) - 1]
+                                  for e, kept in zip(eids, keep) if kept})
+        assert verify_strong_coloring(g, c) == verify_oracle(g, c) == (True, None)
+        pairs = sorted((e, f) for e in c.colored() for f in seen_edges(g, e))
+        if pairs:
+            parallel = [(e, f) for e, f in pairs if set(g.endpoints(e)) == set(g.endpoints(f))]
+            e, f = data.draw(st.sampled_from(parallel or pairs))
+            c.assign(f, c.color(e))
+            result = verify_strong_coloring(g, c)
+            assert result == verify_oracle(g, c)
+            assert not result[0]
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.sampled_from([(12, 0), (16, 1), (24, 2), (40, 3)]),
            st.integers(0, 10 ** 6), st.integers(1, 21))
     def test_matches_sorted_scan_on_corrupted_solutions(self, instance, pick, color):
@@ -348,6 +374,15 @@ class TestVerify:
             c.assign(0, 4)
         with pytest.raises(ValueError):
             c.assign(0, 0)
+        # the constructor checks every value and names the first bad color
+        with pytest.raises(ValueError, match=r"color 4 outside palette 1\.\.3"):
+            PartialColoring(3, {0: 1, 1: 4, 2: 0})
+        # it keeps its own copy of the passed dict
+        given_colors = {0: 1, 1: 2}
+        c = PartialColoring(3, given_colors)
+        given_colors[0] = 3
+        given_colors[2] = 1
+        assert c.as_dict() == {0: 1, 1: 2}
 
 
 class TestAvailability:
@@ -415,6 +450,29 @@ class TestFirstFit:
         col = {2: 1}
         assert _first_fit(g, col, [0, 1, 3], 3) == 3
         assert col == {2: 1, 0: 2, 1: 3}
+
+    def test_a_small_graph_keeps_a_large_id_range(self):
+        # a component cut out of a graph on a million ids keeps that id
+        # range; its masks are keyed by its own four vertices, so the set-up
+        # stays small (a list over the range would take 8 MB), and it colors
+        # as the same graph on ids 0..3 does
+        links = [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3)]
+        small, big = Graph(4), Graph(10 ** 6)
+        for u, v in links:
+            small.add_edge(u, v)
+            big.add_edge(10 ** 6 - 4 + u, 10 ** 6 - 4 + v)
+        part = big.induced_subgraph(range(10 ** 6 - 4, 10 ** 6))
+        expected = {}
+        assert _first_fit(small, expected, [4, 0, 3, 1, 2], 7) is None
+        col = {}
+        tracemalloc.start()
+        try:
+            assert _first_fit(part, col, [4, 0, 3, 1, 2], 7) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col == expected
+        assert peak < 10 ** 5, peak
 
     def test_skips_colored_ids_that_are_not_edges_of_g(self):
         # the input's coloring may carry colors of edges a subgraph lacks: a

@@ -176,6 +176,19 @@ class TestGirth:
             g._adj = LookupLimit(g._adj, 4 * g.num_vertices())
             assert girth(g) == 8000
 
+    def test_short_girth_reads_each_root_once(self):
+        # on the 4-regular circulant C_n(1, 2), in id order and relabelled,
+        # the first root's search meets a triangle at depth one and every
+        # later search stops after its depth-0 step, which also lowers the
+        # neighbours' live counts: each vertex's edges are read once, as a
+        # root or when a deletion leaves it one live edge, plus the first
+        # search's one depth-1 vertex (reading each root's edges again to
+        # delete it took about 1.5 to 2 lookups per vertex)
+        ring = circulant(4000, [1, 2])
+        for g in (ring, shuffled(ring, random.Random(0))):
+            g._adj = LookupLimit(g._adj, g.num_vertices() + 1)
+            assert girth(g) == 3
+
     def test_a_cycle_is_answered_by_its_length(self):
         # one search over a cycle meets its length, and deleting that root
         # deletes the whole cycle; a search from every root would read the

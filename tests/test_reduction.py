@@ -443,14 +443,7 @@ class TestDispatchPaths:
         for a, b in zip(ids, ids[1:]):
             for _ in range(rng.choice((1, 2))):
                 g.add_edge(a, b)
-        removed = []
-        remove_vertex = Graph.remove_vertex
-
-        def logged(graph, v):
-            removed.append(v)
-            remove_vertex(graph, v)
-
-        with mock.patch.object(Graph, "remove_vertex", logged):
+        with logged_peel() as removed:
             coloring, trace = solve21(g)
         assert_solved(g, coloring, trace)
         order = peel_order_oracle(g, BASE_CASE_EDGES)
@@ -459,6 +452,21 @@ class TestDispatchPaths:
         assert trace.steps[0].params == f"v={order[0]} count={len(order)}"
         assert order != sorted(order)
         assert any(g.degree(v) == 4 and len(g.neighbors(v)) == 2 for v in order)
+
+    def test_peel_copies_nothing(self):
+        # a cubic graph is peeled down to the base case; the peel reads g's
+        # adjacency and builds its residue once, so no copy or removal runs
+        g = gen_random_regular(3, 400, 7)
+
+        def refuse(*args):
+            raise AssertionError("the peel copied or mutated a graph")
+
+        with mock.patch.object(Graph, "copy", refuse), \
+                mock.patch.object(Graph, "remove_vertex", refuse), \
+                mock.patch.object(Graph, "remove_edge", refuse):
+            coloring, trace = solve21(g)
+        assert trace.tags() == ["low-degree", "base-case"]
+        assert_solved(g, coloring, trace)
 
     def test_random_regular_sweep(self):
         for seed in range(20):
@@ -488,6 +496,23 @@ class TestDispatchPaths:
             solve21(g)
         assert {frozenset(degrees) for degrees, _ in calls} == {frozenset({4})}
         assert {size for _, size in calls} == {None, 2}
+
+
+@contextlib.contextmanager
+def logged_peel():
+    """Yield the list of vertices the low-degree peel pops from its heap,
+    in order, while the block runs: every popped vertex is peeled."""
+    import strongedge.reduction as red
+    popped = []
+    pop = red.heappop
+
+    def logged(heap):
+        v = pop(heap)
+        popped.append(v)
+        return v
+
+    with mock.patch.object(red, "heappop", logged):
+        yield popped
 
 
 def max4_multigraph(draw) -> Graph:
@@ -527,16 +552,9 @@ class TestLinearDispatch:
         assert (new._next_vertex, new._next_edge) == (old._next_vertex, old._next_edge)
 
         # the largest component is solved alone, so the peel, when there is
-        # one, is the top-level step and its removals come first
+        # one, is the top-level step and its pops come first
         h = g.induced_subgraph(max(comps, key=len))
-        removed = []
-        remove_vertex = Graph.remove_vertex
-
-        def logged(graph, v):
-            removed.append(v)
-            remove_vertex(graph, v)
-
-        with mock.patch.object(Graph, "remove_vertex", logged):
+        with logged_peel() as removed:
             coloring, trace = solve21(h)
         assert_solved(h, coloring, trace)
         if trace.steps[0].tag == "low-degree":

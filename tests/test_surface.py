@@ -108,8 +108,7 @@ def test_tracer_targets_resolve_and_trace_a_solve():
     assert_solved(g, col, trace)
     assert pocket_digest(col, trace) == POCKET_DIGESTS["mixed-branch"]
     # the benchmark's per-layer rows read edge_neighborhood through these
-    # bindings: the base case orders its edges by it, and available_colors
-    # calls it once per set
+    # bindings: only the base case calls it, to order its edges
     for layer in ("reduction.dispatch", "reduction.collaborative",
                   "graph.find_edge_cut_at_most", "graph.find_configuration",
                   "reduction.build_partition", "coloring.edge_neighborhood"):
